@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 _GRID_KEYS = ("size", "dealias_cutoff")
 _TIME_KEYS = ("t_end", "record_every", "dt", "cfl", "snapshot_every")
 _MODEL_KEYS = ("alpha",)
-_SWEEP_KEYS = ("alphas", "regime", "reference", "s")
+_SWEEP_KEYS = ("alphas", "regime", "s")
 _OUTPUT_KEYS = ("directory", "formats")
 _FORMATS = ("csv", "snapshots")
 
@@ -55,7 +55,6 @@ class RunConfig:
     alpha: float | None = None
     sweep_alphas: tuple[float, ...] | None = None
     regime: str | None = None
-    reference: str = "euler_same_grid"
     s: float | None = None
     out_dir: str = "."
     formats: tuple[str, ...] = ("csv",)
@@ -81,6 +80,11 @@ class RunConfig:
     def sweep_plan(self, jobs: int = 1) -> SweepPlan:
         if self.sweep_alphas is None or self.regime is None:
             raise ConfigError("missing [sweep] section (keys alphas, regime)")
+        if self.snapshot_every is not None:
+            raise ConfigError(
+                "key 'snapshot_every' in [time] is not used by sweep "
+                "(sweeps compare a snapshot at every record time)"
+            )
         try:
             return SweepPlan(
                 recipe=self.recipe,
@@ -88,7 +92,6 @@ class RunConfig:
                 grid=self.grid,
                 t_end=self.t_end,
                 regime=self.regime,
-                reference=self.reference,
                 record_every=self.record_every,
                 dt=self.dt,
                 c_cfl=0.5 if self.c_cfl is None and self.dt is None else self.c_cfl,
@@ -210,12 +213,10 @@ def parse_config(text: str) -> RunConfig:
 
     # [sweep]
     sweep_alphas = regime = s = None
-    reference = "euler_same_grid"
     if "sweep" in raw:
         w = raw["sweep"]
         sweep_alphas = _get(w, "sweep", "alphas", _float_list, required=True)
         regime = _get(w, "sweep", "regime", str, required=True)
-        ref = _get(w, "sweep", "reference", str)
         s = _get(w, "sweep", "s", float)
         _reject_unknown("sweep", w, _SWEEP_KEYS)
         if not sweep_alphas:
@@ -225,12 +226,9 @@ def parse_config(text: str) -> RunConfig:
                 f"bad value for 'regime' in [sweep]: {regime!r} "
                 f"(known: {', '.join(REGIMES)})"
             )
-        if ref is not None:
-            reference = ref
         effective["sweep"] = {
             "alphas": ", ".join(repr(a) for a in sweep_alphas),
             "regime": regime,
-            "reference": reference,
         }
         if s is not None:
             effective["sweep"]["s"] = repr(s)
@@ -267,7 +265,6 @@ def parse_config(text: str) -> RunConfig:
         alpha=alpha,
         sweep_alphas=sweep_alphas,
         regime=regime,
-        reference=reference,
         s=s,
         out_dir=out_dir,
         formats=formats,

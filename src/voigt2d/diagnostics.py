@@ -212,13 +212,3 @@ def error_norms(a: "TrajectoryRecord", b: "TrajectoryRecord") -> dict[str, float
         sup_u = max(sup_u, velocity_l2(du))
         sup_h1 = max(sup_h1, velocity_sobolev(du, 1.0))
     return {"sup_u_l2": sup_u, "sup_omega_l2": sup_w, "sup_u_h1": sup_h1}
-
-
-def growth_monitor(record: "TrajectoryRecord", s: float) -> list[tuple[float, float]]:
-    """Time series of ||u(t)||_{s,2} reconstructed from snapshots."""
-    if record.snapshots is None:
-        raise ValueError("growth_monitor requires a record with snapshots")
-    out = []
-    for t, w in record.snapshots:
-        out.append((t, velocity_sobolev(biot_savart(w), s)))
-    return out

@@ -9,6 +9,7 @@ d_t omega = (I - alpha Lap)^{-1} (-u . grad omega), alpha = 0 giving Euler.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,25 @@ def _event_times(t_end: float, every: float) -> list[float]:
     return out
 
 
+def _schedule(config: SolverConfig) -> tuple[list[float], set[float], set[float]]:
+    """Sorted event times, and the record and snapshot times among them.
+
+    A snapshot time within 1e-12 t_end of a record time is moved onto it:
+    k * every rounds differently for different ``every``, and two events a
+    few ulps apart would force a sub-ulp step and stamp the snapshot with
+    a time the records do not have.
+    """
+    rec_times = _event_times(config.t_end, config.record_every)
+    snap_times = []
+    if config.snapshot_every is not None:
+        tol = 1e-12 * config.t_end
+        for t in _event_times(config.t_end, config.snapshot_every):
+            i = bisect_left(rec_times, t)
+            near = min(rec_times[max(i - 1, 0) : i + 1], key=lambda r: abs(r - t))
+            snap_times.append(near if abs(near - t) <= tol else t)
+    return sorted(set(rec_times) | set(snap_times)), set(rec_times), set(snap_times)
+
+
 def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     """Advance omega0 to t_end recording diagnostics every record_every.
 
@@ -181,15 +201,7 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
         raise ValueError("initial data grid does not match config grid")
     omega = zero_mean(dealias(omega0))
 
-    rec_times = _event_times(config.t_end, config.record_every)
-    snap_times = (
-        _event_times(config.t_end, config.snapshot_every)
-        if config.snapshot_every is not None
-        else []
-    )
-    events = sorted(set(rec_times) | set(snap_times))
-    rec_set = set(rec_times)
-    snap_set = set(snap_times)
+    events, rec_set, snap_set = _schedule(config)
 
     times = [0.0]
     samples = [sample_state(omega, config.alpha, 0.0)]

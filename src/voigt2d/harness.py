@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .grid import GridSpec
 from .spectral import SpectralField, biot_savart
 from .dynamics import SolverConfig, TrajectoryRecord, cfl_dt, integrate
 from .diagnostics import error_norms, l2_norm, velocity_sobolev
-from .initial_data import DataRecipe, galerkin_truncate, make_alpha_family, realize
+from .initial_data import DataRecipe, galerkin_truncate, realize
 
 REGIMES = ("smooth_s_ge_3", "smooth_2_lt_s_lt_3", "yudovich", "enstrophy_class")
 ERROR_METRICS = ("sup_u_l2", "sup_omega_l2", "sup_u_h1")
@@ -30,10 +31,15 @@ DEGENERATE_FLOOR = 1e-10
 class SweepPlan:
     """One convergence experiment.
 
+    Every Voigt run starts from the recipe's data realized on ``grid`` and
+    is compared with one Euler run from the same data on the same grid.
     All runs share the diagnostic time grid and one fixed time step; the
-    step defaults to the CFL value of the base initial data at t = 0 so
-    the Euler reference and every Voigt run see the same schedule and
+    step defaults to the CFL value of the initial data at t = 0 so the
+    Euler reference and every Voigt run see the same schedule and
     time-discretization error cancels to leading order in comparisons.
+    ``s`` is the Sobolev order of the data, given exactly when the regime
+    is smooth_2_lt_s_lt_3, which also needs random_sobolev data and runs
+    serially; ``jobs`` is the number of concurrent alpha runs.
     """
 
     recipe: DataRecipe
@@ -41,15 +47,10 @@ class SweepPlan:
     grid: GridSpec
     t_end: float
     regime: str
-    reference: str = "euler_same_grid"
-    refine_factor: int = 2
     record_every: float = 0.1
     dt: float | None = None
     c_cfl: float = 0.5
     s: float | None = None
-    family_mode: str = "exact"
-    family_gamma: float = 1.0
-    family_seed: int = 1
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -68,12 +69,17 @@ class SweepPlan:
         if self.regime == "smooth_2_lt_s_lt_3":
             if self.s is None or not 2.0 < self.s < 3.0:
                 raise ValueError("smooth_2_lt_s_lt_3 requires s strictly in (2, 3)")
-        if self.reference not in ("euler_same_grid", "euler_refined"):
-            raise ValueError(f"unknown reference {self.reference!r}")
-        if self.reference == "euler_refined" and self.refine_factor < 2:
-            raise ValueError("euler_refined needs refine_factor >= 2")
-        if self.family_mode not in ("exact", "perturbed"):
-            raise ValueError(f"unknown family mode {self.family_mode!r}")
+            if self.recipe.kind != "random_sobolev":
+                raise ValueError(
+                    "smooth_2_lt_s_lt_3 requires random_sobolev data, "
+                    f"not {self.recipe.kind!r}"
+                )
+            if self.jobs != 1:
+                raise ValueError("smooth_2_lt_s_lt_3 runs serially: jobs must be 1")
+        elif self.s is not None:
+            raise ValueError(
+                f"s is used only by regime smooth_2_lt_s_lt_3, not {self.regime!r}"
+            )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.t_end > 0:
@@ -97,14 +103,6 @@ class TheoreticalRate:
     velocity: float | None
     vorticity: float | None
     description: str
-
-
-@dataclass
-class PairResult:
-    alpha: float
-    voigt: TrajectoryRecord
-    euler: TrajectoryRecord
-    errors: dict[str, float]
 
 
 @dataclass
@@ -226,63 +224,9 @@ def _plan_dt(plan: SweepPlan, base: SpectralField) -> float:
     return cfl_dt(biot_savart(base), plan.grid, plan.c_cfl)
 
 
-def _refined_grid(plan: SweepPlan) -> GridSpec:
-    m = plan.grid.size * plan.refine_factor
-    return GridSpec(m, m // 3)
-
-
-def _restrict(f: SpectralField, coarse: GridSpec) -> SpectralField:
-    """Spectral projection of a fine-grid field onto a coarser grid.
-
-    Keeps |k_i| < M/2 of the coarse grid; the coarse Nyquist row is left
-    empty (dynamics fields are dealiased well inside it anyway).
-    """
-    mc = coarse.size
-    half = mc // 2
-    c = np.zeros((mc, mc), dtype=np.complex128)
-    src = f.coeffs
-    c[:half, :half] = src[:half, :half]
-    c[:half, -(half - 1) :] = src[:half, -(half - 1) :]
-    c[-(half - 1) :, :half] = src[-(half - 1) :, :half]
-    c[-(half - 1) :, -(half - 1) :] = src[-(half - 1) :, -(half - 1) :]
-    return SpectralField(coarse, c)
-
-
-def _restricted_record(rec: TrajectoryRecord, coarse: GridSpec, alpha: float) -> TrajectoryRecord:
-    from .diagnostics import sample_state
-
-    snaps = [(t, _restrict(w, coarse)) for t, w in rec.snapshots]
-    samples = [sample_state(w, alpha, t) for t, w in snaps]
-    diag = {
-        "energy": np.array([s.energy for s in samples]),
-        "enstrophy": np.array([s.enstrophy for s in samples]),
-        "voigt_energy": np.array([s.voigt_energy for s in samples]),
-        "voigt_enstrophy": np.array([s.voigt_enstrophy for s in samples]),
-        "omega_sup": np.array([s.extra["omega_sup"] for s in samples]),
-    }
-    return TrajectoryRecord(
-        grid=coarse,
-        alpha=rec.alpha,
-        times=rec.times.copy(),
-        diagnostics=diag,
-        snapshots=snaps,
-        config=rec.config,
-    )
-
-
-def run_pair(recipe: DataRecipe, alpha: float, plan: SweepPlan) -> PairResult:
-    """Integrate the Voigt system at one alpha and its Euler reference.
-
-    The Euler reference starts from the base data; the Voigt run starts
-    from the alpha-family data (identical in exact mode).  Both share the
-    plan's fixed dt and diagnostic grid.
-    """
-    base = realize(recipe, plan.grid)
-    dt = _plan_dt(plan, base)
-    w0_voigt = make_alpha_family(
-        base, alpha, plan.family_mode, plan.family_gamma, plan.family_seed
-    )
-    voigt_cfg = SolverConfig(
+def _solver_config(plan: SweepPlan, alpha: float, dt: float) -> SolverConfig:
+    """The schedule every run of a sweep shares: fixed dt, a snapshot per record."""
+    return SolverConfig(
         grid=plan.grid,
         alpha=alpha,
         t_end=plan.t_end,
@@ -290,81 +234,28 @@ def run_pair(recipe: DataRecipe, alpha: float, plan: SweepPlan) -> PairResult:
         dt=dt,
         snapshot_every=plan.record_every,
     )
-    voigt = integrate(w0_voigt, voigt_cfg)
-
-    if plan.reference == "euler_same_grid":
-        euler_cfg = SolverConfig(
-            grid=plan.grid,
-            alpha=0.0,
-            t_end=plan.t_end,
-            record_every=plan.record_every,
-            dt=dt,
-            snapshot_every=plan.record_every,
-        )
-        euler = integrate(base, euler_cfg)
-    else:
-        fine = _refined_grid(plan)
-        base_fine = realize(recipe, fine)
-        euler_cfg = SolverConfig(
-            grid=fine,
-            alpha=0.0,
-            t_end=plan.t_end,
-            record_every=plan.record_every,
-            dt=dt,
-            snapshot_every=plan.record_every,
-        )
-        euler = _restricted_record(integrate(base_fine, euler_cfg), plan.grid, 0.0)
-
-    errors = error_norms(voigt, euler)
-    return PairResult(alpha=alpha, voigt=voigt, euler=euler, errors=errors)
 
 
-def _pair_errors(args: tuple[DataRecipe, float, SweepPlan]) -> dict[str, float]:
-    recipe, alpha, plan = args
-    return run_pair(recipe, alpha, plan).errors
+def _alpha_errors(
+    plan: SweepPlan,
+    base: SpectralField,
+    dt: float,
+    euler: TrajectoryRecord | None,
+    alpha: float,
+) -> dict[str, float]:
+    """Errors of the Voigt run at one alpha against the Euler reference.
+
+    With ``euler`` None (a pool task) the reference is integrated here.
+    The Voigt record is dropped on return, so a sweep holds at most one
+    at a time per process.
+    """
+    if euler is None:
+        euler = integrate(base, _solver_config(plan, 0.0, dt))
+    return error_norms(integrate(base, _solver_config(plan, alpha, dt)), euler)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _collect_errors(plan: SweepPlan) -> list[dict[str, float]]:
-    if plan.jobs > 1:
-        tasks = [(plan.recipe, a, plan) for a in plan.alphas]
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            return list(pool.map(_pair_errors, tasks))
-    if plan.family_mode == "exact" and plan.reference == "euler_same_grid":
-        # the Euler reference is the same run for every alpha: do it once;
-        # bit-identical to the per-pair path because every run is deterministic
-        base = realize(plan.recipe, plan.grid)
-        dt = _plan_dt(plan, base)
-        euler = integrate(
-            base,
-            SolverConfig(
-                grid=plan.grid,
-                alpha=0.0,
-                t_end=plan.t_end,
-                record_every=plan.record_every,
-                dt=dt,
-                snapshot_every=plan.record_every,
-            ),
-        )
-        out = []
-        for alpha in plan.alphas:
-            voigt = integrate(
-                base,
-                SolverConfig(
-                    grid=plan.grid,
-                    alpha=alpha,
-                    t_end=plan.t_end,
-                    record_every=plan.record_every,
-                    dt=dt,
-                    snapshot_every=plan.record_every,
-                ),
-            )
-            out.append(error_norms(voigt, euler))
-        return out
-    return [_pair_errors((plan.recipe, a, plan)) for a in plan.alphas]
 
 
 def _degenerate(errors: dict[str, list[float]], scale: float) -> bool:
@@ -375,26 +266,42 @@ def _degenerate(errors: dict[str, list[float]], scale: float) -> bool:
 def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     """Run the paired experiment at every alpha and fit decay rates.
 
-    Per-alpha runs are independent and may execute concurrently
-    (plan.jobs > 1); results are assembled in alpha order either way, so
-    reports are bit-identical across concurrency levels.
+    The base data and dt are fixed once.  Each Voigt run starts from the
+    base data and is compared with the Euler run from it.  A serial sweep
+    integrates that reference once, in the calling process; with
+    plan.jobs > 1 the alpha runs execute concurrently in a process pool,
+    and each pool task integrates its own reference rather than receive
+    the whole record by pickle.  Results are assembled in alpha order
+    either way, so reports are bit-identical across concurrency levels.
+    Regime smooth_2_lt_s_lt_3 runs galerkin_reference_sweep instead.
     """
-    per_alpha = _collect_errors(plan)
+    if plan.regime == "smooth_2_lt_s_lt_3":
+        return galerkin_reference_sweep(plan)
+    base = realize(plan.recipe, plan.grid)
+    dt = _plan_dt(plan, base)
+    if plan.jobs == 1:
+        euler = integrate(base, _solver_config(plan, 0.0, dt))
+        per_alpha = [_alpha_errors(plan, base, dt, euler, a) for a in plan.alphas]
+    else:
+        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
+            per_alpha = list(
+                pool.map(
+                    _alpha_errors, repeat(plan), repeat(base), repeat(dt), repeat(None),
+                    plan.alphas,
+                )
+            )
     errors: dict[str, list[float]] = {
         m: [e[m] for e in per_alpha] for m in ERROR_METRICS
     }
-    theoretical = theoretical_slope(plan.regime, plan.s)
-    base = realize(plan.recipe, plan.grid)
-    dt_used = _plan_dt(plan, base)
     report = ConvergenceReport(
         plan=plan,
         alphas=plan.alphas,
         errors=errors,
         fits={},
-        theoretical=theoretical,
+        theoretical=theoretical_slope(plan.regime, plan.s),
         verdicts={},
         per_alpha=[{"alpha": a, **e} for a, e in zip(plan.alphas, per_alpha)],
-        dt_used=dt_used,
+        dt_used=dt,
     )
 
     if _degenerate(errors, l2_norm(base)):
@@ -491,44 +398,38 @@ def _truncation_checks(
     return out
 
 
-def galerkin_reference_sweep(plan: SweepPlan, s: float) -> ConvergenceReport:
+def galerkin_reference_sweep(
+    plan: SweepPlan, s: float | None = None
+) -> ConvergenceReport:
     """Three-run experiment coupling the Galerkin cutoff to alpha.
 
     Per alpha, with N = choose_cutoff(alpha) clamped to the data band:
     Euler from omega0, Euler from the truncation omega0^N, and Voigt from
-    the alpha-family data.  The total vorticity error splits into a
-    truncation part and a Voigt-vs-truncated part; the total is fitted
-    against the proven exponent (s-1)/4, with an advisory verdict when
-    the desk-scale points are still pre-asymptotic.
+    omega0.  The total vorticity error splits into a truncation part and a
+    Voigt-vs-truncated part; the total is fitted against the proven
+    exponent (s-1)/4, with an advisory verdict when the desk-scale points
+    are still pre-asymptotic.  run_sweep calls this for regime
+    smooth_2_lt_s_lt_3, whose plan carries s; an ``s`` given here must
+    equal plan.s.
     """
-    if not 2.0 < s < 3.0:
-        raise ValueError(f"galerkin_reference_sweep requires s in (2, 3), got {s}")
-    if plan.recipe.kind != "random_sobolev":
-        raise ValueError("galerkin_reference_sweep expects a random_sobolev recipe")
+    if plan.regime != "smooth_2_lt_s_lt_3":
+        raise ValueError(
+            f"galerkin_reference_sweep needs regime smooth_2_lt_s_lt_3, not {plan.regime!r}"
+        )
+    if s is not None and s != plan.s:
+        raise ValueError(f"s = {s} disagrees with plan.s = {plan.s}")
+    s = plan.s
     base = realize(plan.recipe, plan.grid)
     dt = _plan_dt(plan, base)
     band = int(plan.recipe.params["band"])
 
-    def cfg(alpha: float) -> SolverConfig:
-        return SolverConfig(
-            grid=plan.grid,
-            alpha=alpha,
-            t_end=plan.t_end,
-            record_every=plan.record_every,
-            dt=dt,
-            snapshot_every=plan.record_every,
-        )
-
-    euler_full = integrate(base, cfg(0.0))
+    euler_full = integrate(base, _solver_config(plan, 0.0, dt))
     per_alpha: list[dict] = []
     for alpha in plan.alphas:
         n = choose_cutoff(alpha, band_limit=band)
         base_n = galerkin_truncate(base, n)
-        euler_trunc = integrate(base_n, cfg(0.0))
-        w0 = make_alpha_family(
-            base, alpha, plan.family_mode, plan.family_gamma, plan.family_seed
-        )
-        voigt = integrate(w0, cfg(alpha))
+        euler_trunc = integrate(base_n, _solver_config(plan, 0.0, dt))
+        voigt = integrate(base, _solver_config(plan, alpha, dt))
         total = error_norms(voigt, euler_full)
         trunc = error_norms(euler_trunc, euler_full)
         vs_trunc = error_norms(voigt, euler_trunc)

@@ -2,8 +2,7 @@
 
 Every generator is fully determined by its arguments and seed, and (for
 band-limited recipes) produces the same Fourier coefficients on any grid
-large enough to hold the band, so refined-grid reference runs start from
-the identical field.
+large enough to hold the band.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .spectral import (
     values_oversampled,
     zero_mean,
 )
-from .diagnostics import l2_norm
 
 KINDS = ("eigenfunction", "random_sobolev", "yudovich_patch", "taylor_family")
 
@@ -208,30 +206,3 @@ def galerkin_truncate(f: SpectralField, n: int) -> SpectralField:
     c = f.coeffs * mask
     c[0, 0] = 0.0
     return SpectralField(f.grid, c)
-
-
-def make_alpha_family(
-    base: SpectralField,
-    alpha: float,
-    mode: str = "exact",
-    gamma: float = 1.0,
-    seed: int = 0,
-) -> SpectralField:
-    """Initial data for the Voigt run at a given alpha.
-
-    exact:      omega_0^alpha = omega_0 (identical object).
-    perturbed:  adds a fixed low-band seeded field scaled so that
-                ||omega_0^alpha - omega_0||_2 = alpha^gamma ||omega_0||_2.
-                The perturbation band is fixed, so sqrt(alpha) times its
-                gradient norm stays bounded over any alpha sweep.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if mode == "exact":
-        return base
-    if mode != "perturbed":
-        raise ValueError(f"family mode must be 'exact' or 'perturbed', got {mode!r}")
-    band = min(4, base.grid.dealias_cutoff)
-    pert = make_random_sobolev(base.grid, sigma=2.0, seed=seed, band=band)
-    scale = alpha**gamma * l2_norm(base) / l2_norm(pert)
-    return base + scale * pert

@@ -223,26 +223,6 @@ def curl(v: VelocityPair) -> SpectralField:
     return derivative(v.u2, 1) - derivative(v.u1, 2)
 
 
-def leray_project(v1: SpectralField, v2: SpectralField) -> VelocityPair:
-    """Project a vector field onto its divergence-free part.
-
-    Mode-wise subtraction of k (k . v_hat)/|k|^2; the mean modes are
-    zeroed (the projection is defined on zero-mean fields).  Idempotent,
-    and leaves divergence-free inputs unchanged to roundoff.
-    """
-    if v1.grid != v2.grid:
-        raise ValueError("leray_project components live on different grids")
-    t = tables(v1.grid)
-    kdotv = t.k1 * v1.coeffs + t.k2 * v2.coeffs
-    c1 = v1.coeffs - t.k1 * kdotv * t.inv_ksq
-    c2 = v2.coeffs - t.k2 * kdotv * t.inv_ksq
-    c1 = c1.copy()
-    c2 = c2.copy()
-    c1[0, 0] = 0.0
-    c2[0, 0] = 0.0
-    return VelocityPair(SpectralField(v1.grid, c1), SpectralField(v2.grid, c2))
-
-
 def dealias(f: SpectralField) -> SpectralField:
     """Zero every mode with max(|k1|, |k2|) > the grid's dealias cutoff."""
     return SpectralField(f.grid, f.coeffs * tables(f.grid).dealias_mask)

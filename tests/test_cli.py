@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,26 @@ class TestSweep:
         summary = (out / "summary.txt").read_text()
         assert "verdict truncation_inequalities:" in summary
         assert "theoretical vorticity slope: 0.375" in summary
+
+    def test_ignored_setting_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = sweep_config(tmp_path, out, extra_sweep="s = 2.5")
+        assert entry(["sweep", cfg]) == EXIT_CONFIG
+        assert "s is used only by" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_galerkin_regime_on_other_data_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = sweep_config(tmp_path, out, regime="smooth_2_lt_s_lt_3", extra_sweep="s = 2.5")
+        Path(cfg).write_text(
+            Path(cfg).read_text().replace(
+                "kind = random_sobolev\nsigma = 3.25\nband = 8\nseed = 1",
+                "kind = taylor_family\nmode = 1",
+            )
+        )
+        assert entry(["sweep", cfg]) == EXIT_CONFIG
+        assert "requires random_sobolev data" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_self_test_passes(self, capsys):
         assert entry(["sweep", "--self-test"]) == EXIT_OK

@@ -74,7 +74,6 @@ class TestHappyPath:
         cfg = parse_config(SWEEP)
         assert cfg.sweep_alphas == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
         assert cfg.regime == "smooth_s_ge_3"
-        assert cfg.reference == "euler_same_grid"
         assert cfg.out_dir == "out"
         assert cfg.formats == ("csv", "snapshots")
         plan = cfg.sweep_plan(jobs=2)
@@ -181,6 +180,33 @@ class TestRejection:
         )
         with pytest.raises(ConfigError, match="at least 4"):
             parse_config(short).sweep_plan()
+
+    def test_sweep_rejects_snapshot_every(self):
+        text = SWEEP.replace("record_every = 0.1", "record_every = 0.1\nsnapshot_every = 0.2")
+        with pytest.raises(ConfigError, match=r"'snapshot_every' in \[time\]"):
+            parse_config(text).sweep_plan()
+
+    def test_sweep_rejects_unused_s(self):
+        text = SWEEP.replace("regime = smooth_s_ge_3", "regime = smooth_s_ge_3\ns = 2.5")
+        with pytest.raises(ConfigError, match="s is used only by"):
+            parse_config(text).sweep_plan()
+
+    def test_galerkin_regime_checks_data_and_jobs(self):
+        galerkin = SWEEP.replace("regime = smooth_s_ge_3", "regime = smooth_2_lt_s_lt_3\ns = 2.5")
+        assert parse_config(galerkin).sweep_plan().s == 2.5
+        with pytest.raises(ConfigError, match="serially"):
+            parse_config(galerkin).sweep_plan(jobs=2)
+        taylor = galerkin.replace(
+            "kind = random_sobolev\nsigma = 3.25\nband = 8\nseed = 1",
+            "kind = taylor_family\nmode = 1",
+        )
+        with pytest.raises(ConfigError, match="requires random_sobolev data"):
+            parse_config(taylor).sweep_plan()
+
+    def test_reference_key_is_unknown(self):
+        text = SWEEP.replace("regime = smooth_s_ge_3", "regime = smooth_s_ge_3\nreference = x")
+        with pytest.raises(ConfigError, match="unknown key 'reference'"):
+            parse_config(text)
 
 
 class TestLoadConfig:

@@ -16,7 +16,6 @@ from voigt2d import (
     forward_transform,
     gagliardo_ratio,
     gradient_l2,
-    growth_monitor,
     integrate,
     l2_norm,
     lp_norm,
@@ -26,7 +25,7 @@ from voigt2d import (
     voigt_energy,
     voigt_enstrophy,
 )
-from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
+from voigt2d.initial_data import make_random_sobolev
 
 #: regression values frozen from dense quadrature oracles (M = 1024)
 COS_L4 = 1.9615426303003437  # (3 pi^2 / 2)^(1/4)
@@ -287,20 +286,3 @@ class TestErrorNorms:
         )
         with pytest.raises(ValueError):
             error_norms(rec, rec)
-
-    def test_growth_monitor_series(self):
-        a, _ = small_pair()
-        series = growth_monitor(a, s=2.0)
-        assert len(series) == len(a.snapshots)
-        assert all(np.isfinite(v) and v > 0 for _, v in series)
-        ts = [t for t, _ in series]
-        assert ts == [t for t, _ in a.snapshots]
-
-    def test_growth_monitor_requires_snapshots(self):
-        g = GridSpec(32)
-        f = make_eigenfunction(g, (1, 0))
-        rec = integrate(
-            f, SolverConfig(grid=g, alpha=0.0, t_end=0.2, record_every=0.1)
-        )
-        with pytest.raises(ValueError):
-            growth_monitor(rec, 1.0)

@@ -19,6 +19,7 @@ from voigt2d import (
     step_rk4,
     voigt_rhs,
 )
+from voigt2d.dynamics import _event_times, _schedule
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
 
 
@@ -178,6 +179,20 @@ class TestIntegrate:
         rec = integrate(f, cfg)
         assert [t for t, _ in rec.snapshots] == [0.0, 0.2, 0.4]
 
+    def test_schedule_merges_near_coincident_snapshots(self):
+        # k * 0.3 and k * 0.1 round differently: 0.3 vs 0.30000000000000004
+        cfg = SolverConfig(
+            grid=GridSpec(16), alpha=0.0, t_end=1.0, record_every=0.1, snapshot_every=0.3
+        )
+        events, records, snaps = _schedule(cfg)
+        assert len(events) == 10
+        assert records == set(events) == set(_event_times(1.0, 0.1))
+        assert snaps <= records and len(snaps) == 4
+        rec = integrate(make_eigenfunction(cfg.grid, (1, 0)), cfg)
+        stamps = [t for t, _ in rec.snapshots]
+        assert stamps == [0.0] + sorted(snaps)
+        assert set(stamps) <= set(rec.times.tolist())
+
     def test_no_snapshots_by_default(self):
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.5, seed=8, band=g.dealias_cutoff)
@@ -213,17 +228,3 @@ class TestIntegrate:
         rec = integrate(f, cfg)
         final = rec.snapshots[-1][1]
         assert l2_norm(final - f) == 0.0
-
-    def test_growth_monitor_constant_on_steady_run(self):
-        from voigt2d import growth_monitor
-
-        g = GridSpec(32)
-        f = make_eigenfunction(g, (1, 0))
-        cfg = SolverConfig(
-            grid=g, alpha=0.0, t_end=0.4, record_every=0.2, snapshot_every=0.2
-        )
-        rec = integrate(f, cfg)
-        series = growth_monitor(rec, s=2.0)
-        values = [v for _, v in series]
-        assert len(values) == 3
-        assert max(values) - min(values) < 1e-12 * values[0]

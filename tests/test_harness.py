@@ -1,8 +1,8 @@
 """Convergence harness: rate fits, cutoff rule, paired runs, sweeps."""
 
 import math
+import os
 
-import numpy as np
 import pytest
 
 from voigt2d import (
@@ -17,13 +17,12 @@ from voigt2d import (
     fit_rate,
     galerkin_reference_sweep,
     integrate,
-    make_random_sobolev,
     realize,
-    run_pair,
     run_sweep,
     theoretical_slope,
 )
-from voigt2d.harness import ERROR_METRICS, SLOPE_TOL, _apply_verdicts, _restrict
+from voigt2d import harness
+from voigt2d.harness import ERROR_METRICS, SLOPE_TOL, _apply_verdicts
 
 ALPHAS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 SMOOTH = DataRecipe("random_sobolev", {"sigma": 3.25, "band": 8}, seed=1)
@@ -146,44 +145,38 @@ class TestSweepPlan:
             small_plan(regime="smooth")
         with pytest.raises(ValueError, match="requires s"):
             small_plan(regime="smooth_2_lt_s_lt_3")
-        with pytest.raises(ValueError, match="unknown reference"):
-            small_plan(reference="exact")
-        with pytest.raises(ValueError, match="refine_factor"):
-            small_plan(reference="euler_refined", refine_factor=1)
-        with pytest.raises(ValueError, match="family mode"):
-            small_plan(family_mode="random")
+        with pytest.raises(ValueError, match="s is used only by"):
+            small_plan(s=2.5)
+        with pytest.raises(ValueError, match="random_sobolev"):
+            small_plan(
+                recipe=DataRecipe("taylor_family", {"mode": 1, "perturbation": 0.1}),
+                regime="smooth_2_lt_s_lt_3",
+                s=2.5,
+            )
+        with pytest.raises(ValueError, match="serially"):
+            small_plan(regime="smooth_2_lt_s_lt_3", s=2.5, jobs=2)
         with pytest.raises(ValueError, match="jobs"):
             small_plan(jobs=0)
         with pytest.raises(ValueError, match="t_end"):
             small_plan(t_end=0.0)
 
 
-class TestRestriction:
-    def test_band_limited_field_survives_exactly(self):
-        coarse, fine = GridSpec(32), GridSpec(64)
-        on_fine = make_random_sobolev(fine, sigma=2.0, seed=4, band=8)
-        on_coarse = make_random_sobolev(coarse, sigma=2.0, seed=4, band=8)
-        got = _restrict(on_fine, coarse)
-        assert np.array_equal(got.coeffs, on_coarse.coeffs)
-
-
 class TestRunPair:
+    """Each sweep row: one Voigt run against the shared Euler reference."""
+
     def test_steady_data_gives_roundoff_errors(self):
         plan = small_plan(recipe=DataRecipe("eigenfunction", {"k1": 1}))
-        pair = run_pair(plan.recipe, 1e-2, plan)
-        assert all(v <= 1e-10 for v in pair.errors.values())
+        for row in run_sweep(plan).per_alpha:
+            assert all(row[m] <= 1e-10 for m in ERROR_METRICS)
 
-    def test_errors_shrink_with_alpha(self):
-        plan = small_plan()
-        big = run_pair(plan.recipe, 1e-2, plan)
-        small = run_pair(plan.recipe, 1e-3, plan)
+    def test_errors_shrink_with_alpha(self, report):
+        big, small = report.per_alpha[2], report.per_alpha[4]
+        assert (big["alpha"], small["alpha"]) == (1e-2, 1e-3)
         for metric in ERROR_METRICS:
-            assert 0 < small.errors[metric] < big.errors[metric]
+            assert 0 < small[metric] < big[metric]
 
-    def test_matches_direct_recomputation(self):
+    def test_matches_direct_recomputation(self, report):
         plan = small_plan()
-        alpha = 3e-3
-        pair = run_pair(plan.recipe, alpha, plan)
         base = realize(plan.recipe, plan.grid)
 
         def cfg(a):
@@ -196,21 +189,38 @@ class TestRunPair:
                 snapshot_every=plan.record_every,
             )
 
-        expected = error_norms(integrate(base, cfg(alpha)), integrate(base, cfg(0.0)))
-        assert pair.errors == expected
+        euler = integrate(base, cfg(0.0))
+        for row in report.per_alpha:
+            expected = error_norms(integrate(base, cfg(row["alpha"])), euler)
+            assert row == {"alpha": row["alpha"], **expected}
 
-    def test_refined_reference_runs(self):
-        plan = small_plan(reference="euler_refined", t_end=0.2)
-        pair = run_pair(plan.recipe, 1e-2, plan)
-        assert pair.euler.grid.size == 32  # restricted back to the coarse grid
-        assert all(np.isfinite(v) and v > 0 for v in pair.errors.values())
-        # band-limited smooth data: the refined reference stays close to the
-        # coarse one, so the measured errors agree to leading order
-        same = run_pair(plan.recipe, 1e-2, small_plan(t_end=0.2))
-        for metric in ERROR_METRICS:
-            assert pair.errors[metric] == pytest.approx(
-                same.errors[metric], rel=5e-2
-            )
+    def test_integrations_per_process(self, monkeypatch, tmp_path, report):
+        """Every integrate call, in the calling process or a forked pool
+        worker, appends "pid alpha" to one log file."""
+        log = tmp_path / "calls.log"
+        real = harness.integrate
+
+        def logged(omega0, config):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {config.alpha!r}\n")
+            return real(omega0, config)
+
+        def calls():
+            lines = [line.split() for line in log.read_text().splitlines()]
+            log.unlink()
+            return [(int(pid) == os.getpid(), float(a)) for pid, a in lines]
+
+        monkeypatch.setattr(harness, "integrate", logged)
+        run_sweep(small_plan())
+        # serial: one Euler reference, then one Voigt run per alpha
+        assert calls() == [(True, 0.0)] + [(True, a) for a in ALPHAS]
+        par = run_sweep(small_plan(jobs=2))
+        pool = calls()
+        # pooled: no run in the caller; each task pairs its own Euler
+        # reference with one Voigt run
+        assert not any(here for here, _ in pool)
+        assert sorted(a for _, a in pool) == sorted((0.0,) * len(ALPHAS) + ALPHAS)
+        assert par.per_alpha == report.per_alpha
 
 
 @pytest.fixture(scope="module")
@@ -282,17 +292,24 @@ class TestRunSweep:
 
 
 class TestGalerkinReferenceSweep:
-    def test_validation(self):
-        plan = small_plan(regime="smooth_2_lt_s_lt_3", s=2.5)
-        with pytest.raises(ValueError, match="requires s"):
-            galerkin_reference_sweep(plan, 3.5)
-        bad = small_plan(
-            recipe=DataRecipe("taylor_family", {"mode": 1, "perturbation": 0.1}),
+    def test_run_sweep_dispatches_on_regime(self):
+        plan = small_plan(
+            recipe=DataRecipe("random_sobolev", {"sigma": 2.5, "band": 8}, seed=1),
             regime="smooth_2_lt_s_lt_3",
             s=2.5,
+            t_end=0.2,
+            alphas=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         )
-        with pytest.raises(ValueError, match="random_sobolev"):
-            galerkin_reference_sweep(bad, 2.5)
+        rep = run_sweep(plan)
+        assert rep.verdicts["truncation_inequalities"] == "PASS"
+        assert rep.per_alpha == galerkin_reference_sweep(plan).per_alpha
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="needs regime smooth_2_lt_s_lt_3"):
+            galerkin_reference_sweep(small_plan())
+        plan = small_plan(regime="smooth_2_lt_s_lt_3", s=2.5)
+        with pytest.raises(ValueError, match="disagrees with plan.s"):
+            galerkin_reference_sweep(plan, 2.7)
 
     def test_report_contents(self):
         plan = small_plan(
@@ -302,7 +319,7 @@ class TestGalerkinReferenceSweep:
             t_end=0.3,
             alphas=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         )
-        rep = galerkin_reference_sweep(plan, 2.5)
+        rep = galerkin_reference_sweep(plan)
         assert rep.theoretical.vorticity == pytest.approx(0.375)
         assert {"truncation_inequalities", "vorticity_rate"} <= set(rep.verdicts)
         assert rep.verdicts["truncation_inequalities"] == "PASS"
@@ -321,7 +338,7 @@ class TestGalerkinReferenceSweep:
             t_end=0.3,
             alphas=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         )
-        rep = galerkin_reference_sweep(plan, 2.5)
+        rep = galerkin_reference_sweep(plan)
         for row in rep.per_alpha:
             assert row["cutoff_n"] == 3
             assert row["trunc_omega_l2"] == 0.0

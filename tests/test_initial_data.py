@@ -12,7 +12,6 @@ from voigt2d import (
     galerkin_truncate,
     inverse_transform,
     l2_norm,
-    make_alpha_family,
     make_eigenfunction,
     make_random_sobolev,
     make_taylor_family,
@@ -266,32 +265,3 @@ class TestGalerkinTruncate:
         f = make_eigenfunction(GridSpec(32), (1, 0))
         with pytest.raises(ValueError, match=">= 1"):
             galerkin_truncate(f, 0)
-
-
-class TestAlphaFamily:
-    def test_exact_mode_returns_base(self):
-        base = make_random_sobolev(GridSpec(32), sigma=2.0, seed=1, band=5)
-        assert make_alpha_family(base, 1e-3, mode="exact") is base
-
-    def test_perturbed_distance_scaling(self):
-        base = make_random_sobolev(GridSpec(32), sigma=2.0, seed=1, band=5)
-        for alpha, gamma in ((1e-2, 1.0), (1e-3, 1.0), (1e-2, 0.5)):
-            fam = make_alpha_family(base, alpha, mode="perturbed", gamma=gamma, seed=6)
-            dist = l2_norm(fam - base)
-            assert dist == pytest.approx(alpha**gamma * l2_norm(base), rel=1e-12)
-
-    def test_perturbation_band_is_fixed(self):
-        base = make_random_sobolev(GridSpec(64), sigma=2.0, seed=1, band=12)
-        fam = make_alpha_family(base, 0.1, mode="perturbed", seed=6)
-        diff = fam - base
-        ksq = tables(base.grid).ksq
-        assert np.all(diff.coeffs[ksq > 16.0] == 0.0)
-
-    def test_validation(self):
-        base = make_eigenfunction(GridSpec(32), (1, 0))
-        with pytest.raises(ValueError, match="alpha"):
-            make_alpha_family(base, 0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            make_alpha_family(base, 1.5)
-        with pytest.raises(ValueError, match="family mode"):
-            make_alpha_family(base, 0.1, mode="shifted")

@@ -21,7 +21,6 @@ from voigt2d import (
     inverse_transform,
     l2_inner,
     laplacian,
-    leray_project,
     values_oversampled,
     zero_mean,
 )
@@ -240,18 +239,6 @@ class TestBiotSavart:
         f = zero_mean(seeded(grid32(), 8))
         w = curl(biot_savart(f))
         assert np.max(np.abs(w.coeffs - f.coeffs)) < 1e-12
-
-    def test_leray_projection_idempotent_and_kills_gradients(self):
-        g = grid32()
-        f = zero_mean(seeded(g, 9))
-        grad1, grad2 = derivative(f, 1), derivative(f, 2)
-        p1 = leray_project(grad1, grad2)
-        assert float(np.max(np.abs(p1.u1.coeffs))) < 1e-13
-        assert float(np.max(np.abs(p1.u2.coeffs))) < 1e-13
-        u = biot_savart(f)
-        q = leray_project(u.u1, u.u2)
-        assert np.max(np.abs(q.u1.coeffs - u.u1.coeffs)) < 1e-13
-        assert np.max(np.abs(q.u2.coeffs - u.u2.coeffs)) < 1e-13
 
     def test_grid_mismatch_in_inner_product(self):
         with pytest.raises(ValueError):
