@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``simulate`` integrates one configuration and writes a
-diagnostics CSV (plus optional snapshots); ``sweep`` runs a convergence
-experiment and writes a per-alpha error CSV with a human-readable
-summary; ``diagnose`` prints norms and inequality ratios of a stored
-snapshot as CSV on standard output.
+diagnostics CSV, plus a ``.vfld`` snapshot at every snapshot time when
+``[time] snapshot_every`` is set; ``sweep`` runs a convergence experiment
+(one engine for every regime, optionally over a process pool) and writes
+a per-alpha error CSV with a human-readable summary; ``diagnose`` prints
+norms and inequality ratios of a stored snapshot as CSV on standard
+output.
 
 Exit codes: 0 success, 2 configuration/format errors, 3 blow-up.
 All outputs are deterministic: repeated runs of one config are byte
@@ -78,7 +80,7 @@ def cmd_simulate(config_path: str) -> int:
     _write_lines(csv_path, lines)
     print(f"wrote {csv_path}")
 
-    if record.snapshots and "snapshots" in cfg.formats:
+    if record.snapshots:
         for index, (t, omega) in enumerate(record.snapshots):
             snap_path = os.path.join(cfg.out_dir, f"snapshot_{index:04d}.vfld")
             write_snapshot(snap_path, snapshot_of(omega, t, record.alpha))
@@ -235,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="processes for the alpha runs; each pooled run integrates its own "
-        "Euler reference (default 1)",
+        help="processes for the alpha runs, at most one per alpha; each pooled "
+        "run integrates its own Euler reference (default 1)",
     )
 
     p_diag = sub.add_parser("diagnose", help="print norms of a stored snapshot")

@@ -27,8 +27,7 @@ _GRID_KEYS = ("size", "dealias_cutoff")
 _TIME_KEYS = ("t_end", "record_every", "dt", "cfl", "snapshot_every")
 _MODEL_KEYS = ("alpha",)
 _SWEEP_KEYS = ("alphas", "regime", "s")
-_OUTPUT_KEYS = ("directory", "formats")
-_FORMATS = ("csv", "snapshots")
+_OUTPUT_KEYS = ("directory",)
 
 #: per-kind [init] parameters beyond kind/seed: (required, optional)
 _INIT_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
@@ -57,7 +56,6 @@ class RunConfig:
     regime: str | None = None
     s: float | None = None
     out_dir: str = "."
-    formats: tuple[str, ...] = ("csv",)
     effective: dict[str, dict[str, str]] = field(default_factory=dict)
 
     @property
@@ -235,23 +233,13 @@ def parse_config(text: str) -> RunConfig:
 
     # [output]
     out_dir = "."
-    formats: tuple[str, ...] = ("csv",)
     if "output" in raw:
         o = raw["output"]
         directory = _get(o, "output", "directory", str)
-        fmt = _get(o, "output", "formats", str)
         _reject_unknown("output", o, _OUTPUT_KEYS)
         if directory is not None:
             out_dir = directory
-        if fmt is not None:
-            formats = tuple(f.strip() for f in fmt.split(",") if f.strip())
-            for f in formats:
-                if f not in _FORMATS:
-                    raise ConfigError(
-                        f"bad value for 'formats' in [output]: {f!r} "
-                        f"(known: {', '.join(_FORMATS)})"
-                    )
-    effective["output"] = {"directory": out_dir, "formats": ", ".join(formats)}
+    effective["output"] = {"directory": out_dir}
 
     return RunConfig(
         source_text=text,
@@ -267,7 +255,6 @@ def parse_config(text: str) -> RunConfig:
         regime=regime,
         s=s,
         out_dir=out_dir,
-        formats=formats,
         effective=effective,
     )
 

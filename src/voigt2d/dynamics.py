@@ -102,11 +102,14 @@ class TrajectoryRecord:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# right-hand side
 
 
-def euler_rhs(omega: SpectralField) -> SpectralField:
-    """-u . grad omega, dealiased, zero-mean; u = biot_savart(omega)."""
+def rhs(omega: SpectralField, alpha: float) -> SpectralField:
+    """(I - alpha Lap)^{-1} of -u . grad omega, dealiased and zero-mean,
+    with u = biot_savart(omega); alpha = 0 is the Euler right-hand side."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     grid = omega.grid
     u = biot_savart(omega)
     u1 = _to_values(u.u1.coeffs, grid)
@@ -115,20 +118,7 @@ def euler_rhs(omega: SpectralField) -> SpectralField:
     w1 = _to_values((1j * t.d1) * omega.coeffs, grid)
     w2 = _to_values((1j * t.d2) * omega.coeffs, grid)
     adv = _from_values(-(u1 * w1 + u2 * w2), grid)
-    return zero_mean(dealias(adv))
-
-
-def voigt_rhs(omega: SpectralField, alpha: float) -> SpectralField:
-    """Euler nonlinearity pushed through the inverse Helmholtz operator."""
-    return helmholtz_filter(euler_rhs(omega), alpha)
-
-
-def rhs(omega: SpectralField, alpha: float) -> SpectralField:
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0:
-        return euler_rhs(omega)
-    return voigt_rhs(omega, alpha)
+    return helmholtz_filter(zero_mean(dealias(adv)), alpha)
 
 
 # ---------------------------------------------------------------------------

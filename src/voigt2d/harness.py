@@ -38,8 +38,9 @@ class SweepPlan:
     Euler reference and every Voigt run see the same schedule and
     time-discretization error cancels to leading order in comparisons.
     ``s`` is the Sobolev order of the data, given exactly when the regime
-    is smooth_2_lt_s_lt_3, which also needs random_sobolev data and runs
-    serially; ``jobs`` is the number of concurrent alpha runs.
+    is smooth_2_lt_s_lt_3, which also needs random_sobolev data (its band
+    clamps the Galerkin cutoff); ``jobs`` is the number of processes for
+    the alpha runs.
     """
 
     recipe: DataRecipe
@@ -74,8 +75,6 @@ class SweepPlan:
                     "smooth_2_lt_s_lt_3 requires random_sobolev data, "
                     f"not {self.recipe.kind!r}"
                 )
-            if self.jobs != 1:
-                raise ValueError("smooth_2_lt_s_lt_3 runs serially: jobs must be 1")
         elif self.s is not None:
             raise ValueError(
                 f"s is used only by regime smooth_2_lt_s_lt_3, not {self.regime!r}"
@@ -242,16 +241,63 @@ def _alpha_errors(
     dt: float,
     euler: TrajectoryRecord | None,
     alpha: float,
-) -> dict[str, float]:
-    """Errors of the Voigt run at one alpha against the Euler reference.
+) -> dict:
+    """One sweep row: errors of the Voigt run at one alpha against the
+    Euler reference.
 
     With ``euler`` None (a pool task) the reference is integrated here.
-    The Voigt record is dropped on return, so a sweep holds at most one
-    at a time per process.
+    Regime smooth_2_lt_s_lt_3 also runs Euler from the truncation omega0^N
+    at the cutoff N = choose_cutoff(alpha) clamped to the data band, and
+    adds N, the truncation part of the vorticity error, the Voigt part
+    against the truncated run and the truncation checks at N.  The records
+    are dropped on return, so a sweep holds those of at most one alpha at
+    a time per process.
     """
     if euler is None:
         euler = integrate(base, _solver_config(plan, 0.0, dt))
-    return error_norms(integrate(base, _solver_config(plan, alpha, dt)), euler)
+    voigt = integrate(base, _solver_config(plan, alpha, dt))
+    row = error_norms(voigt, euler)
+    if plan.regime != "smooth_2_lt_s_lt_3":
+        return row
+    n = choose_cutoff(alpha, band_limit=int(plan.recipe.params["band"]))
+    euler_n = integrate(galerkin_truncate(base, n), _solver_config(plan, 0.0, dt))
+    return {
+        "cutoff_n": n,
+        **row,
+        "trunc_omega_l2": error_norms(euler_n, euler)["sup_omega_l2"],
+        "voigt_vs_trunc_omega_l2": error_norms(voigt, euler_n)["sup_omega_l2"],
+        **_truncation_checks(base, n, plan.s),
+    }
+
+
+def _truncation_checks(
+    base: SpectralField, n: int, s: float
+) -> dict[str, float | bool]:
+    """Computed truncation inequalities for u0 at cutoff n.
+
+    Checks, with u0 = biot_savart(omega0) and u0^N its truncation:
+      a) ||u^N||_{s,2} <= ||u||_{s,2}
+      b) ||u^N||_{s',2} <= N^{s'-s} ||u||_{s,2} with s' = s + 1
+      c) ||u^N - u||_{sbar,2} <= N^{sbar-s} ||u||_{s,2} for sbar in {0, 1}
+    plus the vorticity corollary ||omega^N - omega||_2 <= N^{1-s}||u||_{s,2}.
+    """
+    u = biot_savart(base)
+    base_n = galerkin_truncate(base, n)
+    un = biot_savart(base_n)
+    us = velocity_sobolev(u, s)
+    out: dict[str, float | bool] = {"n": n, "u_s_norm": us}
+    a_lhs = velocity_sobolev(un, s)
+    out["nest_a"] = a_lhs <= us
+    sp = s + 1.0
+    b_lhs = velocity_sobolev(un, sp)
+    out["nest_b"] = b_lhs <= n ** (sp - s) * us
+    d1 = base_n - base
+    du = biot_savart(d1)
+    for sbar in (0.0, 1.0):
+        lhs = velocity_sobolev(du, sbar)
+        out[f"nest_c_sbar{int(sbar)}"] = lhs <= n ** (sbar - s) * us
+    out["omega_trunc_bound"] = l2_norm(d1) <= n ** (1.0 - s) * us
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +312,22 @@ def _degenerate(errors: dict[str, list[float]], scale: float) -> bool:
 def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     """Run the paired experiment at every alpha and fit decay rates.
 
-    The base data and dt are fixed once.  Each Voigt run starts from the
-    base data and is compared with the Euler run from it.  A serial sweep
-    integrates that reference once, in the calling process; with
-    plan.jobs > 1 the alpha runs execute concurrently in a process pool,
-    and each pool task integrates its own reference rather than receive
-    the whole record by pickle.  Results are assembled in alpha order
-    either way, so reports are bit-identical across concurrency levels.
-    Regime smooth_2_lt_s_lt_3 runs galerkin_reference_sweep instead.
+    The one sweep engine of every regime.  The base data and dt are fixed
+    once and _alpha_errors is mapped over the alphas.  A serial sweep
+    integrates the Euler reference once, in the calling process; with
+    plan.jobs > 1 the alpha runs execute in a process pool of at most one
+    worker per alpha, and each pool task integrates its own reference
+    rather than receive the whole record by pickle.  Results are assembled
+    in alpha order either way, so reports are bit-identical across
+    concurrency levels.
     """
-    if plan.regime == "smooth_2_lt_s_lt_3":
-        return galerkin_reference_sweep(plan)
     base = realize(plan.recipe, plan.grid)
     dt = _plan_dt(plan, base)
     if plan.jobs == 1:
         euler = integrate(base, _solver_config(plan, 0.0, dt))
         per_alpha = [_alpha_errors(plan, base, dt, euler, a) for a in plan.alphas]
     else:
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(plan.jobs, len(plan.alphas))) as pool:
             per_alpha = list(
                 pool.map(
                     _alpha_errors, repeat(plan), repeat(base), repeat(dt), repeat(None),
@@ -329,7 +373,7 @@ def _apply_verdicts(report: ConvergenceReport) -> None:
     plan = report.plan
     fits = report.fits
     theo = report.theoretical
-    if plan.regime in ("smooth_s_ge_3", "smooth_2_lt_s_lt_3"):
+    if plan.regime == "smooth_s_ge_3":
         vel = fits["sup_u_l2"].slope
         vor = fits["sup_omega_l2"].slope
         report.verdicts["velocity_rate"] = (
@@ -343,6 +387,44 @@ def _apply_verdicts(report: ConvergenceReport) -> None:
             f"fitted vorticity slope {vor:.4f} vs proven exponent "
             f"{theo.vorticity:.4f}; each passes at >= exponent - {SLOPE_TOL}"
         )
+    elif plan.regime == "smooth_2_lt_s_lt_3":
+        rows = report.per_alpha
+        nest_ok = all(
+            row["nest_a"] and row["nest_b"] and row["nest_c_sbar0"]
+            and row["nest_c_sbar1"] and row["omega_trunc_bound"]
+            for row in rows
+        )
+        report.verdicts["truncation_inequalities"] = "PASS" if nest_ok else "FAIL"
+        vor = fits["sup_omega_l2"].slope
+        target = theo.vorticity
+        if _meets_rate(vor, target):
+            report.verdicts["vorticity_rate"] = "PASS"
+            report.notes.append(
+                f"fitted total vorticity slope {vor:.4f} >= {target - SLOPE_TOL:.4f}, "
+                f"the proven exponent (s-1)/4 = {target:.4f} minus {SLOPE_TOL}"
+            )
+        else:
+            report.verdicts["vorticity_rate"] = "ADVISORY"
+            # which part dominates at the smallest alpha tells what the
+            # desk-scale points actually measure
+            last = rows[-1]
+            dom = (
+                "truncation"
+                if last["trunc_omega_l2"] >= last["voigt_vs_trunc_omega_l2"]
+                else "voigt-vs-truncated"
+            )
+            e = report.errors["sup_omega_l2"]
+            a = plan.alphas
+            pair_slopes = [
+                math.log(e[i] / e[i + 1]) / math.log(a[i] / a[i + 1])
+                for i in range(len(a) - 1)
+            ]
+            report.notes.append(
+                f"fitted total vorticity slope {vor:.4f} below {target:.4f} - "
+                f"{SLOPE_TOL}: pre-asymptotic regime dominates at desk scale "
+                f"({dom} error dominates at alpha = {last['alpha']:g}; "
+                f"interval slopes {', '.join(f'{p:.3f}' for p in pair_slopes)})"
+            )
     elif plan.regime == "yudovich":
         vel = fits["sup_u_l2"].slope
         report.verdicts["velocity_rate"] = "PASS" if 0.0 < vel <= 0.6 else "FAIL"
@@ -364,53 +446,18 @@ def _apply_verdicts(report: ConvergenceReport) -> None:
         report.verdicts["no_rate_decay"] = "PASS" if ok else "FAIL"
 
 
-# ---------------------------------------------------------------------------
-# Galerkin-truncation reference experiment
-
-
-def _truncation_checks(
-    base: SpectralField, n: int, s: float
-) -> dict[str, float | bool]:
-    """Computed truncation inequalities for u0 at cutoff n.
-
-    Checks, with u0 = biot_savart(omega0) and u0^N its truncation:
-      a) ||u^N||_{s,2} <= ||u||_{s,2}
-      b) ||u^N||_{s',2} <= N^{s'-s} ||u||_{s,2} with s' = s + 1
-      c) ||u^N - u||_{sbar,2} <= N^{sbar-s} ||u||_{s,2} for sbar in {0, 1}
-    plus the vorticity corollary ||omega^N - omega||_2 <= N^{1-s}||u||_{s,2}.
-    """
-    u = biot_savart(base)
-    base_n = galerkin_truncate(base, n)
-    un = biot_savart(base_n)
-    us = velocity_sobolev(u, s)
-    out: dict[str, float | bool] = {"n": n, "u_s_norm": us}
-    a_lhs = velocity_sobolev(un, s)
-    out["nest_a"] = a_lhs <= us
-    sp = s + 1.0
-    b_lhs = velocity_sobolev(un, sp)
-    out["nest_b"] = b_lhs <= n ** (sp - s) * us
-    d1 = base_n - base
-    du = biot_savart(d1)
-    for sbar in (0.0, 1.0):
-        lhs = velocity_sobolev(du, sbar)
-        out[f"nest_c_sbar{int(sbar)}"] = lhs <= n ** (sbar - s) * us
-    out["omega_trunc_bound"] = l2_norm(d1) <= n ** (1.0 - s) * us
-    return out
-
-
 def galerkin_reference_sweep(
     plan: SweepPlan, s: float | None = None
 ) -> ConvergenceReport:
-    """Three-run experiment coupling the Galerkin cutoff to alpha.
+    """The Galerkin-truncation experiment: run_sweep of a plan in regime
+    smooth_2_lt_s_lt_3.
 
     Per alpha, with N = choose_cutoff(alpha) clamped to the data band:
     Euler from omega0, Euler from the truncation omega0^N, and Voigt from
     omega0.  The total vorticity error splits into a truncation part and a
     Voigt-vs-truncated part; the total is fitted against the proven
     exponent (s-1)/4, with an advisory verdict when the desk-scale points
-    are still pre-asymptotic.  run_sweep calls this for regime
-    smooth_2_lt_s_lt_3, whose plan carries s; an ``s`` given here must
-    equal plan.s.
+    are still pre-asymptotic.  An ``s`` given here must equal plan.s.
     """
     if plan.regime != "smooth_2_lt_s_lt_3":
         raise ValueError(
@@ -418,82 +465,4 @@ def galerkin_reference_sweep(
         )
     if s is not None and s != plan.s:
         raise ValueError(f"s = {s} disagrees with plan.s = {plan.s}")
-    s = plan.s
-    base = realize(plan.recipe, plan.grid)
-    dt = _plan_dt(plan, base)
-    band = int(plan.recipe.params["band"])
-
-    euler_full = integrate(base, _solver_config(plan, 0.0, dt))
-    per_alpha: list[dict] = []
-    for alpha in plan.alphas:
-        n = choose_cutoff(alpha, band_limit=band)
-        base_n = galerkin_truncate(base, n)
-        euler_trunc = integrate(base_n, _solver_config(plan, 0.0, dt))
-        voigt = integrate(base, _solver_config(plan, alpha, dt))
-        total = error_norms(voigt, euler_full)
-        trunc = error_norms(euler_trunc, euler_full)
-        vs_trunc = error_norms(voigt, euler_trunc)
-        checks = _truncation_checks(base, n, s)
-        per_alpha.append(
-            {
-                "alpha": alpha,
-                "cutoff_n": n,
-                **total,
-                "trunc_omega_l2": trunc["sup_omega_l2"],
-                "voigt_vs_trunc_omega_l2": vs_trunc["sup_omega_l2"],
-                **checks,
-            }
-        )
-
-    errors = {m: [row[m] for row in per_alpha] for m in ERROR_METRICS}
-    theoretical = theoretical_slope("smooth_2_lt_s_lt_3", s)
-    report = ConvergenceReport(
-        plan=plan,
-        alphas=plan.alphas,
-        errors=errors,
-        fits={},
-        theoretical=theoretical,
-        verdicts={},
-        per_alpha=per_alpha,
-        dt_used=dt,
-    )
-    for metric in ERROR_METRICS:
-        report.fits[metric] = fit_rate(list(zip(plan.alphas, errors[metric])))
-
-    nest_ok = all(
-        row["nest_a"] and row["nest_b"] and row["nest_c_sbar0"]
-        and row["nest_c_sbar1"] and row["omega_trunc_bound"]
-        for row in per_alpha
-    )
-    report.verdicts["truncation_inequalities"] = "PASS" if nest_ok else "FAIL"
-
-    vor = report.fits["sup_omega_l2"].slope
-    target = theoretical.vorticity
-    if _meets_rate(vor, target):
-        report.verdicts["vorticity_rate"] = "PASS"
-        report.notes.append(
-            f"fitted total vorticity slope {vor:.4f} >= {target - SLOPE_TOL:.4f}, "
-            f"the proven exponent (s-1)/4 = {target:.4f} minus {SLOPE_TOL}"
-        )
-    else:
-        report.verdicts["vorticity_rate"] = "ADVISORY"
-        # which part dominates at the smallest alpha tells what the desk-scale
-        # points actually measure
-        last = per_alpha[-1]
-        dom = (
-            "truncation"
-            if last["trunc_omega_l2"] >= last["voigt_vs_trunc_omega_l2"]
-            else "voigt-vs-truncated"
-        )
-        pair_slopes = [
-            math.log(errors["sup_omega_l2"][i] / errors["sup_omega_l2"][i + 1])
-            / math.log(plan.alphas[i] / plan.alphas[i + 1])
-            for i in range(len(plan.alphas) - 1)
-        ]
-        report.notes.append(
-            f"fitted total vorticity slope {vor:.4f} below {target:.4f} - "
-            f"{SLOPE_TOL}: pre-asymptotic regime dominates at desk scale "
-            f"({dom} error dominates at alpha = {last['alpha']:g}; "
-            f"interval slopes {', '.join(f'{p:.3f}' for p in pair_slopes)})"
-        )
-    return report
+    return run_sweep(plan)

@@ -26,10 +26,11 @@ def write_config(tmp_path, body, name="run.ini"):
     return str(p)
 
 
-def sim_config(tmp_path, out, extra_output="", init="kind = eigenfunction\nk1 = 1"):
+def sim_config(tmp_path, out, extra_output="", init="kind = eigenfunction\nk1 = 1",
+               snapshots="snapshot_every = 0.25"):
     body = (
         "[grid]\nsize = 32\n\n"
-        "[time]\nt_end = 0.5\nrecord_every = 0.1\ndt = 0.02\nsnapshot_every = 0.25\n\n"
+        f"[time]\nt_end = 0.5\nrecord_every = 0.1\ndt = 0.02\n{snapshots}\n\n"
         "[model]\nalpha = 0.01\n\n"
         f"[init]\n{init}\n\n"
         f"[output]\ndirectory = {out}\n{extra_output}\n"
@@ -85,9 +86,9 @@ class TestSimulate:
         assert keep(a) == keep(b)
 
     def test_snapshot_format_writes_files(self, tmp_path):
+        # snapshot_every = 0.25 alone asks for snapshots
         out = tmp_path / "out"
-        cfg = sim_config(tmp_path, out, extra_output="formats = csv, snapshots")
-        assert entry(["simulate", cfg]) == EXIT_OK
+        assert entry(["simulate", sim_config(tmp_path, out)]) == EXIT_OK
         snaps = sorted(out.glob("snapshot_*.vfld"))
         assert [p.name for p in snaps] == [
             "snapshot_0000.vfld",
@@ -100,8 +101,15 @@ class TestSimulate:
 
     def test_csv_only_by_default(self, tmp_path):
         out = tmp_path / "out"
-        entry(["simulate", sim_config(tmp_path, out)])
-        assert list(out.glob("*.vfld")) == []
+        assert entry(["simulate", sim_config(tmp_path, out, snapshots="")]) == EXIT_OK
+        assert [p.name for p in out.iterdir()] == ["diagnostics.csv"]
+
+    def test_formats_key_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = sim_config(tmp_path, out, extra_output="formats = csv, snapshots")
+        assert entry(["simulate", cfg]) == EXIT_CONFIG
+        assert "unknown key 'formats' in [output]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -222,6 +230,13 @@ class TestSweep:
         assert entry(["sweep", cfg]) == EXIT_CONFIG
         assert "requires random_sobolev data" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_galerkin_regime_on_steady_data_skips_fit(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = sweep_config(tmp_path, out, regime="smooth_2_lt_s_lt_3", extra_sweep="s = 2.5")
+        Path(cfg).write_text(Path(cfg).read_text().replace("band = 8", "band = 8\namplitude = 0"))
+        assert entry(["sweep", cfg]) == EXIT_OK
+        assert "verdict rate: SKIP" in (out / "summary.txt").read_text()
 
     def test_self_test_passes(self, capsys):
         assert entry(["sweep", "--self-test"]) == EXIT_OK

@@ -1,4 +1,4 @@
-"""Right-hand sides, the RK4 stepper, and the event-driven integrator."""
+"""The right-hand side, the RK4 stepper, and the event-driven integrator."""
 
 
 import numpy as np
@@ -11,13 +11,12 @@ from voigt2d import (
     SpectralField,
     biot_savart,
     cfl_dt,
-    euler_rhs,
     forward_transform,
     integrate,
     l2_inner,
     l2_norm,
+    rhs,
     step_rk4,
-    voigt_rhs,
 )
 from voigt2d.dynamics import _event_times, _schedule
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
@@ -32,18 +31,18 @@ def two_mode(grid: GridSpec) -> SpectralField:
 class TestRightHandSides:
     def test_euler_rhs_closed_form(self):
         g = GridSpec(64)
-        rhs = euler_rhs(two_mode(g))
+        r = rhs(two_mode(g), 0.0)
         x1, x2 = g.meshgrid()
         expected = 1.5 * np.sin(x1) * np.sin(2.0 * x2)
-        got = np.fft.ifft2(rhs.coeffs * g.size**2).real
+        got = np.fft.ifft2(r.coeffs * g.size**2).real
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_voigt_rhs_is_filtered_euler(self):
         g = GridSpec(64)
         f = two_mode(g)
         alpha = 0.2
-        euler = euler_rhs(f)
-        voigt = voigt_rhs(f, alpha)
+        euler = rhs(f, 0.0)
+        voigt = rhs(f, alpha)
         # the advection term lives on modes with |k|^2 = 5
         assert np.max(np.abs(voigt.coeffs - euler.coeffs / (1.0 + 5.0 * alpha))) < 1e-14
 
@@ -51,18 +50,22 @@ class TestRightHandSides:
         # d/dt ||omega||^2 = 2 (omega, rhs) = 0 for the spectral Euler system
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.5, seed=1, band=g.dealias_cutoff)
-        assert abs(l2_inner(euler_rhs(f), f)) < 1e-12 * l2_norm(f) ** 2
+        assert abs(l2_inner(rhs(f, 0.0), f)) < 1e-12 * l2_norm(f) ** 2
 
     def test_eigenfunction_is_steady(self):
         g = GridSpec(32)
         f = make_eigenfunction(g, (1, 2), amplitude=2.0)
-        assert float(np.max(np.abs(euler_rhs(f).coeffs))) == 0.0
-        assert float(np.max(np.abs(voigt_rhs(f, 0.3).coeffs))) == 0.0
+        assert float(np.max(np.abs(rhs(f, 0.0).coeffs))) == 0.0
+        assert float(np.max(np.abs(rhs(f, 0.3).coeffs))) == 0.0
+
+    def test_rhs_rejects_negative_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            rhs(two_mode(GridSpec(16)), -0.1)
 
     def test_rhs_mean_free_and_dealiased(self):
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.0, seed=2, band=g.dealias_cutoff)
-        r = euler_rhs(f)
+        r = rhs(f, 0.0)
         assert r.mean_coefficient == 0.0
         cut = g.dealias_cutoff
         k = np.fft.fftfreq(g.size, 1.0 / g.size).astype(int)

@@ -42,6 +42,40 @@ def small_plan(**kw):
     return SweepPlan(**args)
 
 
+def galerkin_plan(band=8, **kw):
+    args = dict(
+        recipe=DataRecipe("random_sobolev", {"sigma": 2.5, "band": band}, seed=1),
+        regime="smooth_2_lt_s_lt_3",
+        s=2.5,
+        t_end=0.3,
+        alphas=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
+    )
+    args.update(kw)
+    return small_plan(**args)
+
+
+@pytest.fixture
+def integrate_log(monkeypatch, tmp_path):
+    """Every integrate call, in the calling process or a forked pool
+    worker, appends "pid alpha" to one log file; the fixture returns a
+    reader that empties the log and gives (in the caller, alpha) pairs."""
+    log = tmp_path / "calls.log"
+    real = harness.integrate
+
+    def logged(omega0, config):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {config.alpha!r}\n")
+        return real(omega0, config)
+
+    def calls():
+        lines = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        return [(int(pid) == os.getpid(), float(a)) for pid, a in lines]
+
+    monkeypatch.setattr(harness, "integrate", logged)
+    return calls
+
+
 class TestFitRate:
     def test_exact_square_root_law(self):
         pts = [(a, 2.0 * math.sqrt(a)) for a in (1e-1, 1e-2, 1e-3, 1e-4)]
@@ -153,8 +187,6 @@ class TestSweepPlan:
                 regime="smooth_2_lt_s_lt_3",
                 s=2.5,
             )
-        with pytest.raises(ValueError, match="serially"):
-            small_plan(regime="smooth_2_lt_s_lt_3", s=2.5, jobs=2)
         with pytest.raises(ValueError, match="jobs"):
             small_plan(jobs=0)
         with pytest.raises(ValueError, match="t_end"):
@@ -194,28 +226,12 @@ class TestRunPair:
             expected = error_norms(integrate(base, cfg(row["alpha"])), euler)
             assert row == {"alpha": row["alpha"], **expected}
 
-    def test_integrations_per_process(self, monkeypatch, tmp_path, report):
-        """Every integrate call, in the calling process or a forked pool
-        worker, appends "pid alpha" to one log file."""
-        log = tmp_path / "calls.log"
-        real = harness.integrate
-
-        def logged(omega0, config):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {config.alpha!r}\n")
-            return real(omega0, config)
-
-        def calls():
-            lines = [line.split() for line in log.read_text().splitlines()]
-            log.unlink()
-            return [(int(pid) == os.getpid(), float(a)) for pid, a in lines]
-
-        monkeypatch.setattr(harness, "integrate", logged)
+    def test_integrations_per_process(self, integrate_log, report):
         run_sweep(small_plan())
         # serial: one Euler reference, then one Voigt run per alpha
-        assert calls() == [(True, 0.0)] + [(True, a) for a in ALPHAS]
+        assert integrate_log() == [(True, 0.0)] + [(True, a) for a in ALPHAS]
         par = run_sweep(small_plan(jobs=2))
-        pool = calls()
+        pool = integrate_log()
         # pooled: no run in the caller; each task pairs its own Euler
         # reference with one Voigt run
         assert not any(here for here, _ in pool)
@@ -272,6 +288,29 @@ class TestRunSweep:
         par = run_sweep(small_plan(jobs=2))
         assert par.errors == report.errors
 
+    def test_pool_has_at_most_one_worker_per_alpha(self, monkeypatch, report):
+        sizes = []
+
+        class InProcessPool:
+            """Records its size and maps in the calling process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        assert run_sweep(small_plan(jobs=64)).per_alpha == report.per_alpha
+        assert run_sweep(small_plan(jobs=3)).per_alpha == report.per_alpha
+        assert sizes == [len(ALPHAS), 3]
+
     def test_degenerate_data_skips_fit(self):
         plan = small_plan(recipe=DataRecipe("eigenfunction", {"k1": 1}))
         report = run_sweep(plan)
@@ -293,13 +332,7 @@ class TestRunSweep:
 
 class TestGalerkinReferenceSweep:
     def test_run_sweep_dispatches_on_regime(self):
-        plan = small_plan(
-            recipe=DataRecipe("random_sobolev", {"sigma": 2.5, "band": 8}, seed=1),
-            regime="smooth_2_lt_s_lt_3",
-            s=2.5,
-            t_end=0.2,
-            alphas=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
-        )
+        plan = galerkin_plan(t_end=0.2)
         rep = run_sweep(plan)
         assert rep.verdicts["truncation_inequalities"] == "PASS"
         assert rep.per_alpha == galerkin_reference_sweep(plan).per_alpha
@@ -311,15 +344,8 @@ class TestGalerkinReferenceSweep:
         with pytest.raises(ValueError, match="disagrees with plan.s"):
             galerkin_reference_sweep(plan, 2.7)
 
-    def test_report_contents(self):
-        plan = small_plan(
-            recipe=DataRecipe("random_sobolev", {"sigma": 2.5, "band": 8}, seed=1),
-            regime="smooth_2_lt_s_lt_3",
-            s=2.5,
-            t_end=0.3,
-            alphas=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
-        )
-        rep = galerkin_reference_sweep(plan)
+    def test_report_contents(self, galerkin_report):
+        rep = galerkin_report
         assert rep.theoretical.vorticity == pytest.approx(0.375)
         assert {"truncation_inequalities", "vorticity_rate"} <= set(rep.verdicts)
         assert rep.verdicts["truncation_inequalities"] == "PASS"
@@ -331,15 +357,44 @@ class TestGalerkinReferenceSweep:
             assert 1 <= row["cutoff_n"] <= 8
 
     def test_truncation_collapses_when_band_enclosed(self):
-        plan = small_plan(
-            recipe=DataRecipe("random_sobolev", {"sigma": 2.5, "band": 3}, seed=1),
-            regime="smooth_2_lt_s_lt_3",
-            s=2.5,
-            t_end=0.3,
-            alphas=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
-        )
-        rep = galerkin_reference_sweep(plan)
+        rep = galerkin_reference_sweep(galerkin_plan(band=3))
         for row in rep.per_alpha:
             assert row["cutoff_n"] == 3
             assert row["trunc_omega_l2"] == 0.0
             assert row["voigt_vs_trunc_omega_l2"] == row["sup_omega_l2"]
+
+    def test_concurrent_identical(self, galerkin_report):
+        par = run_sweep(galerkin_plan(jobs=2))
+        assert par.per_alpha == galerkin_report.per_alpha
+        assert par.errors == galerkin_report.errors
+        assert par.fits == galerkin_report.fits
+        assert par.verdicts == galerkin_report.verdicts
+        assert par.notes == galerkin_report.notes
+
+    def test_integrations_per_process(self, integrate_log):
+        plan = galerkin_plan(t_end=0.1)
+        alphas = plan.alphas
+        run_sweep(plan)
+        # serial: one Euler reference, then per alpha a Voigt run and an
+        # Euler run from the truncated data
+        assert integrate_log() == [(True, 0.0)] + [
+            call for a in alphas for call in ((True, a), (True, 0.0))
+        ]
+        run_sweep(galerkin_plan(t_end=0.1, jobs=2))
+        pool = integrate_log()
+        # pooled: each task also integrates its own Euler reference
+        assert not any(here for here, _ in pool)
+        assert sorted(a for _, a in pool) == sorted((0.0,) * (2 * len(alphas)) + alphas)
+
+    def test_degenerate_data_skips_fit(self):
+        zero = DataRecipe(
+            "random_sobolev", {"sigma": 2.5, "band": 8, "amplitude": 0.0}, seed=1
+        )
+        rep = galerkin_reference_sweep(galerkin_plan(recipe=zero, t_end=0.1))
+        assert rep.verdicts == {"rate": "SKIP"}
+        assert rep.fits == {}
+
+
+@pytest.fixture(scope="module")
+def galerkin_report():
+    return galerkin_reference_sweep(galerkin_plan())

@@ -8,7 +8,6 @@ import pytest
 from voigt2d import (
     DataRecipe,
     GridSpec,
-    euler_rhs,
     galerkin_truncate,
     inverse_transform,
     l2_norm,
@@ -17,6 +16,7 @@ from voigt2d import (
     make_taylor_family,
     make_yudovich_patch,
     realize,
+    rhs,
     values_oversampled,
 )
 from voigt2d.grid import tables
@@ -61,7 +61,7 @@ class TestEigenfunction:
     def test_is_steady(self):
         g = GridSpec(32)
         f = make_eigenfunction(g, (2, 3), amplitude=2.0)
-        assert l2_norm(euler_rhs(f)) <= 1e-13 * l2_norm(f)
+        assert l2_norm(rhs(f, 0.0)) <= 1e-13 * l2_norm(f)
 
 
 class TestHalfPlaneModes:
@@ -190,7 +190,7 @@ class TestTaylorFamily:
     def test_unperturbed_is_steady(self):
         g = GridSpec(32)
         f = make_taylor_family(g, mode=1)
-        assert l2_norm(euler_rhs(f)) <= 1e-13 * l2_norm(f)
+        assert l2_norm(rhs(f, 0.0)) <= 1e-13 * l2_norm(f)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):
