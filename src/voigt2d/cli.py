@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` integrates one configuration and writes a
-diagnostics CSV, plus a ``.vfld`` snapshot at every snapshot time when
-``[time] snapshot_every`` is set; ``sweep`` runs a convergence experiment
-(one engine for every regime, optionally over a process pool) and writes
-a per-alpha error CSV with a human-readable summary; ``diagnose`` prints
+Subcommands: ``simulate`` integrates the configuration of a config with
+a [model] section and writes a diagnostics CSV, plus a ``.vfld`` snapshot
+at every snapshot time when ``[time] snapshot_every`` is set; ``sweep``
+runs the convergence experiment of a config with a [sweep] section (one
+engine for every regime, optionally over a process pool) and writes a
+per-alpha error CSV with a human-readable summary; ``diagnose`` prints
 norms and inequality ratios of a stored snapshot as CSV on standard
 output.
 
-Exit codes: 0 success, 2 configuration/format errors, 3 blow-up.
+Exit codes: 0 success, 2 configuration/format errors, 3 blow-up.  The
+whole config is checked when it is loaded, so an invalid value of any
+setting exits 2 before anything is run or written.
 All outputs are deterministic: repeated runs of one config are byte
 identical, including across sweep concurrency levels.
 """

@@ -1,111 +1,108 @@
 """Run configuration files.
 
 INI-style text with sections [grid], [time], [model], [init], [sweep],
-[output].  Parsing is strict: unknown sections or keys fail fast naming
-the offender, and the effective configuration (defaults applied) is
-echoed into every output file alongside a hash of the source text.
+[output], where a config has [model] (for simulate) or [sweep] (for sweep),
+not both.  Parsing is strict: unknown sections or keys fail fast naming
+the offender.  The parsed values are handed to the objects that own their
+rules (GridSpec, DataRecipe and the generator check of initial_data, then
+SolverConfig or SweepPlan), and every ValueError those raise becomes a
+ConfigError, so a bad value fails before anything is run or written.  The
+effective configuration (defaults applied) is read back from the built
+objects and echoed into every output file alongside a hash of the source
+text.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .dynamics import SolverConfig
 from .grid import GridSpec
-from .harness import REGIMES, SweepPlan
-from .initial_data import KINDS, DataRecipe
+from .harness import SweepPlan
+from .initial_data import INIT_PARAMS, REQUIRED, DataRecipe, check_params, recipe_params
 
 
 class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending item."""
 
 
-#: section -> {key: parser}; [init] additionally admits per-kind params
+#: section -> keys; [init] admits kind, seed and the per-kind INIT_PARAMS
 _GRID_KEYS = ("size", "dealias_cutoff")
 _TIME_KEYS = ("t_end", "record_every", "dt", "cfl", "snapshot_every")
 _MODEL_KEYS = ("alpha",)
 _SWEEP_KEYS = ("alphas", "regime", "s")
 _OUTPUT_KEYS = ("directory",)
 
-#: per-kind [init] parameters beyond kind/seed: (required, optional)
-_INIT_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "eigenfunction": ((), ("k1", "k2", "amplitude")),
-    "random_sobolev": (("sigma", "band"), ("amplitude",)),
-    "yudovich_patch": (("radius",), ("smoothing", "amplitude")),
-    "taylor_family": ((), ("mode", "amplitude", "perturbation")),
-}
-_INT_PARAMS = frozenset({"band", "mode", "k1", "k2"})
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated configuration of one run or sweep."""
+    """Parsed and validated configuration of one run or sweep.
+
+    ``run`` is the SolverConfig of a [model] config or the SweepPlan
+    (jobs = 1) of a [sweep] config.
+    """
 
     source_text: str
     grid: GridSpec
-    t_end: float
-    record_every: float
-    dt: float | None
-    c_cfl: float | None
-    snapshot_every: float | None
     recipe: DataRecipe
-    alpha: float | None = None
-    sweep_alphas: tuple[float, ...] | None = None
-    regime: str | None = None
-    s: float | None = None
+    run: SolverConfig | SweepPlan
     out_dir: str = "."
-    effective: dict[str, dict[str, str]] = field(default_factory=dict)
 
     @property
     def sha256(self) -> str:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
 
     def solver_config(self) -> SolverConfig:
-        if self.alpha is None:
+        if not isinstance(self.run, SolverConfig):
             raise ConfigError("missing [model] section (key alpha) for simulate")
-        return SolverConfig(
-            grid=self.grid,
-            alpha=self.alpha,
-            t_end=self.t_end,
-            record_every=self.record_every,
-            dt=self.dt,
-            c_cfl=self.c_cfl,
-            snapshot_every=self.snapshot_every,
-        )
+        return self.run
 
     def sweep_plan(self, jobs: int = 1) -> SweepPlan:
-        if self.sweep_alphas is None or self.regime is None:
+        if not isinstance(self.run, SweepPlan):
             raise ConfigError("missing [sweep] section (keys alphas, regime)")
-        if self.snapshot_every is not None:
-            raise ConfigError(
-                "key 'snapshot_every' in [time] is not used by sweep "
-                "(sweeps compare a snapshot at every record time)"
-            )
-        try:
-            return SweepPlan(
-                recipe=self.recipe,
-                alphas=self.sweep_alphas,
-                grid=self.grid,
-                t_end=self.t_end,
-                regime=self.regime,
-                record_every=self.record_every,
-                dt=self.dt,
-                c_cfl=0.5 if self.c_cfl is None and self.dt is None else self.c_cfl,
-                s=self.s,
-                jobs=jobs,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _checked(replace, self.run, jobs=jobs)
 
     def effective_lines(self) -> list[str]:
         """The effective configuration as '[section] key = value' lines."""
-        out = []
-        for section, keys in self.effective.items():
-            for key, value in keys.items():
-                out.append(f"[{section}] {key} = {value}")
-        return out
+        run, recipe, grid = self.run, self.recipe, self.grid
+        sections = {
+            "grid": {"size": grid.size, "dealias_cutoff": grid.dealias_cutoff},
+            "time": {"t_end": run.t_end, "record_every": run.record_every},
+        }
+        time = sections["time"]
+        if run.dt is not None:
+            time["dt"] = run.dt
+        else:
+            time["cfl"] = run.c_cfl
+        if isinstance(run, SolverConfig):
+            if run.snapshot_every is not None:
+                time["snapshot_every"] = run.snapshot_every
+            sections["model"] = {"alpha": run.alpha}
+        sections["init"] = {"kind": recipe.kind, "seed": recipe.seed, **recipe.params}
+        if isinstance(run, SweepPlan):
+            sweep = sections["sweep"] = {
+                "alphas": ", ".join(repr(a) for a in run.alphas),
+                "regime": run.regime,
+            }
+            if run.s is not None:
+                sweep["s"] = run.s
+        sections["output"] = {"directory": self.out_dir}
+        return [
+            f"[{section}] {key} = {value if isinstance(value, str) else repr(value)}"
+            for section, keys in sections.items()
+            for key, value in keys.items()
+        ]
+
+
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs), raising the ValueError of any rule the built
+    object enforces as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _get(raw: dict[str, str], section: str, key: str, kind, required: bool = False):
@@ -142,25 +139,20 @@ def parse_config(text: str) -> RunConfig:
     for section in ("grid", "time", "init"):
         if not parser.has_section(section):
             raise ConfigError(f"missing [{section}] section")
+    if parser.has_section("model") == parser.has_section("sweep"):
+        raise ConfigError(
+            "a config has either [model] (simulate) or [sweep] (sweep): "
+            + ("not both" if parser.has_section("model") else "neither found")
+        )
 
     raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    effective: dict[str, dict[str, str]] = {}
 
-    # [grid]
     g = raw["grid"]
     size = _get(g, "grid", "size", int, required=True)
     cutoff = _get(g, "grid", "dealias_cutoff", int)
     _reject_unknown("grid", g, _GRID_KEYS)
-    try:
-        grid = GridSpec(size) if cutoff is None else GridSpec(size, cutoff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    effective["grid"] = {
-        "size": str(grid.size),
-        "dealias_cutoff": str(grid.dealias_cutoff),
-    }
+    grid = _checked(GridSpec, size, cutoff)
 
-    # [time]
     t = raw["time"]
     t_end = _get(t, "time", "t_end", float, required=True)
     record_every = _get(t, "time", "record_every", float, required=True)
@@ -168,94 +160,53 @@ def parse_config(text: str) -> RunConfig:
     cfl = _get(t, "time", "cfl", float)
     snapshot_every = _get(t, "time", "snapshot_every", float)
     _reject_unknown("time", t, _TIME_KEYS)
-    if dt is not None and cfl is not None:
-        raise ConfigError("give either 'dt' or 'cfl' in [time], not both")
-    effective["time"] = {"t_end": repr(t_end), "record_every": repr(record_every)}
-    if dt is not None:
-        effective["time"]["dt"] = repr(dt)
-    else:
-        effective["time"]["cfl"] = repr(0.5 if cfl is None else cfl)
-    if snapshot_every is not None:
-        effective["time"]["snapshot_every"] = repr(snapshot_every)
 
-    # [model]
-    alpha = None
+    i = raw["init"]
+    kind = _get(i, "init", "kind", str, required=True)
+    seed = _get(i, "init", "seed", int)
+    spec = INIT_PARAMS.get(kind, {})
+    params = {}
+    for name, (cast, default) in spec.items():
+        value = _get(i, "init", name, cast, required=default is REQUIRED)
+        if value is not None:
+            params[name] = value
+    recipe = _checked(DataRecipe, kind, params, seed=0 if seed is None else seed)
+    _reject_unknown("init", i, ("kind", "seed", *spec))
+    _checked(check_params, kind, grid, recipe_params(recipe))
+
     if "model" in raw:
         m = raw["model"]
         alpha = _get(m, "model", "alpha", float, required=True)
         _reject_unknown("model", m, _MODEL_KEYS)
-        if alpha < 0:
-            raise ConfigError("bad value for 'alpha' in [model]: must be >= 0")
-        effective["model"] = {"alpha": repr(alpha)}
-
-    # [init]
-    i = raw["init"]
-    kind = _get(i, "init", "kind", str, required=True)
-    if kind not in KINDS:
-        raise ConfigError(
-            f"bad value for 'kind' in [init]: {kind!r} (known: {', '.join(KINDS)})"
+        run = _checked(
+            SolverConfig, grid, alpha, t_end, record_every, dt, cfl, snapshot_every
         )
-    seed = _get(i, "init", "seed", int)
-    required_params, optional_params = _INIT_PARAMS[kind]
-    params: dict = {}
-    for name in required_params + optional_params:
-        caster = int if name in _INT_PARAMS else float
-        value = _get(i, "init", name, caster, required=name in required_params)
-        if value is not None:
-            params[name] = value
-    _reject_unknown("init", i, ("kind", "seed") + required_params + optional_params)
-    recipe = DataRecipe(kind, params, seed=0 if seed is None else seed)
-    effective["init"] = {"kind": kind, "seed": str(recipe.seed)}
-    for name, value in params.items():
-        effective["init"][name] = repr(value) if isinstance(value, float) else str(value)
-
-    # [sweep]
-    sweep_alphas = regime = s = None
-    if "sweep" in raw:
+    else:
         w = raw["sweep"]
-        sweep_alphas = _get(w, "sweep", "alphas", _float_list, required=True)
+        alphas = _get(w, "sweep", "alphas", _float_list, required=True)
         regime = _get(w, "sweep", "regime", str, required=True)
         s = _get(w, "sweep", "s", float)
         _reject_unknown("sweep", w, _SWEEP_KEYS)
-        if not sweep_alphas:
-            raise ConfigError("bad value for 'alphas' in [sweep]: empty list")
-        if regime not in REGIMES:
+        if snapshot_every is not None:
             raise ConfigError(
-                f"bad value for 'regime' in [sweep]: {regime!r} "
-                f"(known: {', '.join(REGIMES)})"
+                "key 'snapshot_every' in [time] is not used by sweep "
+                "(sweeps compare a snapshot at every record time)"
             )
-        effective["sweep"] = {
-            "alphas": ", ".join(repr(a) for a in sweep_alphas),
-            "regime": regime,
-        }
-        if s is not None:
-            effective["sweep"]["s"] = repr(s)
+        run = _checked(
+            SweepPlan, recipe=recipe, alphas=alphas, grid=grid, t_end=t_end,
+            regime=regime, record_every=record_every, dt=dt, c_cfl=cfl, s=s,
+        )
 
-    # [output]
-    out_dir = "."
-    if "output" in raw:
-        o = raw["output"]
-        directory = _get(o, "output", "directory", str)
-        _reject_unknown("output", o, _OUTPUT_KEYS)
-        if directory is not None:
-            out_dir = directory
-    effective["output"] = {"directory": out_dir}
+    o = raw.get("output", {})
+    directory = _get(o, "output", "directory", str)
+    _reject_unknown("output", o, _OUTPUT_KEYS)
 
     return RunConfig(
         source_text=text,
         grid=grid,
-        t_end=t_end,
-        record_every=record_every,
-        dt=dt,
-        c_cfl=cfl,
-        snapshot_every=snapshot_every,
         recipe=recipe,
-        alpha=alpha,
-        sweep_alphas=sweep_alphas,
-        regime=regime,
-        s=s,
-        out_dir=out_dir,
-        effective=effective,
+        run=run,
+        out_dir="." if directory is None else directory,
     )
 
 

@@ -25,7 +25,7 @@ from .spectral import (
     helmholtz_filter,
     zero_mean,
 )
-from .diagnostics import DiagnosticSample, sample_state
+from .diagnostics import sample_state
 
 #: floor for the velocity scale in the CFL rule (guards the zero field)
 CFL_VELOCITY_FLOOR = 1e-12
@@ -88,17 +88,6 @@ class TrajectoryRecord:
     diagnostics: dict[str, np.ndarray]
     snapshots: list[tuple[float, SpectralField]] | None = None
     config: SolverConfig | None = None
-
-    def sample(self, index: int) -> DiagnosticSample:
-        d = self.diagnostics
-        return DiagnosticSample(
-            time=float(self.times[index]),
-            energy=float(d["energy"][index]),
-            enstrophy=float(d["enstrophy"][index]),
-            voigt_energy=float(d["voigt_energy"][index]),
-            voigt_enstrophy=float(d["voigt_enstrophy"][index]),
-            extra={"omega_sup": float(d["omega_sup"][index])},
-        )
 
 
 # ---------------------------------------------------------------------------

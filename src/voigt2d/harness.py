@@ -37,10 +37,11 @@ class SweepPlan:
     step defaults to the CFL value of the initial data at t = 0 so the
     Euler reference and every Voigt run see the same schedule and
     time-discretization error cancels to leading order in comparisons.
-    ``s`` is the Sobolev order of the data, given exactly when the regime
-    is smooth_2_lt_s_lt_3, which also needs random_sobolev data (its band
-    clamps the Galerkin cutoff); ``jobs`` is the number of processes for
-    the alpha runs.
+    The time settings obey SolverConfig's rules, c_cfl = 0.5 when neither
+    dt nor c_cfl is given.  ``s`` is the Sobolev order of the data, given
+    exactly when the regime is smooth_2_lt_s_lt_3, which also needs
+    random_sobolev data (its band clamps the Galerkin cutoff); ``jobs`` is
+    the number of processes for the alpha runs.
     """
 
     recipe: DataRecipe
@@ -50,7 +51,7 @@ class SweepPlan:
     regime: str
     record_every: float = 0.1
     dt: float | None = None
-    c_cfl: float = 0.5
+    c_cfl: float | None = None
     s: float | None = None
     jobs: int = 1
 
@@ -58,7 +59,7 @@ class SweepPlan:
         alphas = tuple(float(a) for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) < 4:
-            raise ValueError(f"need at least 4 alpha values, got {len(alphas)}")
+            raise ValueError(f"need at least 4 alphas, got {len(alphas)}")
         if any(not 0 < a <= 1 for a in alphas):
             raise ValueError("alpha values must lie in (0, 1]")
         if any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -66,7 +67,9 @@ class SweepPlan:
         if alphas[0] / alphas[-1] < 100.0 * (1.0 - 1e-9):
             raise ValueError("alpha sweep must span at least two decades")
         if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
+            raise ValueError(
+                f"unknown regime {self.regime!r} (known: {', '.join(REGIMES)})"
+            )
         if self.regime == "smooth_2_lt_s_lt_3":
             if self.s is None or not 2.0 < self.s < 3.0:
                 raise ValueError("smooth_2_lt_s_lt_3 requires s strictly in (2, 3)")
@@ -81,8 +84,11 @@ class SweepPlan:
             )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        # the Euler run's config checks the time settings and fills in c_cfl
+        euler = SolverConfig(
+            self.grid, 0.0, self.t_end, self.record_every, self.dt, self.c_cfl
+        )
+        object.__setattr__(self, "c_cfl", euler.c_cfl)
 
 
 @dataclass(frozen=True)
@@ -277,7 +283,8 @@ def _truncation_checks(
 
     Checks, with u0 = biot_savart(omega0) and u0^N its truncation:
       a) ||u^N||_{s,2} <= ||u||_{s,2}
-      b) ||u^N||_{s',2} <= N^{s'-s} ||u||_{s,2} with s' = s + 1
+      b) ||u^N||_{s',2} <= (1 + N^2)^{(s'-s)/2} ||u||_{s,2} with s' = s + 1,
+         the Bernstein factor of the (1 + |k|^2)^s weight
       c) ||u^N - u||_{sbar,2} <= N^{sbar-s} ||u||_{s,2} for sbar in {0, 1}
     plus the vorticity corollary ||omega^N - omega||_2 <= N^{1-s}||u||_{s,2}.
     """
@@ -290,7 +297,7 @@ def _truncation_checks(
     out["nest_a"] = a_lhs <= us
     sp = s + 1.0
     b_lhs = velocity_sobolev(un, sp)
-    out["nest_b"] = b_lhs <= n ** (sp - s) * us
+    out["nest_b"] = b_lhs <= (1.0 + n * n) ** ((sp - s) / 2.0) * us
     d1 = base_n - base
     du = biot_savart(d1)
     for sbar in (0.0, 1.0):

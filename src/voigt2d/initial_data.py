@@ -21,7 +21,30 @@ from .spectral import (
     zero_mean,
 )
 
-KINDS = ("eigenfunction", "random_sobolev", "yudovich_patch", "taylor_family")
+#: marks a parameter that has no default
+REQUIRED = ...
+
+#: kind -> {parameter: (type, default)}, required parameters first; read by
+#: realize and by the config parser
+INIT_PARAMS = {
+    "eigenfunction": {"k1": (int, 1), "k2": (int, 0), "amplitude": (float, 1.0)},
+    "random_sobolev": {
+        "sigma": (float, REQUIRED),
+        "band": (int, REQUIRED),
+        "amplitude": (float, 1.0),
+    },
+    "yudovich_patch": {
+        "radius": (float, REQUIRED),
+        "smoothing": (float, None),
+        "amplitude": (float, 1.0),
+    },
+    "taylor_family": {
+        "mode": (int, 1),
+        "amplitude": (float, 1.0),
+        "perturbation": (float, 0.0),
+    },
+}
+KINDS = tuple(INIT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -34,11 +57,64 @@ class DataRecipe:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown initial data kind {self.kind!r}")
+            raise ValueError(
+                f"unknown initial data kind {self.kind!r} (known: {', '.join(KINDS)})"
+            )
         object.__setattr__(self, "params", dict(self.params))
 
     def __hash__(self) -> int:
         return hash((self.kind, tuple(sorted(self.params.items())), self.seed))
+
+
+def recipe_params(recipe: DataRecipe) -> dict:
+    """Every parameter of the recipe's kind, typed, with defaults filled in.
+
+    Raises ValueError naming an unknown parameter and KeyError for a
+    missing required one.
+    """
+    spec = INIT_PARAMS[recipe.kind]
+    unknown = sorted(set(recipe.params) - set(spec))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for {recipe.kind}: {unknown}")
+    out = {}
+    for name, (cast, default) in spec.items():
+        if name in recipe.params:
+            out[name] = cast(recipe.params[name])
+        elif default is REQUIRED:
+            raise KeyError(name)
+        else:
+            out[name] = default
+    return out
+
+
+def check_params(kind: str, grid: GridSpec, p: Mapping) -> None:
+    """Raise ValueError unless the typed parameters p of a kind make data
+    on grid; every generator calls this before it builds anything."""
+    cut = grid.dealias_cutoff
+    if kind == "eigenfunction":
+        k = (p["k1"], p["k2"])
+        if k == (0, 0):
+            raise ValueError("eigenfunction wave-vector must be nonzero")
+        if max(abs(k[0]), abs(k[1])) > cut:
+            raise ValueError(f"wave-vector {k} outside the dealias band (cutoff {cut})")
+    elif kind == "random_sobolev":
+        if not p["sigma"] > 0:
+            raise ValueError(f"sigma must be positive, got {p['sigma']}")
+        if not 1 <= p["band"] <= cut:
+            raise ValueError(
+                f"band must lie in [1, dealias_cutoff={cut}], got {p['band']}"
+            )
+    elif kind == "yudovich_patch":
+        if not 0 < p["radius"] < np.pi:
+            raise ValueError(f"radius must lie in (0, pi), got {p['radius']}")
+        if p["smoothing"] is not None and not p["smoothing"] > 0:
+            raise ValueError(f"smoothing must be positive, got {p['smoothing']}")
+    else:
+        m = p["mode"]
+        if m < 1:
+            raise ValueError(f"mode must be >= 1, got {m}")
+        if (m + 1 if p["perturbation"] else m) > cut:
+            raise ValueError("taylor modes outside the dealias band")
 
 
 def make_eigenfunction(
@@ -50,11 +126,7 @@ def make_eigenfunction(
     the products untouched.
     """
     k1, k2 = int(k[0]), int(k[1])
-    if k1 == 0 and k2 == 0:
-        raise ValueError("eigenfunction wave-vector must be nonzero")
-    cut = grid.dealias_cutoff
-    if max(abs(k1), abs(k2)) > cut:
-        raise ValueError(f"wave-vector {k} outside the dealias band (cutoff {cut})")
+    check_params("eigenfunction", grid, {"k1": k1, "k2": k2})
     m = grid.size
     c = np.zeros((m, m), dtype=np.complex128)
     c[k1 % m, k2 % m] = 0.5 * amplitude
@@ -88,12 +160,7 @@ def make_random_sobolev(
     The corresponding velocity gains one derivative, so choosing
     sigma slightly above s puts u in H^s.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 1 <= band <= grid.dealias_cutoff:
-        raise ValueError(
-            f"band must lie in [1, dealias_cutoff={grid.dealias_cutoff}], got {band}"
-        )
+    check_params("random_sobolev", grid, {"sigma": sigma, "band": band})
     rng = np.random.default_rng(seed)
     m = grid.size
     c = np.zeros((m, m), dtype=np.complex128)
@@ -119,12 +186,9 @@ def make_yudovich_patch(
     lives on the grid, then dealiased, mean-zeroed, and scaled so the
     collocation sup norm equals ``amplitude``.
     """
-    if not 0 < radius < np.pi:
-        raise ValueError(f"radius must lie in (0, pi), got {radius}")
+    check_params("yudovich_patch", grid, {"radius": radius, "smoothing": smoothing})
     if smoothing is None:
         smoothing = 2.0 * grid.spacing
-    if not smoothing > 0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
     rng = np.random.default_rng(seed)
     center = rng.uniform(0.0, TWO_PI, size=2)
     x1, x2 = grid.meshgrid()
@@ -145,10 +209,7 @@ def make_taylor_family(
     """Taylor-Green vortex array amplitude*cos(m x1)cos(m x2), optionally
     perturbed by a single cos((m+1) x1) mode to break steadiness."""
     m = int(mode)
-    if m < 1:
-        raise ValueError(f"mode must be >= 1, got {mode}")
-    if max(m, m + 1 if perturbation else m) > grid.dealias_cutoff:
-        raise ValueError("taylor modes outside the dealias band")
+    check_params("taylor_family", grid, {"mode": m, "perturbation": perturbation})
     n = grid.size
     c = np.zeros((n, n), dtype=np.complex128)
     # cos(m x1) cos(m x2) = sum of quarter-amplitude modes at (+-m, +-m)
@@ -163,38 +224,14 @@ def make_taylor_family(
 
 def realize(recipe: DataRecipe, grid: GridSpec) -> SpectralField:
     """Build the initial vorticity a recipe describes on a grid."""
-    p = dict(recipe.params)
-    kind = recipe.kind
-    if kind == "eigenfunction":
-        k = (int(p.pop("k1", 1)), int(p.pop("k2", 0)))
-        amp = float(p.pop("amplitude", 1.0))
-        _reject_extras(kind, p)
-        return make_eigenfunction(grid, k, amp)
-    if kind == "random_sobolev":
-        sigma = float(p.pop("sigma"))
-        band = int(p.pop("band"))
-        amp = float(p.pop("amplitude", 1.0))
-        _reject_extras(kind, p)
-        return make_random_sobolev(grid, sigma, recipe.seed, band, amp)
-    if kind == "yudovich_patch":
-        radius = float(p.pop("radius"))
-        smoothing = p.pop("smoothing", None)
-        smoothing = float(smoothing) if smoothing is not None else None
-        amp = float(p.pop("amplitude", 1.0))
-        _reject_extras(kind, p)
-        return make_yudovich_patch(grid, radius, smoothing, recipe.seed, amp)
-    if kind == "taylor_family":
-        mode = int(p.pop("mode", 1))
-        amp = float(p.pop("amplitude", 1.0))
-        pert = float(p.pop("perturbation", 0.0))
-        _reject_extras(kind, p)
-        return make_taylor_family(grid, mode, amp, pert)
-    raise ValueError(f"unknown initial data kind {kind!r}")
-
-
-def _reject_extras(kind: str, leftovers: dict) -> None:
-    if leftovers:
-        raise ValueError(f"unknown parameter(s) for {kind}: {sorted(leftovers)}")
+    p = recipe_params(recipe)
+    if recipe.kind == "eigenfunction":
+        return make_eigenfunction(grid, (p["k1"], p["k2"]), p["amplitude"])
+    if recipe.kind == "random_sobolev":
+        return make_random_sobolev(grid, seed=recipe.seed, **p)
+    if recipe.kind == "yudovich_patch":
+        return make_yudovich_patch(grid, seed=recipe.seed, **p)
+    return make_taylor_family(grid, **p)
 
 
 def galerkin_truncate(f: SpectralField, n: int) -> SpectralField:

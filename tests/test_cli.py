@@ -50,6 +50,56 @@ def sweep_config(tmp_path, out, regime="smooth_s_ge_3", extra_sweep=""):
     return write_config(tmp_path, body, name="sweep.ini")
 
 
+SOBOLEV = "kind = random_sobolev\nsigma = 3.25\nband = 8"
+
+#: (config text, its replacement, what the error names); each exits 2
+BAD_VALUES = [
+    ("t_end = 0.5", "t_end = -1", "t_end"),
+    ("record_every = 0.1", "record_every = 0", "record_every"),
+    ("dt = 0.02", "dt = -0.01", "dt"),
+    ("dt = 0.02", "cfl = 0", "c_cfl"),
+    ("dt = 0.02", "dt = 0.02\nsnapshot_every = -0.1", "snapshot_every"),
+    ("band = 8", "band = 11", "band"),  # the cutoff at M = 32 is 10
+    ("sigma = 3.25", "sigma = 0", "sigma"),
+    (SOBOLEV, "kind = eigenfunction\nk1 = 0\nk2 = 0", "nonzero"),
+    (SOBOLEV, "kind = yudovich_patch\nradius = 3.5", "radius"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+class TestBadConfigWritesNothing:
+    def config(self, tmp_path, command, out):
+        if command == "simulate":
+            return sim_config(tmp_path, out, init=SOBOLEV + "\nseed = 1", snapshots="")
+        return sweep_config(tmp_path, out)
+
+    @pytest.mark.parametrize(
+        "old, new, named", BAD_VALUES, ids=[named for _, _, named in BAD_VALUES]
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, command, old, new, named):
+        out = tmp_path / "out"
+        cfg = Path(self.config(tmp_path, command, out))
+        assert old in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert entry([command, str(cfg)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_section_of_other_command_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = Path(self.config(tmp_path, command, out))
+        other = (
+            "[sweep]\nalphas = 1e-1, 1e-2\ns = 2.5\n"
+            if command == "simulate"
+            else "[model]\nalpha = 0.01\n"
+        )
+        cfg.write_text(cfg.read_text() + "\n" + other)
+        assert entry([command, str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[model]" in err and "[sweep]" in err
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_writes_diagnostics_with_provenance(self, tmp_path, capsys):
         out = tmp_path / "out"

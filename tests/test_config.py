@@ -1,10 +1,12 @@
 """Configuration parsing: strictness, defaults, effective echo."""
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from voigt2d import ConfigError, load_config, parse_config
+from voigt2d import ConfigError, SolverConfig, SweepPlan, load_config, parse_config
 
 SIM = textwrap.dedent(
     """\
@@ -56,23 +58,22 @@ SWEEP = textwrap.dedent(
 class TestHappyPath:
     def test_simulate_config(self):
         cfg = parse_config(SIM)
+        sc = cfg.solver_config()
         assert cfg.grid.size == 64
         assert cfg.grid.dealias_cutoff == 21
-        assert cfg.t_end == 0.5
-        assert cfg.dt == 0.01
-        assert cfg.c_cfl is None
-        assert cfg.snapshot_every == 0.25
-        assert cfg.alpha == 0.01
+        assert sc.t_end == 0.5
+        assert sc.dt == 0.01
+        assert sc.c_cfl is None
+        assert sc.snapshot_every == 0.25
+        assert sc.alpha == 0.01
         assert cfg.recipe.kind == "random_sobolev"
         assert cfg.recipe.params == {"sigma": 3.0, "band": 8}
         assert cfg.recipe.seed == 7
-        sc = cfg.solver_config()
-        assert sc.alpha == 0.01 and sc.dt == 0.01
 
     def test_sweep_config(self):
         cfg = parse_config(SWEEP)
-        assert cfg.sweep_alphas == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-        assert cfg.regime == "smooth_s_ge_3"
+        assert cfg.sweep_plan().alphas == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+        assert cfg.sweep_plan().regime == "smooth_s_ge_3"
         assert cfg.out_dir == "out"
         plan = cfg.sweep_plan(jobs=2)
         assert plan.jobs == 2
@@ -103,11 +104,11 @@ class TestHappyPath:
 
     def test_mode_sections_optional(self):
         cfg = parse_config(SIM)
-        assert cfg.sweep_alphas is None
+        assert not isinstance(cfg.run, SweepPlan)
         with pytest.raises(ConfigError, match=r"\[sweep\]"):
             cfg.sweep_plan()
         cfg2 = parse_config(SWEEP)
-        assert cfg2.alpha is None
+        assert not isinstance(cfg2.run, SolverConfig)
         with pytest.raises(ConfigError, match=r"\[model\]"):
             cfg2.solver_config()
 
@@ -201,10 +202,24 @@ class TestRejection:
         with pytest.raises(ConfigError, match="requires random_sobolev data"):
             parse_config(taylor).sweep_plan()
 
+    def test_one_mode_section(self):
+        with pytest.raises(ConfigError, match=r"\[model\].*\[sweep\].*not both"):
+            parse_config(SWEEP + "\n[model]\nalpha = 0.01\n")
+        with pytest.raises(ConfigError, match="neither"):
+            parse_config(SIM.replace("[model]\nalpha = 0.01\n", ""))
+
     def test_reference_key_is_unknown(self):
         text = SWEEP.replace("regime = smooth_s_ge_3", "regime = smooth_s_ge_3\nreference = x")
         with pytest.raises(ConfigError, match="unknown key 'reference'"):
             parse_config(text)
+
+
+class TestReadme:
+    def test_ini_blocks_build_their_run(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+        runs = [parse_config(block).run for block in blocks]
+        assert {type(run) for run in runs} == {SolverConfig, SweepPlan}
 
 
 class TestLoadConfig:

@@ -17,6 +17,7 @@ from voigt2d import (
     fit_rate,
     galerkin_reference_sweep,
     integrate,
+    make_eigenfunction,
     realize,
     run_sweep,
     theoretical_slope,
@@ -191,6 +192,22 @@ class TestSweepPlan:
             small_plan(jobs=0)
         with pytest.raises(ValueError, match="t_end"):
             small_plan(t_end=0.0)
+        with pytest.raises(ValueError, match="record_every"):
+            small_plan(record_every=0.0)
+        with pytest.raises(ValueError, match="dt"):
+            small_plan(dt=-0.01)
+        with pytest.raises(ValueError, match="not both"):
+            small_plan(c_cfl=0.5)
+        assert small_plan(dt=None).c_cfl == 0.5
+
+
+class TestTruncationChecks:
+    def test_bernstein_factor_of_inhomogeneous_weight(self):
+        # u^N = u sits at |k| = N = 1, where the (1 + |k|^2) weight gives
+        # ||u^N||_{s+1} = sqrt(2) ||u||_s: above N ||u||_s, within sqrt(1 + N^2)
+        omega = make_eigenfunction(GridSpec(32), (1, 0))
+        checks = harness._truncation_checks(omega, 1, 2.5)
+        assert all(checks[k] for k in checks if k.startswith(("nest", "omega")))
 
 
 class TestRunPair:
