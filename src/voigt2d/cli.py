@@ -183,8 +183,11 @@ def cmd_diagnose(
     snap = read_snapshot(snapshot_path)
     with open(snapshot_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    omega = snap.field()
-    u = biot_savart(omega)
+    try:
+        omega = snap.field()
+        u = biot_savart(omega)
+    except ValueError as exc:
+        raise SnapshotError(f"bad values in {snapshot_path!r}: {exc}") from exc
 
     lines = [
         f"# voigt2d {__version__}",

@@ -200,6 +200,8 @@ def parse_config(text: str) -> RunConfig:
     o = raw.get("output", {})
     directory = _get(o, "output", "directory", str)
     _reject_unknown("output", o, _OUTPUT_KEYS)
+    if directory == "":
+        raise ConfigError("empty value for 'directory' in [output]")
 
     return RunConfig(
         source_text=text,

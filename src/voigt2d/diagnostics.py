@@ -1,8 +1,11 @@
-"""Norms, conserved quantities, and inequality diagnostics."""
+"""Norms, conserved quantities, and inequality diagnostics.
+
+sample_state returns the per-record dict of TrajectoryRecord.diagnostics;
+lp_norm and cz_ratio share one L^p quadrature on the 2x oversampled grid.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,23 +22,6 @@ from .spectral import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import TrajectoryRecord
-
-
-@dataclass(frozen=True)
-class DiagnosticSample:
-    """Scalar diagnostics of one state.
-
-    energy and enstrophy are the squared L2 norms of velocity and
-    vorticity; the voigt_* variants carry the extra alpha|k|^2 weight and
-    reduce to them at alpha = 0.
-    """
-
-    time: float
-    energy: float
-    enstrophy: float
-    voigt_energy: float
-    voigt_enstrophy: float
-    extra: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +65,18 @@ def lp_norm(f: SpectralField, p: float) -> float:
         v = inverse_transform(f)
         h2 = (TWO_PI / f.grid.size) ** 2
         return float(np.sqrt(np.sum(v * v) * h2))
-    v = values_oversampled(f, 2)
-    h2 = (TWO_PI / (2 * f.grid.size)) ** 2
-    a = np.abs(v)
+    return _oversampled_lp(np.abs(values_oversampled(f)), f.grid.size, p)
+
+
+def _oversampled_lp(a: np.ndarray, m: int, p: float) -> float:
+    """L^p norm of magnitudes a on the 2x oversampled grid of an M grid,
+    by quadrature with weight (2pi/2M)^2."""
+    h2 = (TWO_PI / (2 * m)) ** 2
     vmax = float(np.max(a))
     if vmax == 0.0:
         return 0.0
     # factor out the max so p up to ~64 neither overflows nor underflows
-    return float(vmax * np.sum((a / vmax) ** p * h2) ** (1.0 / p))
+    return vmax * float(np.sum((a / vmax) ** p * h2)) ** (1.0 / p)
 
 
 def velocity_l2(v: VelocityPair) -> float:
@@ -122,17 +112,17 @@ def voigt_enstrophy(omega: SpectralField, alpha: float) -> float:
     return float(TWO_PI**2 * np.sum(w * np.abs(omega.coeffs) ** 2))
 
 
-def sample_state(omega: SpectralField, alpha: float, time: float) -> DiagnosticSample:
-    """Standard diagnostics of a vorticity state."""
+def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
+    """Squared L2 norms of velocity and vorticity, their voigt_* variants
+    with the extra alpha|k|^2 weight, and the collocation sup of omega."""
     u = biot_savart(omega)
-    return DiagnosticSample(
-        time=time,
-        energy=voigt_energy(u, 0.0),
-        enstrophy=voigt_enstrophy(omega, 0.0),
-        voigt_energy=voigt_energy(u, alpha),
-        voigt_enstrophy=voigt_enstrophy(omega, alpha),
-        extra={"omega_sup": lp_norm(omega, np.inf)},
-    )
+    return {
+        "energy": voigt_energy(u, 0.0),
+        "enstrophy": voigt_enstrophy(omega, 0.0),
+        "voigt_energy": voigt_energy(u, alpha),
+        "voigt_enstrophy": voigt_enstrophy(omega, alpha),
+        "omega_sup": lp_norm(omega, np.inf),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +143,13 @@ def cz_ratio(omega: SpectralField, p: float) -> float:
         raise ValueError("cz_ratio is undefined for the zero field")
     u = biot_savart(omega)
     comps = [
-        values_oversampled(derivative(u.u1, 1), 2),
-        values_oversampled(derivative(u.u1, 2), 2),
-        values_oversampled(derivative(u.u2, 1), 2),
-        values_oversampled(derivative(u.u2, 2), 2),
+        values_oversampled(derivative(u.u1, 1)),
+        values_oversampled(derivative(u.u1, 2)),
+        values_oversampled(derivative(u.u2, 1)),
+        values_oversampled(derivative(u.u2, 2)),
     ]
     mag = np.sqrt(sum(c * c for c in comps))
-    h2 = (TWO_PI / (2 * omega.grid.size)) ** 2
-    vmax = float(np.max(mag))
-    if vmax == 0.0:
-        return 0.0
-    grad_p = vmax * float(np.sum((mag / vmax) ** p * h2)) ** (1.0 / p)
-    return grad_p / (p * sup)
+    return _oversampled_lp(mag, omega.grid.size, p) / (p * sup)
 
 
 def gagliardo_ratio(f: SpectralField, p: float) -> float:

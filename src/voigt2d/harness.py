@@ -148,11 +148,7 @@ def fit_rate(points: list[tuple[float, float]]) -> FitResult:
     slope = float(np.sum(xm * y) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
-    n = len(points)
-    if n > 2:
-        stderr = math.sqrt(float(np.sum(resid * resid)) / (n - 2) / sxx)
-    else:  # pragma: no cover - excluded by the n >= 3 check
-        stderr = float("nan")
+    stderr = math.sqrt(float(np.sum(resid * resid)) / (len(points) - 2) / sxx)
     return FitResult(slope=slope, intercept=intercept, stderr=stderr)
 
 
@@ -205,14 +201,12 @@ def theoretical_slope(regime: str, s: float | None = None) -> TheoreticalRate:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def choose_cutoff(alpha: float, coupling: float = 1.0, band_limit: int | None = None) -> int:
-    """Galerkin cutoff N = round(coupling * alpha^(-1/4)), at least 1,
-    clamped to band_limit when given."""
+def choose_cutoff(alpha: float, band_limit: int | None = None) -> int:
+    """Galerkin cutoff N = round(alpha^(-1/4)), at least 1, clamped to
+    band_limit when given."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not coupling > 0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
-    n = int(math.floor(coupling * alpha**-0.25 + 0.5))
+    n = int(math.floor(alpha**-0.25 + 0.5))
     n = max(n, 1)
     if band_limit is not None:
         n = min(n, int(band_limit))

@@ -60,6 +60,8 @@ class DataRecipe:
             raise ValueError(
                 f"unknown initial data kind {self.kind!r} (known: {', '.join(KINDS)})"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "params", dict(self.params))
 
     def __hash__(self) -> int:
@@ -197,7 +199,7 @@ def make_yudovich_patch(
     r = np.hypot(d1, d2)
     vals = 0.5 * (1.0 - np.tanh((r - radius) / smoothing))
     f = zero_mean(dealias(forward_transform(vals, grid)))
-    sup = float(np.max(np.abs(values_oversampled(f, 2))))
+    sup = float(np.max(np.abs(values_oversampled(f))))
     if sup == 0.0:
         raise ValueError("degenerate patch: zero field after projection")
     return f * (amplitude / sup)

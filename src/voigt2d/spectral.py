@@ -1,4 +1,5 @@
-"""Spectral fields and the linear operators of the vorticity formulation.
+"""Spectral fields, their transforms, and the linear operators the solver
+and the diagnostics use (the 2x oversampled evaluation included).
 
 Convention: a real field f on [0, 2pi)^2 is represented by coefficients
 f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), stored as an M x M complex
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, GridSpec, tables
+from .grid import GridSpec, tables
 
 #: relative tolerance for the Hermitian-symmetry (realness) check
 SYMMETRY_TOL = 1e-12
@@ -79,10 +80,6 @@ class SpectralField:
         mirror = np.conj(self.coeffs[np.ix_(t.negate, t.negate)])
         return float(np.max(np.abs(self.coeffs - mirror)))
 
-    def is_real_field(self, tol: float = SYMMETRY_TOL) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        return self.hermitian_defect() <= tol * scale
-
 
 @dataclass(frozen=True, eq=False)
 class VelocityPair:
@@ -98,11 +95,6 @@ class VelocityPair:
     @property
     def grid(self) -> GridSpec:
         return self.u1.grid
-
-    def divergence_defect(self) -> float:
-        """L2 norm of div u; zero (to roundoff) for Biot-Savart output."""
-        d = divergence(self)
-        return float(TWO_PI * np.linalg.norm(d.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +135,10 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
     Raises :class:`SymmetryError` if the coefficients violate Hermitian
     symmetry beyond 1e-12 relative, i.e. the field is not real.
     """
-    if not f.is_real_field():
+    defect = f.hermitian_defect()
+    if not defect <= SYMMETRY_TOL * max(1.0, float(np.max(np.abs(f.coeffs)))):
         raise SymmetryError(
-            f"Hermitian symmetry violated (defect {f.hermitian_defect():.3e}); "
-            "field is not real"
+            f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
         )
     return _to_values(f.coeffs, f.grid)
 
@@ -174,11 +166,6 @@ def derivative(f: SpectralField, axis: int) -> SpectralField:
     else:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     return SpectralField(f.grid, (1j * d) * f.coeffs)
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    """Multiplication by -|k|^2."""
-    return SpectralField(f.grid, -tables(f.grid).ksq * f.coeffs)
 
 
 def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
@@ -214,15 +201,6 @@ def biot_savart(omega: SpectralField) -> VelocityPair:
     return VelocityPair(-derivative(psi, 2), derivative(psi, 1))
 
 
-def divergence(v: VelocityPair) -> SpectralField:
-    return derivative(v.u1, 1) + derivative(v.u2, 2)
-
-
-def curl(v: VelocityPair) -> SpectralField:
-    """Scalar vorticity d1 u2 - d2 u1."""
-    return derivative(v.u2, 1) - derivative(v.u1, 2)
-
-
 def dealias(f: SpectralField) -> SpectralField:
     """Zero every mode with max(|k1|, |k2|) > the grid's dealias cutoff."""
     return SpectralField(f.grid, f.coeffs * tables(f.grid).dealias_mask)
@@ -236,28 +214,17 @@ def zero_mean(f: SpectralField) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# misc helpers
+# oversampled evaluation
 
 
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """L2 inner product integral f*g dx = (2pi)^2 Re sum f_hat conj(g_hat)."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires a common grid")
-    return float(TWO_PI**2 * np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
-
-
-def values_oversampled(f: SpectralField, factor: int = 2) -> np.ndarray:
-    """Evaluate the trigonometric interpolant on a factor-times finer grid.
+def values_oversampled(f: SpectralField) -> np.ndarray:
+    """Evaluate the trigonometric interpolant on the 2M x 2M grid.
 
     Zero-pads the spectrum; the unpaired Nyquist mode is split evenly
     between +M/2 and -M/2 so the refined field stays real.
     """
-    if factor < 1 or not isinstance(factor, (int, np.integer)):
-        raise ValueError(f"factor must be a positive integer, got {factor!r}")
-    if factor == 1:
-        return inverse_transform(f)
     m = f.grid.size
-    mf = m * factor
+    mf = 2 * m
     half = m // 2
     src = np.fft.fftshift(f.coeffs).copy()  # rows/cols now -M/2 .. M/2-1
     big = np.zeros((mf, mf), dtype=np.complex128)

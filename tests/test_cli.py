@@ -5,10 +5,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voigt2d import (
     GridSpec,
+    Snapshot,
     cz_ratio,
     gagliardo_ratio,
     l2_norm,
@@ -63,6 +65,8 @@ BAD_VALUES = [
     ("sigma = 3.25", "sigma = 0", "sigma"),
     (SOBOLEV, "kind = eigenfunction\nk1 = 0\nk2 = 0", "nonzero"),
     (SOBOLEV, "kind = yudovich_patch\nradius = 3.5", "radius"),
+    ("seed = 1", "seed = -1", "seed"),
+    ("directory = ", "directory =\n# ", "directory"),  # the path becomes a comment
 ]
 
 
@@ -330,6 +334,17 @@ class TestDiagnose:
         assert entry(["diagnose", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_nonzero_mean_snapshot_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "state.vfld"
+        g = GridSpec(32)
+        x1, _ = g.meshgrid()
+        snap = Snapshot(time=0.0, alpha=0.0, values=np.cos(x1) + 0.5)
+        write_snapshot(str(path), snap)
+        assert entry(["diagnose", str(path), "--cz", "4"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "state.vfld" in captured.err and "zero-mean" in captured.err
         assert captured.out == ""
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from voigt2d import (
+    TWO_PI,
     BlowUpError,
     GridSpec,
     SolverConfig,
@@ -13,11 +14,11 @@ from voigt2d import (
     cfl_dt,
     forward_transform,
     integrate,
-    l2_inner,
     l2_norm,
     rhs,
     step_rk4,
 )
+from voigt2d import dynamics
 from voigt2d.dynamics import _event_times, _schedule
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
 
@@ -50,7 +51,8 @@ class TestRightHandSides:
         # d/dt ||omega||^2 = 2 (omega, rhs) = 0 for the spectral Euler system
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.5, seed=1, band=g.dealias_cutoff)
-        assert abs(l2_inner(rhs(f, 0.0), f)) < 1e-12 * l2_norm(f) ** 2
+        inner = TWO_PI**2 * np.real(np.sum(rhs(f, 0.0).coeffs * np.conj(f.coeffs)))
+        assert abs(inner) < 1e-12 * l2_norm(f) ** 2
 
     def test_eigenfunction_is_steady(self):
         g = GridSpec(32)
@@ -195,6 +197,29 @@ class TestIntegrate:
         stamps = [t for t, _ in rec.snapshots]
         assert stamps == [0.0] + sorted(snaps)
         assert set(stamps) <= set(rec.times.tolist())
+
+    @pytest.mark.parametrize(
+        "dt, record_every, t_end, steps",
+        [(0.02, 0.1, 0.5, 25), (1.0 / 30.0, 0.1, 1.0, 30), (0.01, 0.05, 0.1, 10)],
+    )
+    def test_no_sliver_steps(self, monkeypatch, dt, record_every, t_end, steps):
+        # t + dt rounds just below some record times, e.g. 0.08 + 0.02 < 0.1;
+        # the clock lands on the event instead of taking a ~1e-17 step
+        calls = []
+
+        def counted(omega, step, alpha):
+            calls.append(step)
+            return step_rk4(omega, step, alpha)
+
+        monkeypatch.setattr(dynamics, "step_rk4", counted)
+        g = GridSpec(16)
+        cfg = SolverConfig(
+            grid=g, alpha=0.0, t_end=t_end, record_every=record_every, dt=dt
+        )
+        rec = integrate(make_eigenfunction(g, (1, 0)), cfg)
+        assert len(calls) == steps
+        assert min(calls) > 0.99 * dt
+        assert rec.times[-1] == t_end
 
     def test_no_snapshots_by_default(self):
         g = GridSpec(32)

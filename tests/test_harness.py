@@ -152,7 +152,6 @@ class TestChooseCutoff:
         assert all(b >= a for a, b in zip(ns, ns[1:]))
 
     def test_coupling_and_clamp(self):
-        assert choose_cutoff(1.0, coupling=3.0) == 3
         assert choose_cutoff(1e-4, band_limit=6) == 6
 
     def test_validation(self):
@@ -160,8 +159,6 @@ class TestChooseCutoff:
             choose_cutoff(0.0)
         with pytest.raises(ValueError, match="alpha"):
             choose_cutoff(1.5)
-        with pytest.raises(ValueError, match="coupling"):
-            choose_cutoff(0.1, coupling=0.0)
 
 
 class TestSweepPlan:

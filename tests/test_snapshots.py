@@ -16,6 +16,7 @@ from voigt2d import (
     snapshot_of,
     write_snapshot,
 )
+from voigt2d.cli import cmd_diagnose
 
 HEADER = struct.Struct("<4sIIdd")
 
@@ -149,6 +150,20 @@ class TestCorruption:
         p.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="grid"):
             read_snapshot(str(p))
+
+    @pytest.mark.parametrize("named", ["zero-mean", "finite"])
+    def test_bad_values_name_the_file(self, tmp_path, named):
+        g = GridSpec(32)
+        x1, _ = g.meshgrid()
+        values = np.cos(x1)
+        if named == "zero-mean":
+            values += 0.5
+        else:
+            values[3, 5] = np.nan
+        p = tmp_path / "state.vfld"
+        write_snapshot(str(p), Snapshot(time=0.0, alpha=0.0, values=values))
+        with pytest.raises(SnapshotError, match=f"state.vfld.*{named}"):
+            cmd_diagnose(str(p), (), ())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError):

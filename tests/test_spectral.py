@@ -1,7 +1,5 @@
 """Transforms, calculus operators, and the Biot-Savart reconstruction."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,21 +9,23 @@ from voigt2d import (
     SpectralField,
     SymmetryError,
     biot_savart,
-    curl,
     dealias,
     derivative,
-    divergence,
     forward_transform,
     helmholtz_filter,
     inverse_laplacian,
     inverse_transform,
-    l2_inner,
-    laplacian,
     values_oversampled,
     zero_mean,
 )
 from voigt2d.grid import tables
 from voigt2d.initial_data import make_random_sobolev
+
+
+def divergence(u) -> np.ndarray:
+    """Test oracle: coefficients of d1 u1 + d2 u2."""
+    t = tables(u.grid)
+    return 1j * t.d1 * u.u1.coeffs + 1j * t.d2 * u.u2.coeffs
 
 
 def grid32() -> GridSpec:
@@ -164,16 +164,11 @@ class TestCalculus:
         with pytest.raises(ValueError):
             derivative(cos_x1(grid32()), 3)
 
-    def test_laplacian_eigenvalue(self):
-        f = cos_x1(grid32())
-        lap = laplacian(f)
-        assert np.allclose(lap.coeffs, -f.coeffs)
-
     def test_inverse_laplacian_inverts(self):
         g = grid32()
         f = zero_mean(seeded(g, 4))
-        back = laplacian(inverse_laplacian(f))
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+        back = -tables(g).ksq * inverse_laplacian(f).coeffs  # the Laplacian
+        assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_inverse_laplacian_rejects_nonzero_mean(self):
         g = grid32()
@@ -233,20 +228,15 @@ class TestBiotSavart:
 
     def test_divergence_free(self):
         u = biot_savart(seeded(grid32(), 7))
-        assert u.divergence_defect() < 1e-13
+        assert TWO_PI * np.linalg.norm(divergence(u)) < 1e-13  # L2 norm of div u
 
     def test_curl_recovers_vorticity(self):
-        f = zero_mean(seeded(grid32(), 8))
-        w = curl(biot_savart(f))
-        assert np.max(np.abs(w.coeffs - f.coeffs)) < 1e-12
-
-    def test_grid_mismatch_in_inner_product(self):
-        with pytest.raises(ValueError):
-            l2_inner(cos_x1(GridSpec(32)), cos_x1(GridSpec(16)))
-
-    def test_inner_product_of_cosines(self):
-        f = cos_x1(grid32())
-        assert l2_inner(f, f) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
+        g = grid32()
+        f = zero_mean(seeded(g, 8))
+        u = biot_savart(f)
+        t = tables(g)
+        w = 1j * t.d1 * u.u2.coeffs - 1j * t.d2 * u.u1.coeffs  # d1 u2 - d2 u1
+        assert np.max(np.abs(w - f.coeffs)) < 1e-12
 
 
 class TestOversampling:
@@ -254,33 +244,28 @@ class TestOversampling:
         g = GridSpec(16)
         f = seeded(g, 10)
         coarse = inverse_transform(f)
-        fine = values_oversampled(f, 2)
+        fine = values_oversampled(f)
         assert fine.shape == (32, 32)
         assert np.max(np.abs(fine[::2, ::2] - coarse)) < 1e-13
 
     def test_exact_for_band_limited_cosine(self):
         g = GridSpec(16)
         f = cos_x1(g)
-        fine = values_oversampled(f, 4)
-        n = 64
+        fine = values_oversampled(f)
+        n = 32
         x = np.arange(n) * (TWO_PI / n)
         expected = np.cos(x)[:, None] * np.ones(n)[None, :]
         assert np.max(np.abs(fine - expected)) < 1e-13
-
-    def test_factor_one_is_plain_inverse(self):
-        f = seeded(GridSpec(16), 11)
-        assert np.max(np.abs(values_oversampled(f, 1) - inverse_transform(f))) < 1e-14
 
     def test_nyquist_split_keeps_field_real(self):
         g = GridSpec(16)
         c = np.zeros((16, 16), dtype=complex)
         c[8, 0] = 1.0  # unpaired Nyquist mode
-        fine = values_oversampled(SpectralField(g, c), 2)
+        fine = values_oversampled(SpectralField(g, c))
         assert np.all(np.isfinite(fine))
         assert fine.dtype == np.float64
 
     def test_divergence_alias(self):
         g = grid32()
         u = biot_savart(seeded(g, 12))
-        d = divergence(u)
-        assert float(np.max(np.abs(d.coeffs))) < 1e-14
+        assert float(np.max(np.abs(divergence(u)))) < 1e-14
