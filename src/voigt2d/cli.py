@@ -9,7 +9,7 @@ per-alpha error CSV with a human-readable summary; ``diagnose`` prints
 norms and inequality ratios of a stored snapshot as CSV on standard
 output.
 
-Exit codes: 0 success, 2 configuration/format errors, 3 blow-up.  The
+Exit codes: 0 success, 2 configuration/format/usage errors, 3 blow-up.  The
 whole config is checked when it is loaded, so an invalid value of any
 setting exits 2 before anything is run or written.
 All outputs are deterministic: repeated runs of one config are byte
@@ -30,11 +30,9 @@ from .diagnostics import (
     cz_ratio,
     gagliardo_ratio,
     l2_norm,
-    lp_norm,
+    sample_state,
     sobolev_norm,
     velocity_l2,
-    voigt_energy,
-    voigt_enstrophy,
 )
 from .dynamics import BlowUpError, integrate
 from .harness import ConvergenceReport, fit_rate, run_sweep
@@ -58,35 +56,26 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(cfg: RunConfig, name: str, header: list[str], rows) -> None:
+    """Write out_dir/name: provenance, header, one line of repr floats per row."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    lines = _provenance(cfg) + [",".join(header)]
+    lines += [",".join(repr(float(x)) for x in row) for row in rows]
+    path = os.path.join(cfg.out_dir, name)
+    _write_lines(path, lines)
+    print(f"wrote {path}")
+
+
 def cmd_simulate(config_path: str) -> int:
     cfg = load_config(config_path)
     record = integrate(realize(cfg.recipe, cfg.grid), cfg.solver_config())
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
-    lines = _provenance(cfg)
-    lines.append("t,energy,enstrophy,voigt_energy,voigt_enstrophy")
     d = record.diagnostics
-    for i, t in enumerate(record.times):
-        lines.append(
-            ",".join(
-                repr(float(x))
-                for x in (
-                    t,
-                    d["energy"][i],
-                    d["enstrophy"][i],
-                    d["voigt_energy"][i],
-                    d["voigt_enstrophy"][i],
-                )
-            )
-        )
-    csv_path = os.path.join(cfg.out_dir, "diagnostics.csv")
-    _write_lines(csv_path, lines)
-    print(f"wrote {csv_path}")
+    _write_csv(cfg, "diagnostics.csv", ["t", *d], zip(record.times, *d.values()))
 
     if record.snapshots:
         for index, (t, omega) in enumerate(record.snapshots):
             snap_path = os.path.join(cfg.out_dir, f"snapshot_{index:04d}.vfld")
-            write_snapshot(snap_path, snapshot_of(omega, t, record.alpha))
+            write_snapshot(snap_path, snapshot_of(omega, t, record.config.alpha))
             print(f"wrote {snap_path}")
     return EXIT_OK
 
@@ -121,32 +110,14 @@ def cmd_sweep(config_path: str | None, self_test: bool, jobs: int) -> int:
         return EXIT_CONFIG
     cfg = load_config(config_path)
     report = run_sweep(cfg.sweep_plan(jobs=jobs))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    errors = report.errors
+    _write_csv(cfg, "sweep.csv", ["alpha", *errors], zip(report.alphas, *errors.values()))
 
-    lines = _provenance(cfg)
-    lines.append("alpha,sup_u_l2,sup_omega_l2,sup_u_h1")
-    for i, alpha in enumerate(report.alphas):
-        lines.append(
-            ",".join(
-                repr(float(x))
-                for x in (
-                    alpha,
-                    report.errors["sup_u_l2"][i],
-                    report.errors["sup_omega_l2"][i],
-                    report.errors["sup_u_h1"][i],
-                )
-            )
-        )
-    csv_path = os.path.join(cfg.out_dir, "sweep.csv")
-    _write_lines(csv_path, lines)
-
-    summary = _provenance(cfg) + _summary_lines(report)
+    summary = _summary_lines(report)
     summary_path = os.path.join(cfg.out_dir, "summary.txt")
-    _write_lines(summary_path, summary)
-
-    print(f"wrote {csv_path}")
+    _write_lines(summary_path, _provenance(cfg) + summary)
     print(f"wrote {summary_path}")
-    for line in _summary_lines(report):
+    for line in summary:
         print(line)
     return EXIT_OK
 
@@ -186,6 +157,7 @@ def cmd_diagnose(
     try:
         omega = snap.field()
         u = biot_savart(omega)
+        state = sample_state(omega, snap.alpha)
     except ValueError as exc:
         raise SnapshotError(f"bad values in {snapshot_path!r}: {exc}") from exc
 
@@ -197,18 +169,19 @@ def cmd_diagnose(
         f"alpha,{snap.alpha!r}",
         f"grid_size,{snap.values.shape[0]}",
         f"omega_l2,{l2_norm(omega)!r}",
-        f"omega_sup,{lp_norm(omega, math.inf)!r}",
+        f"omega_sup,{state.pop('omega_sup')!r}",
         f"omega_h1,{sobolev_norm(omega, 1.0)!r}",
         f"velocity_l2,{velocity_l2(u)!r}",
-        f"energy,{velocity_l2(u) ** 2!r}",
-        f"enstrophy,{l2_norm(omega) ** 2!r}",
-        f"voigt_energy,{voigt_energy(u, snap.alpha)!r}",
-        f"voigt_enstrophy,{voigt_enstrophy(omega, snap.alpha)!r}",
+        *(f"{name},{value!r}" for name, value in state.items()),
     ]
-    for p in cz:
-        lines.append(f"cz_ratio_p{p:g},{cz_ratio(omega, p)!r}")
-    for p in gagliardo:
-        lines.append(f"gagliardo_ratio_p{p:g},{gagliardo_ratio(omega, p)!r}")
+    ratios = [("cz_ratio", cz_ratio, p) for p in cz]
+    ratios += [("gagliardo_ratio", gagliardo_ratio, p) for p in gagliardo]
+    for name, ratio, p in ratios:
+        try:
+            lines.append(f"{name}_p{p:g},{ratio(omega, p)!r}")
+        except ValueError as exc:  # p outside the ratio's domain, or undefined
+            print(f"error: {name}_p{p:g}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     print("\n".join(lines))
     return EXIT_OK
 

@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 
 
 #: section -> keys; [init] admits kind, seed and the per-kind INIT_PARAMS
-_GRID_KEYS = ("size", "dealias_cutoff")
+_GRID_KEYS = ("size",)
 _TIME_KEYS = ("t_end", "record_every", "dt", "cfl", "snapshot_every")
 _MODEL_KEYS = ("alpha",)
 _SWEEP_KEYS = ("alphas", "regime", "s")
@@ -41,14 +41,17 @@ class RunConfig:
     """Parsed and validated configuration of one run or sweep.
 
     ``run`` is the SolverConfig of a [model] config or the SweepPlan
-    (jobs = 1) of a [sweep] config.
+    (jobs = 1) of a [sweep] config; it owns the grid.
     """
 
     source_text: str
-    grid: GridSpec
     recipe: DataRecipe
     run: SolverConfig | SweepPlan
     out_dir: str = "."
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.run.grid
 
     @property
     def sha256(self) -> str:
@@ -66,9 +69,9 @@ class RunConfig:
 
     def effective_lines(self) -> list[str]:
         """The effective configuration as '[section] key = value' lines."""
-        run, recipe, grid = self.run, self.recipe, self.grid
+        run, recipe = self.run, self.recipe
         sections = {
-            "grid": {"size": grid.size, "dealias_cutoff": grid.dealias_cutoff},
+            "grid": {"size": run.grid.size},
             "time": {"t_end": run.t_end, "record_every": run.record_every},
         }
         time = sections["time"]
@@ -149,9 +152,8 @@ def parse_config(text: str) -> RunConfig:
 
     g = raw["grid"]
     size = _get(g, "grid", "size", int, required=True)
-    cutoff = _get(g, "grid", "dealias_cutoff", int)
     _reject_unknown("grid", g, _GRID_KEYS)
-    grid = _checked(GridSpec, size, cutoff)
+    grid = _checked(GridSpec, size)
 
     t = raw["time"]
     t_end = _get(t, "time", "t_end", float, required=True)
@@ -205,7 +207,6 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         source_text=text,
-        grid=grid,
         recipe=recipe,
         run=run,
         out_dir="." if directory is None else directory,

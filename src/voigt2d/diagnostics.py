@@ -51,20 +51,16 @@ def gradient_l2(f: SpectralField) -> float:
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
-    """L^p norm by grid quadrature with weight (2pi/M)^2.
+    """L^p norm by grid quadrature.
 
-    p = inf returns the max absolute collocation value.  For p not in
-    {2, inf} the interpolant is evaluated on a 2x oversampled grid first,
-    which keeps quadrature error of smooth fields at roundoff level.
+    p = inf returns the max absolute collocation value.  For finite p the
+    interpolant is evaluated on a 2x oversampled grid first, which keeps
+    quadrature error of smooth fields at roundoff level.
     """
-    if p != np.inf and p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if p == np.inf:
         return float(np.max(np.abs(inverse_transform(f))))
-    if p == 2:
-        v = inverse_transform(f)
-        h2 = (TWO_PI / f.grid.size) ** 2
-        return float(np.sqrt(np.sum(v * v) * h2))
     return _oversampled_lp(np.abs(values_oversampled(f)), f.grid.size, p)
 
 
@@ -130,14 +126,14 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
 
 
 def cz_ratio(omega: SpectralField, p: float) -> float:
-    """||grad u||_p / (p ||omega||_inf) for u = biot_savart(omega), p > 2.
+    """||grad u||_p / (p ||omega||_inf) for u = biot_savart(omega), finite p > 2.
 
     The Calderon-Zygmund constant of the torus makes this ratio bounded
     uniformly in p; it is scale-invariant in omega.  |grad u| is the
     pointwise Frobenius magnitude of the 2x2 gradient tensor.
     """
-    if not p > 2:
-        raise ValueError(f"cz_ratio requires p > 2, got {p}")
+    if not 2 < p < np.inf:
+        raise ValueError(f"cz_ratio requires finite p > 2, got {p}")
     sup = lp_norm(omega, np.inf)
     if sup == 0.0:
         raise ValueError("cz_ratio is undefined for the zero field")
@@ -153,13 +149,13 @@ def cz_ratio(omega: SpectralField, p: float) -> float:
 
 
 def gagliardo_ratio(f: SpectralField, p: float) -> float:
-    """||f||_{2p/(p-1)} / (||f||_2^{1-1/p} ||grad f||_2^{1/p}), p >= 2.
+    """||f||_{2p/(p-1)} / (||f||_2^{1-1/p} ||grad f||_2^{1/p}), finite p >= 2.
 
     Bounded uniformly in p by the torus Gagliardo-Nirenberg constant and
     scale-invariant in f.
     """
-    if not p >= 2:
-        raise ValueError(f"gagliardo_ratio requires p >= 2, got {p}")
+    if not 2 <= p < np.inf:
+        raise ValueError(f"gagliardo_ratio requires finite p >= 2, got {p}")
     n2 = l2_norm(f)
     ng = gradient_l2(f)
     if n2 == 0.0 or ng == 0.0:
@@ -181,8 +177,8 @@ def error_norms(a: "TrajectoryRecord", b: "TrajectoryRecord") -> dict[str, float
     """
     if a.snapshots is None or b.snapshots is None:
         raise ValueError("error_norms requires records with snapshots")
-    if a.grid != b.grid:
-        raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
+    if a.config.grid != b.config.grid:
+        raise ValueError(f"grid mismatch: {a.config.grid} vs {b.config.grid}")
     ta = [t for t, _ in a.snapshots]
     tb = [t for t, _ in b.snapshots]
     if len(ta) != len(tb) or not np.allclose(ta, tb, rtol=0.0, atol=1e-12):

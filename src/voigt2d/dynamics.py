@@ -83,14 +83,13 @@ class SolverConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Diagnostics (and optionally spectral snapshots) of one run."""
+    """Diagnostics (and optionally spectral snapshots) of one run of
+    ``config``, which holds its grid and alpha."""
 
-    grid: GridSpec
-    alpha: float
+    config: SolverConfig
     times: np.ndarray
     diagnostics: dict[str, np.ndarray]
     snapshots: list[tuple[float, SpectralField]] | None = None
-    config: SolverConfig | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +222,8 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
 
     diag = {key: np.array([s[key] for s in samples]) for key in samples[0]}
     return TrajectoryRecord(
-        grid=config.grid,
-        alpha=config.alpha,
+        config=config,
         times=np.array(times),
         diagnostics=diag,
         snapshots=snapshots,
-        config=config,
     )

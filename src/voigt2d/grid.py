@@ -22,26 +22,21 @@ class GridSpec:
     ----------
     size : int
         Points per axis; must be even and at least 8.
-    dealias_cutoff : int, optional
-        Largest |k_i| retained by :func:`voigt2d.spectral.dealias`.
-        Defaults to floor(size/3), the two-thirds rule.
     """
 
     size: int
-    dealias_cutoff: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.size, (int, np.integer)):
             raise ValueError(f"grid size must be an integer, got {self.size!r}")
         if self.size < 8 or self.size % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {self.size}")
-        if self.dealias_cutoff is None:
-            object.__setattr__(self, "dealias_cutoff", self.size // 3)
-        cut = self.dealias_cutoff
-        if not isinstance(cut, (int, np.integer)) or not 0 <= cut <= self.size // 2:
-            raise ValueError(
-                f"dealias_cutoff must be an integer in [0, size/2], got {cut!r}"
-            )
+
+    @property
+    def dealias_cutoff(self) -> int:
+        """Largest |k_i| kept by :func:`voigt2d.spectral.dealias`: floor(M/3),
+        Orszag's two-thirds rule for a quadratic nonlinearity."""
+        return self.size // 3
 
     @property
     def spacing(self) -> float:

@@ -112,15 +112,27 @@ class TheoreticalRate:
 
 @dataclass
 class ConvergenceReport:
+    """One row per alpha of ``plan``, the shared dt, fits, verdicts and notes;
+    alphas, errors and the proven rates are derived from plan and rows."""
+
     plan: SweepPlan
-    alphas: tuple[float, ...]
-    errors: dict[str, list[float]]
-    fits: dict[str, FitResult]
-    theoretical: TheoreticalRate
-    verdicts: dict[str, str]
+    per_alpha: list[dict]
+    dt_used: float
+    fits: dict[str, FitResult] = field(default_factory=dict)
+    verdicts: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    per_alpha: list[dict] = field(default_factory=list)
-    dt_used: float = float("nan")
+
+    @property
+    def alphas(self) -> tuple[float, ...]:
+        return self.plan.alphas
+
+    @property
+    def errors(self) -> dict[str, list[float]]:
+        return {m: [row[m] for row in self.per_alpha] for m in ERROR_METRICS}
+
+    @property
+    def theoretical(self) -> TheoreticalRate:
+        return theoretical_slope(self.plan.regime, self.plan.s)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +347,12 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
                     plan.alphas,
                 )
             )
-    errors: dict[str, list[float]] = {
-        m: [e[m] for e in per_alpha] for m in ERROR_METRICS
-    }
     report = ConvergenceReport(
         plan=plan,
-        alphas=plan.alphas,
-        errors=errors,
-        fits={},
-        theoretical=theoretical_slope(plan.regime, plan.s),
-        verdicts={},
         per_alpha=[{"alpha": a, **e} for a, e in zip(plan.alphas, per_alpha)],
         dt_used=dt,
     )
-
+    errors = report.errors
     if _degenerate(errors, l2_norm(base)):
         report.verdicts["rate"] = "SKIP"
         report.notes.append(
@@ -357,8 +361,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
         return report
 
     for metric in ERROR_METRICS:
-        pts = list(zip(plan.alphas, errors[metric]))
-        report.fits[metric] = fit_rate(pts)
+        report.fits[metric] = fit_rate(list(zip(plan.alphas, errors[metric])))
 
     _apply_verdicts(report)
     return report

@@ -27,26 +27,21 @@ class SymmetryError(ValueError):
 class SpectralField:
     """Immutable scalar field in spectral representation.
 
-    ``coeffs`` is complex128 of shape (M, M) in FFT layout.  Fields used by
-    the dynamics satisfy two invariants, enforced at the generator and
-    integrator boundaries: Hermitian symmetry (realness) and a zero mean
-    mode (coeffs[0, 0] == 0).
+    ``coeffs`` is a read-only complex128 copy of shape (M, M) in FFT layout.
+    Fields used by the dynamics satisfy two invariants, enforced at the
+    generator and integrator boundaries: Hermitian symmetry (realness) and a
+    zero mean mode (coeffs[0, 0] == 0).
     """
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs)
+        c = np.array(self.coeffs, dtype=np.complex128)
         m = self.grid.size
         if c.shape != (m, m):
             raise ValueError(f"coefficient shape {c.shape} does not match grid size {m}")
-        if c.dtype != np.complex128:
-            c = c.astype(np.complex128)
-            c.setflags(write=False)
-        elif c.flags.writeable or c.base is not None:
-            c = c.copy()
-            c.setflags(write=False)
+        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     # -- arithmetic used by the RK4 stepper -------------------------------

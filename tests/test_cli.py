@@ -16,6 +16,7 @@ from voigt2d import (
     l2_norm,
     make_random_sobolev,
     read_snapshot,
+    sample_state,
     snapshot_of,
     write_snapshot,
 )
@@ -53,6 +54,7 @@ def sweep_config(tmp_path, out, regime="smooth_s_ge_3", extra_sweep=""):
 
 
 SOBOLEV = "kind = random_sobolev\nsigma = 3.25\nband = 8"
+DIAGNOSTICS_HEADER = "t,energy,enstrophy,voigt_energy,voigt_enstrophy,omega_sup"
 
 #: (config text, its replacement, what the error names); each exits 2
 BAD_VALUES = [
@@ -67,6 +69,7 @@ BAD_VALUES = [
     (SOBOLEV, "kind = yudovich_patch\nradius = 3.5", "radius"),
     ("seed = 1", "seed = -1", "seed"),
     ("directory = ", "directory =\n# ", "directory"),  # the path becomes a comment
+    ("size = 32", "size = 32\ndealias_cutoff = 10", "dealias_cutoff"),  # fixed at M // 3
 ]
 
 
@@ -115,7 +118,7 @@ class TestSimulate:
         assert lines[1].startswith("# config sha256 ")
         assert "# [grid] size = 32" in lines
         assert "# [model] alpha = 0.01" in lines
-        header_at = lines.index("t,energy,enstrophy,voigt_energy,voigt_enstrophy")
+        header_at = lines.index(DIAGNOSTICS_HEADER)
         rows = [l.split(",") for l in lines[header_at + 1 :]]
         assert len(rows) == 6  # t = 0.0, 0.1, ..., 0.5
         assert rows[0][0] == "0.0" and rows[-1][0] == "0.5"
@@ -125,7 +128,7 @@ class TestSimulate:
         out = tmp_path / "out"
         entry(["simulate", sim_config(tmp_path, out)])
         lines = (out / "diagnostics.csv").read_text().splitlines()
-        header_at = lines.index("t,energy,enstrophy,voigt_energy,voigt_enstrophy")
+        header_at = lines.index(DIAGNOSTICS_HEADER)
         energies = {l.split(",")[1] for l in lines[header_at + 1 :]}
         assert len(energies) == 1  # eigenfunction: energy frozen to the digit
 
@@ -334,6 +337,60 @@ class TestDiagnose:
         assert entry(["diagnose", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_invariants_are_the_diagnostics_quantities(self, tmp_path, capsys):
+        g = GridSpec(32)
+        f = make_random_sobolev(g, sigma=3.0, seed=2, band=10)
+        path = tmp_path / "state.vfld"
+        write_snapshot(str(path), snapshot_of(f, 0.0, 0.0))
+        assert entry(["diagnose", str(path)]) == EXIT_OK
+        rows = dict(
+            line.split(",", 1)
+            for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")
+        )
+        state = sample_state(read_snapshot(str(path)).field(), 0.0)
+        assert {k: rows[k] for k in state} == {k: repr(v) for k, v in state.items()}
+        assert rows["energy"] == rows["voigt_energy"]  # equal by definition at alpha 0
+        assert rows["enstrophy"] == rows["voigt_enstrophy"]
+
+    @pytest.mark.parametrize(
+        "flag, p, named",
+        [
+            ("--cz", "1", "cz_ratio_p1"),
+            ("--cz", "nan", "cz_ratio_pnan"),
+            ("--cz", "inf", "cz_ratio_pinf"),
+            ("--gagliardo", "1", "gagliardo_ratio_p1"),
+            ("--gagliardo", "nan", "gagliardo_ratio_pnan"),
+            ("--gagliardo", "inf", "gagliardo_ratio_pinf"),
+        ],
+    )
+    def test_p_outside_domain_exits_2(self, tmp_path, capsys, flag, p, named):
+        g = GridSpec(16)
+        path = tmp_path / "state.vfld"
+        write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 2.0, 1, 4), 0.0, 0.0))
+        assert entry(["diagnose", str(path), flag, f"4,{p}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert named in captured.err and "requires finite p" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--cz", "--gagliardo"])
+    def test_undefined_ratio_exits_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "zero.vfld"
+        write_snapshot(str(path), Snapshot(time=0.0, alpha=0.0, values=np.zeros((16, 16))))
+        assert entry(["diagnose", str(path), flag, "4"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "_ratio_p4" in captured.err and "undefined" in captured.err
+        assert captured.out == ""
+
+    def test_negative_alpha_snapshot_exits_2(self, tmp_path, capsys):
+        g = GridSpec(16)
+        path = tmp_path / "state.vfld"
+        write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 2.0, 1, 4), 0.0, -0.5))
+        assert entry(["diagnose", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "state.vfld" in captured.err and "alpha" in captured.err
         assert captured.out == ""
 
     def test_nonzero_mean_snapshot_exits_2(self, tmp_path, capsys):

@@ -86,12 +86,12 @@ class TestHappyPath:
     def test_effective_echo(self):
         lines = parse_config(SIM).effective_lines()
         assert "[grid] size = 64" in lines
-        assert "[grid] dealias_cutoff = 21" in lines
         assert "[time] dt = 0.01" in lines
         assert "[init] kind = random_sobolev" in lines
         assert "[init] seed = 7" in lines
         assert "[output] directory = ." in lines
         assert not any("formats" in line for line in lines)
+        assert not any("dealias_cutoff" in line for line in lines)  # fixed at M // 3
 
     def test_effective_echo_defaults_cfl(self):
         lines = parse_config(SWEEP).effective_lines()
@@ -214,12 +214,58 @@ class TestRejection:
             parse_config(text)
 
 
+def readme_ini_blocks() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    return re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+
+
 class TestReadme:
     def test_ini_blocks_build_their_run(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-        blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
-        runs = [parse_config(block).run for block in blocks]
+        runs = [parse_config(block).run for block in readme_ini_blocks()]
         assert {type(run) for run in runs} == {SolverConfig, SweepPlan}
+
+
+def echo_as_ini(lines: list[str]) -> str:
+    """'[section] key = value' echo lines rendered back into INI text."""
+    sections: dict[str, list[str]] = {}
+    for line in lines:
+        head, assignment = line.split("] ", 1)
+        sections.setdefault(head.lstrip("["), []).append(assignment)
+    return "".join(f"[{s}]\n" + "\n".join(keys) + "\n\n" for s, keys in sections.items())
+
+
+ECHO_CASES = {
+    "readme_simulate": lambda: readme_ini_blocks()[0],
+    "readme_sweep": lambda: readme_ini_blocks()[1],
+    "galerkin": lambda: SWEEP.replace(
+        "regime = smooth_s_ge_3", "regime = smooth_2_lt_s_lt_3\ns = 2.5"
+    ),
+    "eigenfunction": lambda: SIM.replace(
+        "kind = random_sobolev\nsigma = 3.0\nband = 8", "kind = eigenfunction\nk2 = 2"
+    ),
+    "yudovich_patch": lambda: SIM.replace(
+        "kind = random_sobolev\nsigma = 3.0\nband = 8",
+        "kind = yudovich_patch\nradius = 0.6\nsmoothing = 0.1",
+    ),
+    "taylor_family": lambda: SWEEP.replace(
+        "kind = random_sobolev\nsigma = 3.25\nband = 8",
+        "kind = taylor_family\nmode = 2\nperturbation = 0.05",
+    ),
+}
+
+
+class TestEchoRoundTrip:
+    """The effective echo parses back into the same run: parser and echo
+    share one schema."""
+
+    @pytest.mark.parametrize("case", ECHO_CASES)
+    def test_echo_parses_to_same_run(self, case):
+        cfg = parse_config(ECHO_CASES[case]())
+        back = parse_config(echo_as_ini(cfg.effective_lines()))
+        assert back.run == cfg.run
+        assert back.recipe == cfg.recipe
+        assert back.grid == cfg.grid
+        assert back.out_dir == cfg.out_dir
 
 
 class TestLoadConfig:

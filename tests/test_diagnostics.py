@@ -92,6 +92,13 @@ class TestNorms:
     def test_lp_below_one_rejected(self):
         with pytest.raises(ValueError):
             lp_norm(cos_x1(GridSpec(32)), 0.5)
+        with pytest.raises(ValueError):
+            lp_norm(cos_x1(GridSpec(32)), math.nan)
+
+    def test_lp_of_zero(self):
+        zero = SpectralField(GridSpec(32), np.zeros((32, 32), dtype=complex))
+        assert lp_norm(zero, 2.0) == 0.0
+        assert lp_norm(zero, 4.0) == 0.0
 
     def test_lp_homogeneous(self):
         f = seeded(GridSpec(32), 4)
@@ -173,6 +180,11 @@ class TestInequalityRatios:
         with pytest.raises(ValueError):
             cz_ratio(cos_x1(GridSpec(32)), 2.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_cz_rejects_non_finite_p(self, p):
+        with pytest.raises(ValueError, match="finite p > 2"):
+            cz_ratio(cos_x1(GridSpec(32)), p)
+
     def test_cz_rejects_zero_field(self):
         g = GridSpec(32)
         with pytest.raises(ValueError):
@@ -191,6 +203,11 @@ class TestInequalityRatios:
     def test_gagliardo_requires_p_at_least_two(self):
         with pytest.raises(ValueError):
             gagliardo_ratio(cos_x1(GridSpec(32)), 1.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_gagliardo_rejects_non_finite_p(self, p):
+        with pytest.raises(ValueError, match="finite p >= 2"):
+            gagliardo_ratio(cos_x1(GridSpec(32)), p)
 
     def test_gagliardo_rejects_constant_field(self):
         g = GridSpec(32)
@@ -229,12 +246,10 @@ class TestErrorNorms:
         a, _ = small_pair()
         eps = 1e-3
         scaled = TrajectoryRecord(
-            grid=a.grid,
-            alpha=a.alpha,
+            a.config,
             times=a.times,
             diagnostics=a.diagnostics,
             snapshots=[(t, (1.0 + eps) * w) for t, w in a.snapshots],
-            config=a.config,
         )
         errs = error_norms(a, scaled)
         expected = eps * max(l2_norm(w) for _, w in a.snapshots)
@@ -244,7 +259,7 @@ class TestErrorNorms:
         # independent reimplementation straight from the snapshot values
         a, b = small_pair()
         tpi = 2.0 * math.pi
-        m = a.grid.size
+        m = a.config.grid.size
         k = np.fft.fftfreq(m, 1.0 / m)
         ksq = k[:, None] ** 2 + k[None, :] ** 2
         inv = np.zeros_like(ksq)

@@ -285,11 +285,9 @@ class TestRunSweep:
         slopes = {"sup_u_l2": 0.5 + 2 * SLOPE_TOL, "sup_omega_l2": 0.5 - 2 * SLOPE_TOL}
         rep = ConvergenceReport(
             plan=plan,
-            alphas=plan.alphas,
-            errors={},
+            per_alpha=[],
+            dt_used=0.02,
             fits={m: FitResult(slopes.get(m, 0.5), 0.0, 0.0) for m in ERROR_METRICS},
-            theoretical=theoretical_slope(plan.regime),
-            verdicts={},
         )
         _apply_verdicts(rep)
         assert rep.verdicts == {"velocity_rate": "PASS", "vorticity_rate": "FAIL"}
@@ -399,6 +397,33 @@ class TestGalerkinReferenceSweep:
         # pooled: each task also integrates its own Euler reference
         assert not any(here for here, _ in pool)
         assert sorted(a for _, a in pool) == sorted((0.0,) * (2 * len(alphas)) + alphas)
+
+    def test_advisory_names_dominant_part_and_interval_slopes(self):
+        # a vorticity slope below (s-1)/4 - SLOPE_TOL is pre-asymptotic: the
+        # verdict is advisory, and the note says which error part dominates
+        # at the smallest alpha and lists the slope of every alpha interval
+        plan = galerkin_plan()
+        alphas = plan.alphas
+        checks = dict.fromkeys(
+            ("nest_a", "nest_b", "nest_c_sbar0", "nest_c_sbar1", "omega_trunc_bound"), True
+        )
+        rows = [
+            {"alpha": a, **{m: 2.0 * a**0.1 for m in ERROR_METRICS},
+             "trunc_omega_l2": 1.5 * a**0.1, "voigt_vs_trunc_omega_l2": 0.5 * a**0.1,
+             **checks}
+            for a in alphas
+        ]
+        slope = (plan.s - 1.0) / 4.0 - SLOPE_TOL - 0.05
+        fits = {m: FitResult(slope, 0.0, 0.0) for m in ERROR_METRICS}
+        rep = ConvergenceReport(plan=plan, per_alpha=rows, dt_used=0.02, fits=fits)
+        _apply_verdicts(rep)
+        assert rep.verdicts == {
+            "truncation_inequalities": "PASS", "vorticity_rate": "ADVISORY"
+        }
+        (note,) = rep.notes
+        assert f"truncation error dominates at alpha = {alphas[-1]:g}" in note
+        listed = note.split("interval slopes ", 1)[1].rstrip(")").split(", ")
+        assert listed == ["0.100"] * (len(alphas) - 1)
 
     def test_degenerate_data_skips_fit(self):
         zero = DataRecipe(
