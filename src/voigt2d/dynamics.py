@@ -11,20 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridSpec, tables
-from .spectral import (
-    SpectralField,
-    VelocityPair,
-    _from_values,
-    _to_values,
-    biot_savart,
-    dealias,
-    helmholtz_filter,
-    zero_mean,
-)
+from .spectral import SpectralField, dealias, zero_mean
 from .diagnostics import sample_state
 
 #: floor for the velocity scale in the CFL rule (guards the zero field)
@@ -93,48 +85,95 @@ class TrajectoryRecord:
 
 
 # ---------------------------------------------------------------------------
+# the half-spectrum state of the time stepper
+#
+# Inside integrate the vorticity is the rfft2 half spectrum w = coeffs[:, :M/2+1]
+# of its SpectralField: the columns k2 < 0 are the conjugates of those with
+# k2 > 0, so a real field needs only these, and irfft2/rfft2 keep it real.
+
+
+def _half(omega: SpectralField) -> np.ndarray:
+    """The half spectrum w of a full-layout field."""
+    return omega.coeffs[:, : omega.grid.size // 2 + 1]
+
+
+def _field(w: np.ndarray) -> SpectralField:
+    """The Hermitian SpectralField of half spectrum w.
+
+    Mirrors the columns 0 < k2 < M/2 onto -k2 and symmetrizes the
+    self-conjugate columns k2 = 0 and M/2, so hermitian_defect() is 0.
+    """
+    grid = GridSpec(w.shape[0])
+    m, h = grid.size, grid.size // 2
+    neg = tables(grid).negate
+    c = np.empty((m, m), dtype=np.complex128)
+    c[:, : h + 1] = w
+    c[:, h + 1 :] = np.conj(w[neg, h - 1 : 0 : -1])
+    for j in (0, h):
+        c[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
+    return SpectralField(grid, c)
+
+
+@lru_cache(maxsize=16)
+def _projection(grid: GridSpec, alpha: float) -> np.ndarray:
+    """-M^2 dealias_mask / (1 + alpha |k|^2) on the half spectrum, 0 at k = 0:
+    dealias, zero_mean and helmholtz_filter of an rfft2 output in one multiply."""
+    t = tables(grid)
+    h = grid.size // 2 + 1
+    out = -(grid.size**2) * t.dealias_mask[:, :h] / (1.0 + alpha * t.ksq[:, :h])
+    out[0, 0] = 0.0
+    out.setflags(write=False)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # right-hand side
 
 
-def rhs(omega: SpectralField, alpha: float) -> SpectralField:
+def rhs(w: np.ndarray, alpha: float) -> np.ndarray:
     """(I - alpha Lap)^{-1} of -u . grad omega, dealiased and zero-mean,
-    with u = biot_savart(omega); alpha = 0 is the Euler right-hand side."""
+    with u = biot_savart(omega); alpha = 0 is the Euler right-hand side.
+
+    ``w`` and the result are rfft2 half spectra of shape (M, M/2+1) in the
+    SpectralField normalisation (w = coeffs[:, :M/2+1]).  One irfft2 of the
+    stacked u1, u2, d1 omega, d2 omega multipliers gives the four products'
+    factors, one rfft2 the advection term, and one multiply by the fused
+    -M^2 dealias_mask / (1 + alpha |k|^2) (zero at k = 0) projects it.
+    """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    grid = omega.grid
-    u = biot_savart(omega)
-    u1 = _to_values(u.u1.coeffs, grid)
-    u2 = _to_values(u.u2.coeffs, grid)
-    t = tables(grid)
-    w1 = _to_values((1j * t.d1) * omega.coeffs, grid)
-    w2 = _to_values((1j * t.d2) * omega.coeffs, grid)
-    adv = _from_values(-(u1 * w1 + u2 * w2), grid)
-    return helmholtz_filter(zero_mean(dealias(adv)), alpha)
+    m = w.shape[0]
+    grid = GridSpec(m)
+    u1, u2, w1, w2 = np.fft.irfft2(tables(grid).advection * w, s=(m, m))
+    return np.fft.rfft2(u1 * w1 + u2 * w2) * _projection(grid, alpha)
 
 
 # ---------------------------------------------------------------------------
 # stepping
 
 
-def step_rk4(omega: SpectralField, dt: float, alpha: float) -> SpectralField:
-    """One classical RK4 step of d_t omega = rhs(omega, alpha)."""
+def step_rk4(w: np.ndarray, dt: float, alpha: float) -> np.ndarray:
+    """One classical RK4 step of d_t omega = rhs(omega, alpha) on the
+    (M, M/2+1) half spectrum w.  rhs has no mean mode, so the step keeps
+    w's, which integrate sets to 0."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k1 = rhs(omega, alpha)
-    k2 = rhs(omega + (0.5 * dt) * k1, alpha)
-    k3 = rhs(omega + (0.5 * dt) * k2, alpha)
-    k4 = rhs(omega + dt * k3, alpha)
-    out = omega + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return zero_mean(out)
+    k1 = rhs(w, alpha)
+    k2 = rhs(w + (0.5 * dt) * k1, alpha)
+    k3 = rhs(w + (0.5 * dt) * k2, alpha)
+    k4 = rhs(w + dt * k3, alpha)
+    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def cfl_dt(u: VelocityPair, grid: GridSpec, c_cfl: float) -> float:
-    """Advective step c_cfl * (2pi/M) / max(component sup norms, floor)."""
+def cfl_dt(w: np.ndarray, c_cfl: float) -> float:
+    """Advective step c_cfl * (2pi/M) / max(component sup norms, floor) for
+    the velocity of the (M, M/2+1) half spectrum w."""
     if not c_cfl > 0:
         raise ValueError(f"c_cfl must be positive, got {c_cfl}")
-    m1 = float(np.max(np.abs(_to_values(u.u1.coeffs, grid))))
-    m2 = float(np.max(np.abs(_to_values(u.u2.coeffs, grid))))
-    umax = max(m1, m2, CFL_VELOCITY_FLOOR)
+    m = w.shape[0]
+    grid = GridSpec(m)
+    u = np.fft.irfft2(tables(grid).advection[:2] * w, s=(m, m))
+    umax = max(float(np.max(np.abs(u))) * m**2, CFL_VELOCITY_FLOOR)
     return c_cfl * grid.spacing / umax
 
 
@@ -174,13 +213,15 @@ def _schedule(config: SolverConfig) -> tuple[list[float], set[float], set[float]
 def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     """Advance omega0 to t_end recording diagnostics every record_every.
 
-    The initial state is dealiased and mean-zeroed before stepping.
-    Raises :class:`BlowUpError` with the failure time if the state
+    The initial state is dealiased and mean-zeroed before stepping, which
+    runs on its rfft2 half spectrum; records and snapshots see the full,
+    exactly Hermitian SpectralField of the state.  Raises :class:`BlowUpError` with the failure time if the state
     stops being finite.
     """
     if omega0.grid != config.grid:
         raise ValueError("initial data grid does not match config grid")
-    omega = zero_mean(dealias(omega0))
+    w = _half(zero_mean(dealias(omega0)))
+    omega = _field(w)
 
     events, rec_set, snap_set = _schedule(config)
 
@@ -196,7 +237,7 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
             if config.dt is not None:
                 step = config.dt
             else:
-                step = cfl_dt(biot_savart(omega), config.grid, config.c_cfl)
+                step = cfl_dt(w, config.c_cfl)
             remaining = te - t
             if step >= remaining:
                 step = remaining
@@ -207,10 +248,11 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
                     t_new = te  # t + step rounded just short of te: no sliver step
             # overflow on the way to a blow-up is reported, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                omega = step_rk4(omega, step, config.alpha)
-            if not np.all(np.isfinite(omega.coeffs)):
+                w = step_rk4(w, step, config.alpha)
+            if not np.all(np.isfinite(w)):
                 raise BlowUpError(t_new)
             t = t_new
+        omega = _field(w)  # every event is a record or a snapshot time
         if te in rec_set:
             s = sample_state(omega, config.alpha)
             if not all(np.isfinite(v) for v in s.values()):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .spectral import SpectralField, biot_savart
-from .dynamics import SolverConfig, TrajectoryRecord, cfl_dt, integrate
+from .dynamics import SolverConfig, TrajectoryRecord, _half, cfl_dt, integrate
 from .diagnostics import error_norms, l2_norm, velocity_sobolev
 from .initial_data import DataRecipe, galerkin_truncate, realize
 
@@ -232,7 +232,7 @@ def choose_cutoff(alpha: float, band_limit: int | None = None) -> int:
 def _plan_dt(plan: SweepPlan, base: SpectralField) -> float:
     if plan.dt is not None:
         return plan.dt
-    return cfl_dt(biot_savart(base), plan.grid, plan.c_cfl)
+    return cfl_dt(_half(base), plan.c_cfl)
 
 
 def _solver_config(plan: SweepPlan, alpha: float, dt: float) -> SolverConfig:

@@ -84,6 +84,10 @@ def read_snapshot(path: str) -> Snapshot:
         )
     if m < 8 or m % 2:
         raise SnapshotError(f"bad grid size {m} in {path!r}")
+    if not (np.isfinite(time) and np.isfinite(alpha)):
+        raise SnapshotError(
+            f"non-finite header in {path!r}: time {time!r}, alpha {alpha!r}"
+        )
     expected = _HEADER.size + 8 * m * m
     if len(blob) != expected:
         raise SnapshotError(

@@ -5,6 +5,10 @@ Convention: a real field f on [0, 2pi)^2 is represented by coefficients
 f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), stored as an M x M complex
 array in numpy FFT layout.  Parseval then reads
 integral |f|^2 dx = (2pi)^2 * sum_k |f_hat[k]|^2.
+
+This full layout is the only one outside the time stepper: inside
+:func:`voigt2d.dynamics.integrate` the state is the rfft2 half spectrum
+coeffs[:, :M/2+1], and every record and snapshot is converted back.
 """
 
 from __future__ import annotations
@@ -44,11 +48,7 @@ class SpectralField:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    # -- arithmetic used by the RK4 stepper -------------------------------
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
+    # -- difference, negation and scaling -------------------------------
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
         return SpectralField(self.grid, self.coeffs - other.coeffs)
@@ -112,12 +112,6 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ValueError("forward_transform expects a real array")
     if not np.all(np.isfinite(values)):
         raise ValueError("forward_transform expects finite values")
-    return _from_values(values, grid)
-
-
-def _from_values(values: np.ndarray, grid: GridSpec) -> SpectralField:
-    """Unchecked transform used by the dynamics hot path; non-finite
-    inputs pass through so the integrator can report them as blow-up."""
     c = np.fft.fft2(values) / grid.size**2
     t = tables(grid)
     mirror = np.conj(c[np.ix_(t.negate, t.negate)])
@@ -135,12 +129,7 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
         raise SymmetryError(
             f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
         )
-    return _to_values(f.coeffs, f.grid)
-
-
-def _to_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    # internal fast path: callers guarantee symmetry by construction
-    return np.fft.ifft2(coeffs).real * grid.size**2
+    return np.fft.ifft2(f.coeffs).real * f.grid.size**2
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,16 @@ class TestDiagnose:
         assert "state.vfld" in captured.err and "alpha" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("time, alpha", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.0)])
+    def test_non_finite_header_exits_2(self, tmp_path, capsys, time, alpha):
+        g = GridSpec(16)
+        path = tmp_path / "state.vfld"
+        write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 2.0, 1, 4), time, alpha))
+        assert entry(["diagnose", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "state.vfld" in captured.err and "non-finite" in captured.err
+        assert captured.out == ""
+
     def test_nonzero_mean_snapshot_exits_2(self, tmp_path, capsys):
         path = tmp_path / "state.vfld"
         g = GridSpec(32)

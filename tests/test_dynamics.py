@@ -12,14 +12,18 @@ from voigt2d import (
     SpectralField,
     biot_savart,
     cfl_dt,
+    dealias,
     forward_transform,
+    helmholtz_filter,
     integrate,
     l2_norm,
     rhs,
     step_rk4,
+    zero_mean,
 )
 from voigt2d import dynamics
-from voigt2d.dynamics import _event_times, _schedule
+from voigt2d.dynamics import _event_times, _field, _half, _schedule
+from voigt2d.grid import tables
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
 
 
@@ -29,10 +33,61 @@ def two_mode(grid: GridSpec) -> SpectralField:
     return forward_transform(np.cos(x1) + np.cos(2.0 * x2), grid)
 
 
+def full_layout_rhs(omega: SpectralField, alpha: float) -> SpectralField:
+    """Reference right-hand side on the M x M spectrum, one operator at a
+    time: biot_savart, complex transforms, dealias, zero_mean, helmholtz_filter."""
+    g = omega.grid
+
+    def values(c):
+        return np.fft.ifft2(c).real * g.size**2
+
+    u = biot_savart(omega)
+    t = tables(g)
+    w1 = values((1j * t.d1) * omega.coeffs)
+    w2 = values((1j * t.d2) * omega.coeffs)
+    adv = forward_transform(-(values(u.u1.coeffs) * w1 + values(u.u2.coeffs) * w2), g)
+    return helmholtz_filter(zero_mean(dealias(adv)), alpha)
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_rhs_matches_full_layout_oracle(self, m, alpha):
+        g = GridSpec(m)
+        f = make_random_sobolev(g, sigma=2.5, seed=m, band=g.dealias_cutoff)
+        want = full_layout_rhs(f, alpha).coeffs
+        got = _field(rhs(_half(f), alpha))
+        assert got.hermitian_defect() == 0.0
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_field_of_half_is_identity_on_hermitian_fields(self):
+        f = make_random_sobolev(GridSpec(32), sigma=2.0, seed=11, band=10)
+        assert np.array_equal(_field(_half(f)).coeffs, f.coeffs)
+
+    def test_record_and_snapshot_states_exactly_hermitian(self, monkeypatch):
+        original = dynamics.sample_state
+        seen = []
+
+        def recorded(omega, alpha):
+            seen.append(omega)
+            return original(omega, alpha)
+
+        monkeypatch.setattr(dynamics, "sample_state", recorded)
+        g = GridSpec(32)
+        f = make_random_sobolev(g, sigma=2.5, seed=12, band=g.dealias_cutoff)
+        cfg = SolverConfig(
+            grid=g, alpha=0.01, t_end=0.3, record_every=0.1, snapshot_every=0.15
+        )
+        rec = integrate(f, cfg)
+        states = seen + [w for _, w in rec.snapshots]
+        assert len(seen) == 4 and len(rec.snapshots) == 3
+        assert [w.hermitian_defect() for w in states] == [0.0] * len(states)
+
+
 class TestRightHandSides:
     def test_euler_rhs_closed_form(self):
         g = GridSpec(64)
-        r = rhs(two_mode(g), 0.0)
+        r = _field(rhs(_half(two_mode(g)), 0.0))
         x1, x2 = g.meshgrid()
         expected = 1.5 * np.sin(x1) * np.sin(2.0 * x2)
         got = np.fft.ifft2(r.coeffs * g.size**2).real
@@ -40,34 +95,35 @@ class TestRightHandSides:
 
     def test_voigt_rhs_is_filtered_euler(self):
         g = GridSpec(64)
-        f = two_mode(g)
+        w = _half(two_mode(g))
         alpha = 0.2
-        euler = rhs(f, 0.0)
-        voigt = rhs(f, alpha)
+        euler = rhs(w, 0.0)
+        voigt = rhs(w, alpha)
         # the advection term lives on modes with |k|^2 = 5
-        assert np.max(np.abs(voigt.coeffs - euler.coeffs / (1.0 + 5.0 * alpha))) < 1e-14
+        assert np.max(np.abs(voigt - euler / (1.0 + 5.0 * alpha))) < 1e-14
 
     def test_rhs_orthogonal_to_state(self):
         # d/dt ||omega||^2 = 2 (omega, rhs) = 0 for the spectral Euler system
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.5, seed=1, band=g.dealias_cutoff)
-        inner = TWO_PI**2 * np.real(np.sum(rhs(f, 0.0).coeffs * np.conj(f.coeffs)))
+        r = _field(rhs(_half(f), 0.0))
+        inner = TWO_PI**2 * np.real(np.sum(r.coeffs * np.conj(f.coeffs)))
         assert abs(inner) < 1e-12 * l2_norm(f) ** 2
 
     def test_eigenfunction_is_steady(self):
         g = GridSpec(32)
         f = make_eigenfunction(g, (1, 2), amplitude=2.0)
-        assert float(np.max(np.abs(rhs(f, 0.0).coeffs))) == 0.0
-        assert float(np.max(np.abs(rhs(f, 0.3).coeffs))) == 0.0
+        assert float(np.max(np.abs(rhs(_half(f), 0.0)))) == 0.0
+        assert float(np.max(np.abs(rhs(_half(f), 0.3)))) == 0.0
 
     def test_rhs_rejects_negative_alpha(self):
         with pytest.raises(ValueError, match="alpha must be >= 0"):
-            rhs(two_mode(GridSpec(16)), -0.1)
+            rhs(_half(two_mode(GridSpec(16))), -0.1)
 
     def test_rhs_mean_free_and_dealiased(self):
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.0, seed=2, band=g.dealias_cutoff)
-        r = rhs(f, 0.0)
+        r = _field(rhs(_half(f), 0.0))
         assert r.mean_coefficient == 0.0
         cut = g.dealias_cutoff
         k = np.fft.fftfreq(g.size, 1.0 / g.size).astype(int)
@@ -86,9 +142,10 @@ class TestStepper:
                 w = step_rk4(w, step, 0.0)
             return w
 
-        coarse = advance(f, dt, 8)
-        mid = advance(f, dt / 2, 16)
-        fine = advance(f, dt / 4, 32)
+        w = _half(f)
+        coarse = _field(advance(w, dt, 8))
+        mid = _field(advance(w, dt / 2, 16))
+        fine = _field(advance(w, dt / 4, 32))
         e1 = l2_norm(coarse - mid)
         e2 = l2_norm(mid - fine)
         # classical four-stage Runge-Kutta: halving dt divides the error by ~16
@@ -97,20 +154,19 @@ class TestStepper:
     def test_single_step_preserves_mean(self):
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.0, seed=4, band=g.dealias_cutoff)
-        assert step_rk4(f, 0.01, 0.1).mean_coefficient == 0.0
+        assert step_rk4(_half(f), 0.01, 0.1)[0, 0] == 0.0
 
     def test_cfl_dt_formula(self):
         g = GridSpec(32)
-        u = biot_savart(make_eigenfunction(g, (1, 0), amplitude=2.0))
+        w = _half(make_eigenfunction(g, (1, 0), amplitude=2.0))
         # |u| peaks at 2: dt = c * h / 2
-        assert cfl_dt(u, g, 0.5) == pytest.approx(0.5 * g.spacing / 2.0, rel=1e-12)
+        assert cfl_dt(w, 0.5) == pytest.approx(0.5 * g.spacing / 2.0, rel=1e-12)
 
     def test_cfl_dt_floor_for_zero_velocity(self):
         g = GridSpec(32)
-        zero = SpectralField(g, np.zeros((32, 32), dtype=complex))
-        u = biot_savart(zero)
-        assert cfl_dt(u, g, 0.5) <= 0.5 * g.spacing / 1e-12
-        assert np.isfinite(cfl_dt(u, g, 0.5))
+        zero = np.zeros((32, 17), dtype=complex)
+        assert cfl_dt(zero, 0.5) <= 0.5 * g.spacing / 1e-12
+        assert np.isfinite(cfl_dt(zero, 0.5))
 
 
 class TestIntegrate:

@@ -151,6 +151,14 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match="grid"):
             read_snapshot(str(p))
 
+    @pytest.mark.parametrize("time, alpha", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1e-3)])
+    def test_non_finite_header_rejected(self, tmp_path, time, alpha):
+        p = tmp_path / "state.vfld"
+        values = sample_snapshot(m=16).values
+        write_snapshot(str(p), Snapshot(time=time, alpha=alpha, values=values))
+        with pytest.raises(SnapshotError, match="non-finite header in .*state.vfld"):
+            read_snapshot(str(p))
+
     @pytest.mark.parametrize("named", ["zero-mean", "finite"])
     def test_bad_values_name_the_file(self, tmp_path, named):
         g = GridSpec(32)
