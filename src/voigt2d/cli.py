@@ -174,14 +174,15 @@ def cmd_diagnose(
         f"velocity_l2,{velocity_l2(u)!r}",
         *(f"{name},{value!r}" for name, value in state.items()),
     ]
-    ratios = [("cz_ratio", cz_ratio, p) for p in cz]
-    ratios += [("gagliardo_ratio", gagliardo_ratio, p) for p in gagliardo]
-    for name, ratio, p in ratios:
-        try:
-            lines.append(f"{name}_p{p:g},{ratio(omega, p)!r}")
-        except ValueError as exc:  # p outside the ratio's domain, or undefined
-            print(f"error: {name}_p{p:g}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    try:  # one call per ratio evaluates all of its p on one oversampled field
+        ratios = {
+            "cz_ratio": zip(cz, cz_ratio(omega, cz)),
+            "gagliardo_ratio": zip(gagliardo, gagliardo_ratio(omega, gagliardo)),
+        }
+    except ValueError as exc:  # p outside the ratio's domain, or undefined
+        print(f"error: {exc}", file=sys.stderr)  # the message starts with the row name
+        return EXIT_CONFIG
+    lines += [f"{name}_p{p:g},{v!r}" for name, pv in ratios.items() for p, v in pv]
     print("\n".join(lines))
     return EXIT_OK
 

@@ -1,12 +1,14 @@
 """Norms, conserved quantities, and inequality diagnostics.
 
 sample_state returns the per-record dict of TrajectoryRecord.diagnostics;
-lp_norm and cz_ratio share one L^p quadrature on the 2x oversampled grid.
+lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
+oversampled grid, and each ratio evaluates a whole sequence of p on one
+oversampled field.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -125,43 +127,71 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
 # inequality diagnostics
 
 
-def cz_ratio(omega: SpectralField, p: float) -> float:
+def _exponents(name: str, p: float | Sequence[float], ok, domain: str) -> tuple[float, ...]:
+    """The p of one ratio call as a tuple, every one checked before any
+    transform.  Errors start with the row name ``{name}_p{p:g}``."""
+    ps = (p,) if np.ndim(p) == 0 else tuple(p)
+    for q in ps:
+        if not ok(q):
+            raise ValueError(f"{name}_p{q:g}: {name} requires {domain}, got {q}")
+    return ps
+
+
+def cz_ratio(
+    omega: SpectralField, p: float | Sequence[float]
+) -> float | tuple[float, ...]:
     """||grad u||_p / (p ||omega||_inf) for u = biot_savart(omega), finite p > 2.
 
     The Calderon-Zygmund constant of the torus makes this ratio bounded
     uniformly in p; it is scale-invariant in omega.  |grad u| is the
-    pointwise Frobenius magnitude of the 2x2 gradient tensor.
+    pointwise Frobenius magnitude of the 2x2 gradient tensor.  A sequence
+    of p returns a tuple: |grad u| and ||omega||_inf are computed once and
+    every p is evaluated on them, with the same arithmetic as a single p.
     """
-    if not 2 < p < np.inf:
-        raise ValueError(f"cz_ratio requires finite p > 2, got {p}")
+    ps = _exponents("cz_ratio", p, lambda q: 2 < q < np.inf, "finite p > 2")
+    if not ps:
+        return ()
     sup = lp_norm(omega, np.inf)
     if sup == 0.0:
-        raise ValueError("cz_ratio is undefined for the zero field")
+        raise ValueError(f"cz_ratio_p{ps[0]:g}: cz_ratio is undefined for the zero field")
     u = biot_savart(omega)
-    comps = [
-        values_oversampled(derivative(u.u1, 1)),
-        values_oversampled(derivative(u.u1, 2)),
-        values_oversampled(derivative(u.u2, 1)),
-        values_oversampled(derivative(u.u2, 2)),
-    ]
-    mag = np.sqrt(sum(c * c for c in comps))
-    return _oversampled_lp(mag, omega.grid.size, p) / (p * sup)
+    m = omega.grid.size
+    mag = np.zeros((2 * m, 2 * m))
+    for comp in (u.u1, u.u2):
+        for axis in (1, 2):
+            v = values_oversampled(derivative(comp, axis))
+            mag += np.multiply(v, v, out=v)
+    np.sqrt(mag, out=mag)
+    ratios = tuple(_oversampled_lp(mag, m, q) / (q * sup) for q in ps)
+    return ratios[0] if np.ndim(p) == 0 else ratios
 
 
-def gagliardo_ratio(f: SpectralField, p: float) -> float:
+def gagliardo_ratio(
+    f: SpectralField, p: float | Sequence[float]
+) -> float | tuple[float, ...]:
     """||f||_{2p/(p-1)} / (||f||_2^{1-1/p} ||grad f||_2^{1/p}), finite p >= 2.
 
     Bounded uniformly in p by the torus Gagliardo-Nirenberg constant and
-    scale-invariant in f.
+    scale-invariant in f.  A sequence of p returns a tuple: |f| on the
+    oversampled grid and the two L2 norms are computed once and every p is
+    evaluated on them, with the same arithmetic as a single p.
     """
-    if not 2 <= p < np.inf:
-        raise ValueError(f"gagliardo_ratio requires finite p >= 2, got {p}")
+    ps = _exponents("gagliardo_ratio", p, lambda q: 2 <= q < np.inf, "finite p >= 2")
+    if not ps:
+        return ()
     n2 = l2_norm(f)
     ng = gradient_l2(f)
     if n2 == 0.0 or ng == 0.0:
-        raise ValueError("gagliardo_ratio is undefined for constant fields")
-    q = 2.0 * p / (p - 1.0)
-    return lp_norm(f, q) / (n2 ** (1.0 - 1.0 / p) * ng ** (1.0 / p))
+        raise ValueError(
+            f"gagliardo_ratio_p{ps[0]:g}: gagliardo_ratio is undefined for constant fields"
+        )
+    a = np.abs(values_oversampled(f))
+    ratios = tuple(
+        _oversampled_lp(a, f.grid.size, 2.0 * q / (q - 1.0))
+        / (n2 ** (1.0 - 1.0 / q) * ng ** (1.0 / q))
+        for q in ps
+    )
+    return ratios[0] if np.ndim(p) == 0 else ratios
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), stored as an M x M complex
 array in numpy FFT layout.  Parseval then reads
 integral |f|^2 dx = (2pi)^2 * sum_k |f_hat[k]|^2.
 
-This full layout is the only one outside the time stepper: inside
-:func:`voigt2d.dynamics.integrate` the state is the rfft2 half spectrum
-coeffs[:, :M/2+1], and every record and snapshot is converted back.
+This full layout is the one every public name takes and returns.  Two
+computations work on rfft2 half spectra internally: inside
+:func:`voigt2d.dynamics.integrate` the state is coeffs[:, :M/2+1], and every
+record and snapshot is converted back; :func:`values_oversampled` pads the
+half spectrum to 2M and takes one irfft2.
 """
 
 from __future__ import annotations
@@ -204,20 +206,22 @@ def zero_mean(f: SpectralField) -> SpectralField:
 def values_oversampled(f: SpectralField) -> np.ndarray:
     """Evaluate the trigonometric interpolant on the 2M x 2M grid.
 
-    Zero-pads the spectrum; the unpaired Nyquist mode is split evenly
-    between +M/2 and -M/2 so the refined field stays real.
+    Zero-pads the rfft2 half spectrum to shape (2M, M+1) and takes one
+    irfft2.  The unpaired Nyquist mode is split evenly between +M/2 and
+    -M/2 so the refined field stays real: the k1 = M/2 row is halved at rows
+    M/2 and 3M/2, the k2 = M/2 column is halved in column M/2, and the
+    corner gets a quarter in each place.
     """
     m = f.grid.size
     mf = 2 * m
     half = m // 2
-    src = np.fft.fftshift(f.coeffs).copy()  # rows/cols now -M/2 .. M/2-1
-    big = np.zeros((mf, mf), dtype=np.complex128)
-    lo = mf // 2 - half
-    big[lo : lo + m, lo : lo + m] = src
-    # split the -M/2 row/column onto +M/2 to preserve Hermitian symmetry
-    big[lo, lo : lo + m] *= 0.5
-    big[lo + m, lo : lo + m] = big[lo, lo : lo + m]
-    big[lo : lo + m + 1, lo] *= 0.5
-    big[lo : lo + m + 1, lo + m] = big[lo : lo + m + 1, lo]
-    big = np.fft.ifftshift(big)
-    return np.fft.ifft2(big).real * mf**2
+    c = f.coeffs
+    big = np.zeros((mf, m + 1), dtype=np.complex128)
+    # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1;
+    # columns k2 = 0 .. M/2 (the -M/2 column read as +M/2)
+    big[: half + 1, : half + 1] = c[: half + 1, : half + 1]
+    big[mf - half :, : half + 1] = c[half:, : half + 1]
+    big[half] *= 0.5
+    big[mf - half] *= 0.5
+    big[:, half] *= 0.5
+    return np.fft.irfft2(big, s=(mf, mf)) * mf**2

@@ -328,6 +328,34 @@ class TestDiagnose:
         assert rows["cz_ratio_p8"] == repr(cz_ratio(back, 8.0))
         assert rows["gagliardo_ratio_p2"] == repr(gagliardo_ratio(back, 2.0))
 
+    def test_one_oversampled_field_per_ratio_input(self, tmp_path, capsys, monkeypatch):
+        import voigt2d.diagnostics as diagnostics
+
+        calls = {"values_oversampled": 0, "inverse_transform": 0}
+
+        def counting(name):
+            inner = getattr(diagnostics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(diagnostics, name, counting(name))
+        g = GridSpec(32)
+        path = tmp_path / "state.vfld"
+        write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 3.0, 4, 10), 0.0, 0.0))
+        rc = entry(["diagnose", str(path), "--cz", "4,8,16", "--gagliardo", "2,4,8"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert sum(line.startswith(("cz_ratio_p", "gagliardo_ratio_p"))
+                   for line in out.splitlines()) == 6
+        # four gradient components plus omega; the sup of sample_state and of cz_ratio
+        assert calls["values_oversampled"] <= 5
+        assert calls["inverse_transform"] <= 2
+
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
         g = GridSpec(16)
         f = make_random_sobolev(g, sigma=2.0, seed=1, band=4)

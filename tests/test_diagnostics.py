@@ -25,6 +25,7 @@ from voigt2d import (
     voigt_energy,
     voigt_enstrophy,
 )
+import voigt2d.diagnostics as diagnostics
 from voigt2d.initial_data import make_random_sobolev
 
 #: regression values frozen from dense quadrature oracles (M = 1024)
@@ -216,6 +217,52 @@ class TestInequalityRatios:
         c[0, 0] = 2.0
         with pytest.raises(ValueError):
             gagliardo_ratio(SpectralField(g, c), 4.0)
+
+    def test_sequence_of_p_matches_single_p_bitwise(self):
+        f = seeded(GridSpec(64), 14, sigma=3.0)
+        cz_ps = (4.0, 8.0, 16.0, 64.0)
+        gn_ps = (2.0, 4.0, 8.0, 64.0)
+        assert cz_ratio(f, cz_ps) == tuple(cz_ratio(f, p) for p in cz_ps)
+        assert gagliardo_ratio(f, gn_ps) == tuple(gagliardo_ratio(f, p) for p in gn_ps)
+        assert cz_ratio(f, [8.0]) == (cz_ratio(f, 8.0),)
+        assert isinstance(cz_ratio(f, 8.0), float)
+        assert isinstance(gagliardo_ratio(f, 8.0), float)
+
+    @pytest.fixture
+    def no_transforms(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("transform called before every p was checked")
+
+        monkeypatch.setattr(diagnostics, "values_oversampled", fail)
+        monkeypatch.setattr(diagnostics, "inverse_transform", fail)
+
+    def test_empty_sequence_computes_nothing(self, no_transforms):
+        zero = SpectralField(GridSpec(32), np.zeros((32, 32), dtype=complex))
+        assert cz_ratio(zero, ()) == ()
+        assert gagliardo_ratio(zero, []) == ()
+
+    @pytest.mark.parametrize(
+        "ratio, ps, named",
+        [
+            (cz_ratio, (4.0, 8.0, 2.0), "cz_ratio_p2: .*finite p > 2"),
+            (cz_ratio, (math.nan, 4.0), "cz_ratio_pnan: .*finite p > 2"),
+            (gagliardo_ratio, (2.0, 4.0, math.inf), "gagliardo_ratio_pinf: .*finite p >= 2"),
+            (gagliardo_ratio, (1.5,), "gagliardo_ratio_p1.5: .*finite p >= 2"),
+        ],
+    )
+    def test_bad_p_in_sequence_raises_before_any_transform(
+        self, no_transforms, ratio, ps, named
+    ):
+        with pytest.raises(ValueError, match=named):
+            ratio(seeded(GridSpec(32), 3), ps)
+
+    def test_undefined_ratio_names_first_p(self):
+        g = GridSpec(32)
+        zero = SpectralField(g, np.zeros((32, 32), dtype=complex))
+        with pytest.raises(ValueError, match="cz_ratio_p4: .*undefined"):
+            cz_ratio(zero, (4.0, 8.0))
+        with pytest.raises(ValueError, match="gagliardo_ratio_p2: .*undefined"):
+            gagliardo_ratio(zero, (2.0, 4.0))
 
     def test_ratios_bounded_on_seeded_family(self):
         g = GridSpec(64)

@@ -269,6 +269,41 @@ class TestOversampling:
         assert np.all(np.isfinite(fine))
         assert fine.dtype == np.float64
 
+    @pytest.mark.parametrize("m", [8, 10, 16])
+    def test_nyquist_modes_are_cosines(self, m):
+        # a unit Nyquist coefficient is split evenly between +M/2 and -M/2,
+        # so on the 2M grid it reads as a cosine (a product at the corner)
+        g = GridSpec(m)
+        half = m // 2
+        x = np.arange(2 * m) * (TWO_PI / (2 * m))
+        c1 = np.cos(half * x)[:, None] * np.ones(2 * m)[None, :]
+        c2 = np.ones(2 * m)[:, None] * np.cos(half * x)[None, :]
+        for index, expected in [((half, 0), c1), ((0, half), c2), ((half, half), c1 * c2)]:
+            c = np.zeros((m, m), dtype=complex)
+            c[index] = 1.0
+            fine = values_oversampled(SpectralField(g, c))
+            assert np.max(np.abs(fine - expected)) < 1e-13, index
+
+    @pytest.mark.parametrize("m", [8, 10])
+    def test_matches_direct_trigonometric_sum(self, m):
+        # random Hermitian field with every Nyquist coefficient nonzero,
+        # against sum_k f_hat[k] phi_k1(x1) phi_k2(x2) at all (2M)^2 nodes,
+        # where phi_k = exp(ikx) for |k| < M/2 and phi_{-M/2} = cos(M/2 x)
+        g = GridSpec(m)
+        values = np.random.default_rng(m).standard_normal((m, m))
+        f = forward_transform(values, g)
+        assert np.all(np.abs(f.coeffs[m // 2, :]) > 0)
+        assert np.all(np.abs(f.coeffs[:, m // 2]) > 0)
+        x = np.arange(2 * m) * (TWO_PI / (2 * m))
+        k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+        phi = np.exp(1j * k[:, None] * x[None, :])  # (mode, node)
+        phi[m // 2] = np.cos((m // 2) * x)
+        direct = np.einsum("ab,ai,bj->ij", f.coeffs, phi, phi)
+        assert np.max(np.abs(direct.imag)) < 1e-12
+        fine = values_oversampled(f)
+        assert np.max(np.abs(fine - direct.real)) < 1e-12
+        assert np.max(np.abs(fine[::2, ::2] - values)) < 1e-12
+
     def test_divergence_alias(self):
         g = grid32()
         u = biot_savart(seeded(g, 12))
