@@ -3,7 +3,8 @@
 sample_state returns the per-record dict of TrajectoryRecord.diagnostics;
 lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
 oversampled grid, and each ratio evaluates a whole sequence of p on one
-oversampled field.
+oversampled field: gagliardo_ratio on |f|, cz_ratio on |grad u|, which it
+builds from three oversampled transforms of omega's half spectrum.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from .grid import TWO_PI, tables
 from .spectral import (
     SpectralField,
     VelocityPair,
+    _oversample_half,
     biot_savart,
-    derivative,
+    inverse_laplacian,
     inverse_transform,
     values_oversampled,
 )
@@ -63,18 +65,29 @@ def lp_norm(f: SpectralField, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if p == np.inf:
         return float(np.max(np.abs(inverse_transform(f))))
-    return _oversampled_lp(np.abs(values_oversampled(f)), f.grid.size, p)
+    return _oversampled_lp(np.abs(values_oversampled(f)), f.grid.size, (p,))[0]
 
 
-def _oversampled_lp(a: np.ndarray, m: int, p: float) -> float:
-    """L^p norm of magnitudes a on the 2x oversampled grid of an M grid,
-    by quadrature with weight (2pi/2M)^2."""
+def _oversampled_lp(a: np.ndarray, m: int, ps: Sequence[float]) -> tuple[float, ...]:
+    """L^p norms, one per p in ``ps``, of magnitudes a on the 2x oversampled
+    grid of an M grid, by quadrature with weight (2pi/2M)^2.
+
+    a is divided by its max once; each p is raised into one reused buffer,
+    bit for bit the sum of ``(a / vmax) ** p * h2``.  a is not modified.
+    """
     h2 = (TWO_PI / (2 * m)) ** 2
     vmax = float(np.max(a))
     if vmax == 0.0:
-        return 0.0
+        return (0.0,) * len(ps)
     # factor out the max so p up to ~64 neither overflows nor underflows
-    return vmax * float(np.sum((a / vmax) ** p * h2)) ** (1.0 / p)
+    b = a / vmax
+    buf = np.empty_like(b)
+    norms = []
+    for p in ps:
+        np.power(b, p, out=buf)
+        np.multiply(buf, h2, out=buf)
+        norms.append(vmax * float(np.sum(buf)) ** (1.0 / p))
+    return tuple(norms)
 
 
 def velocity_l2(v: VelocityPair) -> float:
@@ -147,6 +160,11 @@ def cz_ratio(
     pointwise Frobenius magnitude of the 2x2 gradient tensor.  A sequence
     of p returns a tuple: |grad u| and ||omega||_inf are computed once and
     every p is evaluated on them, with the same arithmetic as a single p.
+
+    The gradient half spectra come straight from the stream function
+    psi = -omega/|k|^2: d1 u1 = d1 d2 psi, d2 u1 = d2^2 psi and
+    d1 u2 = -d1^2 psi with the Nyquist-zeroed d tables, and d2 u2 = -d1 u1
+    exactly, so three oversampled transforms build |grad u|.
     """
     ps = _exponents("cz_ratio", p, lambda q: 2 < q < np.inf, "finite p > 2")
     if not ps:
@@ -154,15 +172,19 @@ def cz_ratio(
     sup = lp_norm(omega, np.inf)
     if sup == 0.0:
         raise ValueError(f"cz_ratio_p{ps[0]:g}: cz_ratio is undefined for the zero field")
-    u = biot_savart(omega)
     m = omega.grid.size
-    mag = np.zeros((2 * m, 2 * m))
-    for comp in (u.u1, u.u2):
-        for axis in (1, 2):
-            v = values_oversampled(derivative(comp, axis))
-            mag += np.multiply(v, v, out=v)
+    h = m // 2 + 1
+    t = tables(omega.grid)
+    d1, d2 = t.d1[:, :h], t.d2[:, :h]
+    psi = inverse_laplacian(omega).coeffs[:, :h]  # rejects a nonzero mean
+    mag = _oversample_half(d1 * d2 * psi)  # d1 u1, whose square counts twice
+    mag *= mag
+    mag *= 2.0
+    for grad in (d2 * d2 * psi, -d1 * d1 * psi):  # d2 u1, d1 u2
+        v = _oversample_half(grad)
+        mag += np.multiply(v, v, out=v)
     np.sqrt(mag, out=mag)
-    ratios = tuple(_oversampled_lp(mag, m, q) / (q * sup) for q in ps)
+    ratios = tuple(n / (q * sup) for n, q in zip(_oversampled_lp(mag, m, ps), ps))
     return ratios[0] if np.ndim(p) == 0 else ratios
 
 
@@ -186,10 +208,9 @@ def gagliardo_ratio(
             f"gagliardo_ratio_p{ps[0]:g}: gagliardo_ratio is undefined for constant fields"
         )
     a = np.abs(values_oversampled(f))
+    norms = _oversampled_lp(a, f.grid.size, tuple(2.0 * q / (q - 1.0) for q in ps))
     ratios = tuple(
-        _oversampled_lp(a, f.grid.size, 2.0 * q / (q - 1.0))
-        / (n2 ** (1.0 - 1.0 / q) * ng ** (1.0 / q))
-        for q in ps
+        n / (n2 ** (1.0 - 1.0 / q) * ng ** (1.0 / q)) for n, q in zip(norms, ps)
     )
     return ratios[0] if np.ndim(p) == 0 else ratios
 

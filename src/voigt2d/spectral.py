@@ -10,7 +10,8 @@ This full layout is the one every public name takes and returns.  Two
 computations work on rfft2 half spectra internally: inside
 :func:`voigt2d.dynamics.integrate` the state is coeffs[:, :M/2+1], and every
 record and snapshot is converted back; :func:`values_oversampled` pads the
-half spectrum to 2M and takes one irfft2.
+half spectrum's rows to 2M, shape (2M, M/2+1), and takes one irfft2, which
+zero-pads the columns itself.
 """
 
 from __future__ import annotations
@@ -206,22 +207,31 @@ def zero_mean(f: SpectralField) -> SpectralField:
 def values_oversampled(f: SpectralField) -> np.ndarray:
     """Evaluate the trigonometric interpolant on the 2M x 2M grid.
 
-    Zero-pads the rfft2 half spectrum to shape (2M, M+1) and takes one
-    irfft2.  The unpaired Nyquist mode is split evenly between +M/2 and
-    -M/2 so the refined field stays real: the k1 = M/2 row is halved at rows
-    M/2 and 3M/2, the k2 = M/2 column is halved in column M/2, and the
-    corner gets a quarter in each place.
+    Zero-pads the rows of the rfft2 half spectrum to 2M, giving shape
+    (2M, M/2+1), and takes one irfft2 with s = (2M, 2M).  Only columns
+    k2 = 0 .. M/2 hold data, and irfft2 zero-pads the last axis to M+1
+    columns itself, so the complex pass runs over half the columns of a
+    (2M, M+1) pad.  The unpaired Nyquist mode is split evenly between +M/2
+    and -M/2 so the refined field stays real: the k1 = M/2 row is halved at
+    rows M/2 and 3M/2, the k2 = M/2 column is halved, and the corner gets a
+    quarter in each place.
     """
-    m = f.grid.size
+    return _oversample_half(f.coeffs[:, : f.grid.size // 2 + 1])
+
+
+def _oversample_half(half: np.ndarray) -> np.ndarray:
+    """:func:`values_oversampled` of the field whose rfft2 half spectrum
+    (M, M/2+1) is ``half``."""
+    m = half.shape[0]
     mf = 2 * m
-    half = m // 2
-    c = f.coeffs
-    big = np.zeros((mf, m + 1), dtype=np.complex128)
-    # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1;
-    # columns k2 = 0 .. M/2 (the -M/2 column read as +M/2)
-    big[: half + 1, : half + 1] = c[: half + 1, : half + 1]
-    big[mf - half :, : half + 1] = c[half:, : half + 1]
-    big[half] *= 0.5
-    big[mf - half] *= 0.5
-    big[:, half] *= 0.5
-    return np.fft.irfft2(big, s=(mf, mf)) * mf**2
+    h = m // 2
+    big = np.zeros((mf, h + 1), dtype=np.complex128)
+    # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1
+    big[: h + 1] = half[: h + 1]
+    big[mf - h :] = half[h:]
+    big[h] *= 0.5
+    big[mf - h] *= 0.5
+    big[:, h] *= 0.5
+    out = np.fft.irfft2(big, s=(mf, mf))
+    out *= mf**2
+    return out

@@ -329,21 +329,26 @@ class TestDiagnose:
         assert rows["gagliardo_ratio_p2"] == repr(gagliardo_ratio(back, 2.0))
 
     def test_one_oversampled_field_per_ratio_input(self, tmp_path, capsys, monkeypatch):
+        import voigt2d.cli as cli
         import voigt2d.diagnostics as diagnostics
 
-        calls = {"values_oversampled": 0, "inverse_transform": 0}
+        calls = dict.fromkeys(
+            ["values_oversampled", "inverse_transform", "biot_savart", "irfft2"], 0
+        )
 
-        def counting(name):
-            inner = getattr(diagnostics, name)
-
-            def wrapper(*args):
+        def counting(name, inner):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return inner(*args)
+                return inner(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(diagnostics, name, counting(name))
+        for name in ("values_oversampled", "inverse_transform"):
+            monkeypatch.setattr(diagnostics, name, counting(name, getattr(diagnostics, name)))
+        for module in (cli, diagnostics):
+            bs = counting("biot_savart", diagnostics.biot_savart)
+            monkeypatch.setattr(module, "biot_savart", bs, raising=False)
+        monkeypatch.setattr(np.fft, "irfft2", counting("irfft2", np.fft.irfft2))
         g = GridSpec(32)
         path = tmp_path / "state.vfld"
         write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 3.0, 4, 10), 0.0, 0.0))
@@ -352,9 +357,12 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert sum(line.startswith(("cz_ratio_p", "gagliardo_ratio_p"))
                    for line in out.splitlines()) == 6
-        # four gradient components plus omega; the sup of sample_state and of cz_ratio
-        assert calls["values_oversampled"] <= 5
+        # three gradient components for cz plus omega for gagliardo; the
+        # sup of sample_state and of cz_ratio; sample_state's velocity only
+        assert calls["irfft2"] <= 4
+        assert calls["values_oversampled"] <= 1
         assert calls["inverse_transform"] <= 2
+        assert calls["biot_savart"] <= 1
 
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
         g = GridSpec(16)

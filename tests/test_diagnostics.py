@@ -10,8 +10,10 @@ from voigt2d import (
     SolverConfig,
     SpectralField,
     TrajectoryRecord,
+    TWO_PI,
     biot_savart,
     cz_ratio,
+    derivative,
     error_norms,
     forward_transform,
     gagliardo_ratio,
@@ -21,6 +23,7 @@ from voigt2d import (
     lp_norm,
     sample_state,
     sobolev_norm,
+    values_oversampled,
     velocity_l2,
     voigt_energy,
     voigt_enstrophy,
@@ -196,6 +199,13 @@ class TestInequalityRatios:
         got = gagliardo_ratio(cos_x1(GridSpec(64)), 2.0)
         assert got == pytest.approx(COS_GAGLIARDO_P2, rel=1e-12)
 
+    def test_cz_rejects_nonzero_mean(self):
+        g = GridSpec(32)
+        c = cos_x1(g).coeffs.copy()
+        c[0, 0] = 0.5
+        with pytest.raises(ValueError, match="zero-mean"):
+            cz_ratio(SpectralField(g, c), 4.0)
+
     def test_gagliardo_scale_invariant(self):
         f = seeded(GridSpec(64), 13)
         base = gagliardo_ratio(f, 4.0)
@@ -234,6 +244,7 @@ class TestInequalityRatios:
             raise AssertionError("transform called before every p was checked")
 
         monkeypatch.setattr(diagnostics, "values_oversampled", fail)
+        monkeypatch.setattr(diagnostics, "_oversample_half", fail)
         monkeypatch.setattr(diagnostics, "inverse_transform", fail)
 
     def test_empty_sequence_computes_nothing(self, no_transforms):
@@ -263,6 +274,41 @@ class TestInequalityRatios:
             cz_ratio(zero, (4.0, 8.0))
         with pytest.raises(ValueError, match="gagliardo_ratio_p2: .*undefined"):
             gagliardo_ratio(zero, (2.0, 4.0))
+
+    @pytest.mark.parametrize("m", [32, 64])
+    @pytest.mark.parametrize("kind", ["seeded", "nyquist"])
+    def test_cz_matches_four_transform_oracle(self, m, kind):
+        # the old path: biot_savart, four derivatives, four oversamplings
+        g = GridSpec(m)
+        if kind == "seeded":
+            omega = seeded(g, 5, sigma=3.0)
+        else:  # white noise: every Nyquist coefficient nonzero
+            values = np.random.default_rng(m).standard_normal((m, m))
+            omega = forward_transform(values - values.mean(), g)
+            assert np.all(np.abs(omega.coeffs[m // 2, 1:]) > 0)
+        u = biot_savart(omega)
+        mag = np.sqrt(sum(
+            values_oversampled(derivative(c, axis)) ** 2
+            for c in (u.u1, u.u2) for axis in (1, 2)
+        ))
+        vmax = mag.max()
+        h2 = (TWO_PI / (2 * m)) ** 2
+        sup = lp_norm(omega, math.inf)
+        ps = (2.5, 4.0, 16.0, 64.0)
+        for p, got in zip(ps, cz_ratio(omega, ps)):
+            want = vmax * np.sum((mag / vmax) ** p * h2) ** (1.0 / p) / (p * sup)
+            assert abs(got - want) <= 1e-13 * want, p
+
+    def test_multi_p_quadrature_is_per_p_bitwise_and_leaves_input(self):
+        a = np.abs(np.random.default_rng(3).standard_normal((64, 64)))
+        before = a.copy()
+        ps = (1.0, 2.0, 2.5, 4.0, 8.0, 64.0)
+        vmax = float(np.max(a))
+        h2 = (TWO_PI / 64) ** 2
+        want = tuple(vmax * float(np.sum((a / vmax) ** p * h2)) ** (1.0 / p) for p in ps)
+        assert diagnostics._oversampled_lp(a, 32, ps) == want
+        assert np.array_equal(a, before)
+        assert diagnostics._oversampled_lp(np.zeros((64, 64)), 32, ps) == (0.0,) * len(ps)
 
     def test_ratios_bounded_on_seeded_family(self):
         g = GridSpec(64)

@@ -304,6 +304,23 @@ class TestOversampling:
         assert np.max(np.abs(fine - direct.real)) < 1e-12
         assert np.max(np.abs(fine[::2, ::2] - values)) < 1e-12
 
+    @pytest.mark.parametrize("m", [8, 10, 16, 64])
+    def test_matches_wide_pad(self, m):
+        # the (2M, M/2+1) row pad, whose columns irfft2 pads itself, equals
+        # a (2M, M+1) pad of the half spectrum bit for bit
+        g = GridSpec(m)
+        f = forward_transform(np.random.default_rng(m + 1).standard_normal((m, m)), g)
+        assert np.all(np.abs(f.coeffs[m // 2, :]) > 0)
+        assert np.all(np.abs(f.coeffs[:, m // 2]) > 0)
+        half, mf = m // 2, 2 * m
+        big = np.zeros((mf, m + 1), dtype=complex)
+        big[: half + 1, : half + 1] = f.coeffs[: half + 1, : half + 1]
+        big[mf - half :, : half + 1] = f.coeffs[half:, : half + 1]
+        big[half] *= 0.5
+        big[mf - half] *= 0.5
+        big[:, half] *= 0.5
+        assert np.array_equal(values_oversampled(f), np.fft.irfft2(big, s=(mf, mf)) * mf**2)
+
     def test_divergence_alias(self):
         g = grid32()
         u = biot_savart(seeded(g, 12))
