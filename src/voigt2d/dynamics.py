@@ -89,7 +89,11 @@ class TrajectoryRecord:
 #
 # Inside integrate the vorticity is the rfft2 half spectrum w = coeffs[:, :M/2+1]
 # of its SpectralField: the columns k2 < 0 are the conjugates of those with
-# k2 > 0, so a real field needs only these, and irfft2/rfft2 keep it real.
+# k2 > 0, so a real field needs only these, and the real transforms keep it
+# real.  The state is dealiased, so only its first floor(M/3)+1 columns, the
+# live columns 0 <= k2 <= floor(M/3) (Orszag's two-thirds rule), can be
+# nonzero: the right-hand side runs its complex k1-axis passes over those
+# columns alone, and irfft zero-pads the rest.
 
 
 def _half(omega: SpectralField) -> np.ndarray:
@@ -116,36 +120,97 @@ def _field(w: np.ndarray) -> SpectralField:
 
 @lru_cache(maxsize=16)
 def _projection(grid: GridSpec, alpha: float) -> np.ndarray:
-    """-M^2 dealias_mask / (1 + alpha |k|^2) on the half spectrum, 0 at k = 0:
+    """-M^2 dealias_mask / (1 + alpha |k|^2) on the live columns, 0 at k = 0:
     dealias, zero_mean and helmholtz_filter of an rfft2 output in one multiply."""
     t = tables(grid)
-    h = grid.size // 2 + 1
-    out = -(grid.size**2) * t.dealias_mask[:, :h] / (1.0 + alpha * t.ksq[:, :h])
+    c = grid.dealias_cutoff + 1
+    out = -(grid.size**2) * t.dealias_mask[:, :c] / (1.0 + alpha * t.ksq[:, :c])
     out[0, 0] = 0.0
     out.setflags(write=False)
     return out
+
+
+class _Workspace:
+    """The fixed multiplier and preallocated buffers of rhs and step_rk4 on
+    one grid.
+
+    Every call on the grid in this process shares them, so rhs and step_rk4
+    must not run concurrently on one grid (sweeps run in parallel in
+    separate processes).
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        m, h = grid.size, grid.size // 2 + 1
+        c = grid.dealias_cutoff + 1
+        t = tables(grid)
+        self.live = c
+        #: advection multipliers on the live columns, 0 outside the dealias
+        #: square, so rhs(w) only ever sees dealias(w)
+        self.multiplier = np.where(t.dealias_mask[:, :c], t.advection[:, :, :c], 0.0)
+        self.multiplier.setflags(write=False)
+        #: spectra of u1, u2, d1 omega, d2 omega on the live columns
+        self.spectra = np.empty((4, m, c), dtype=np.complex128)
+        #: their grid values; u1 * d1 omega + u2 * d2 omega lands in planes[0]
+        self.planes = np.empty((4, m, m))
+        #: the advection term transformed along x2 only
+        self.half = np.empty((m, h), dtype=np.complex128)
+        #: RK4 stage input, current slope and running weighted slope sum
+        self.stage = np.empty((m, h), dtype=np.complex128)
+        self.slope = np.empty((m, h), dtype=np.complex128)
+        self.total = np.empty((m, h), dtype=np.complex128)
+
+
+@lru_cache(maxsize=8)
+def _workspace(grid: GridSpec) -> _Workspace:
+    return _Workspace(grid)
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
 
-def rhs(w: np.ndarray, alpha: float) -> np.ndarray:
+def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
     """(I - alpha Lap)^{-1} of -u . grad omega, dealiased and zero-mean,
-    with u = biot_savart(omega); alpha = 0 is the Euler right-hand side.
+    with u = biot_savart(omega) and omega = dealias(w); alpha = 0 is the
+    Euler right-hand side.
 
     ``w`` and the result are rfft2 half spectra of shape (M, M/2+1) in the
-    SpectralField normalisation (w = coeffs[:, :M/2+1]).  One irfft2 of the
-    stacked u1, u2, d1 omega, d2 omega multipliers gives the four products'
-    factors, one rfft2 the advection term, and one multiply by the fused
-    -M^2 dealias_mask / (1 + alpha |k|^2) (zero at k = 0) projects it.
+    SpectralField normalisation (w = coeffs[:, :M/2+1]).  rhs(w) is by
+    definition the Galerkin right-hand side of dealias(w): modes of ``w``
+    beyond the cutoff floor(M/3) are ignored, and on a dealiased ``w`` the
+    masking multiplies by 1.0 and changes no bit.
+
+    The live columns k2 <= floor(M/3) of ``w`` times one fixed (4, M, c)
+    multiplier give the spectra of u1, u2, d1 omega, d2 omega; an ifft
+    along k1 and an irfft along k2 their values; one rfft along x2 of
+    u1 d1 omega + u2 d2 omega and an fft along x1 of its live columns the
+    advection term, which one multiply by -M^2 / (1 + alpha |k|^2) on the
+    dealias square (zero at k = 0) projects.  The result is 0 outside the
+    live columns.  All intermediates live in a per-grid workspace; the
+    result is written into ``out`` if given (and returned), else into a
+    new array.  ``w`` is never written.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     m = w.shape[0]
     grid = GridSpec(m)
-    u1, u2, w1, w2 = np.fft.irfft2(tables(grid).advection * w, s=(m, m))
-    return np.fft.rfft2(u1 * w1 + u2 * w2) * _projection(grid, alpha)
+    ws = _workspace(grid)
+    c = ws.live
+    spectra, planes = ws.spectra, ws.planes
+    np.multiply(ws.multiplier, w[:, :c], out=spectra)
+    np.fft.ifft(spectra, axis=1, out=spectra)
+    np.fft.irfft(spectra, n=m, axis=2, out=planes)
+    u1, u2, w1, w2 = planes
+    np.multiply(u1, w1, out=u1)
+    np.multiply(u2, w2, out=u2)
+    np.add(u1, u2, out=u1)
+    np.fft.rfft(u1, axis=1, out=ws.half)
+    np.fft.fft(ws.half[:, :c], axis=0, out=spectra[0])
+    if out is None:
+        out = np.empty_like(ws.half)
+    np.multiply(spectra[0], _projection(grid, alpha), out=out[:, :c])
+    out[:, c:] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +219,37 @@ def rhs(w: np.ndarray, alpha: float) -> np.ndarray:
 
 def step_rk4(w: np.ndarray, dt: float, alpha: float) -> np.ndarray:
     """One classical RK4 step of d_t omega = rhs(omega, alpha) on the
-    (M, M/2+1) half spectrum w.  rhs has no mean mode, so the step keeps
-    w's, which integrate sets to 0."""
+    (M, M/2+1) half spectrum w, returned as a new array; ``w`` is not
+    written.  rhs has no mean mode, so the step keeps w's, which integrate
+    sets to 0.
+
+    The stages and slopes live in the grid's workspace, and the slope sum
+    is accumulated in the order of the textbook formula
+    w + dt/6 (k1 + 2 k2 + 2 k3 + k4), with stages w + (dt/2) k1,
+    w + (dt/2) k2 and w + dt k3.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k1 = rhs(w, alpha)
-    k2 = rhs(w + (0.5 * dt) * k1, alpha)
-    k3 = rhs(w + (0.5 * dt) * k2, alpha)
-    k4 = rhs(w + dt * k3, alpha)
-    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ws = _workspace(GridSpec(w.shape[0]))
+    stage, slope, total = ws.stage, ws.slope, ws.total
+    half_dt = 0.5 * dt
+    rhs(w, alpha, out=total)  # k1
+    np.multiply(total, half_dt, out=stage)
+    np.add(w, stage, out=stage)
+    rhs(stage, alpha, out=slope)  # k2
+    np.multiply(slope, half_dt, out=stage)
+    np.add(w, stage, out=stage)
+    np.multiply(slope, 2.0, out=slope)
+    np.add(total, slope, out=total)
+    rhs(stage, alpha, out=slope)  # k3
+    np.multiply(slope, dt, out=stage)
+    np.add(w, stage, out=stage)
+    np.multiply(slope, 2.0, out=slope)
+    np.add(total, slope, out=total)
+    rhs(stage, alpha, out=slope)  # k4
+    np.add(total, slope, out=total)
+    np.multiply(total, dt / 6.0, out=total)
+    return w + total
 
 
 def cfl_dt(w: np.ndarray, c_cfl: float) -> float:

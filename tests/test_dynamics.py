@@ -49,6 +49,32 @@ def full_layout_rhs(omega: SpectralField, alpha: float) -> SpectralField:
     return helmholtz_filter(zero_mean(dealias(adv)), alpha)
 
 
+def unpruned_rhs(w: np.ndarray, alpha: float) -> np.ndarray:
+    """The right-hand side over every half-spectrum column: the four factors
+    from one irfft2 of the advection multipliers times w, one rfft2 of the
+    products, one multiply by the fused projection."""
+    m = w.shape[0]
+    t = tables(GridSpec(m))
+    h = m // 2 + 1
+    projection = -(m**2) * t.dealias_mask[:, :h] / (1.0 + alpha * t.ksq[:, :h])
+    projection[0, 0] = 0.0
+    u1, u2, w1, w2 = np.fft.irfft2(t.advection * w, s=(m, m))
+    return np.fft.rfft2(u1 * w1 + u2 * w2) * projection
+
+
+def textbook_rk4(w: np.ndarray, dt: float, alpha: float) -> np.ndarray:
+    k1 = unpruned_rhs(w, alpha)
+    k2 = unpruned_rhs(w + (0.5 * dt) * k1, alpha)
+    k3 = unpruned_rhs(w + (0.5 * dt) * k2, alpha)
+    k4 = unpruned_rhs(w + dt * k3, alpha)
+    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def dealiased_half(m: int, seed: int) -> np.ndarray:
+    g = GridSpec(m)
+    return _half(make_random_sobolev(g, sigma=2.5, seed=seed, band=g.dealias_cutoff))
+
+
 class TestHalfSpectrum:
     @pytest.mark.parametrize("m", [16, 32, 64])
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -59,6 +85,28 @@ class TestHalfSpectrum:
         got = _field(rhs(_half(f), alpha))
         assert got.hermitian_defect() == 0.0
         assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_bit_identical_to_unpruned_form(self, m, alpha):
+        a = b = dealiased_half(m, seed=m)
+        assert np.array_equal(rhs(a, alpha), unpruned_rhs(b, alpha))
+        dt = 0.2 * GridSpec(m).spacing
+        for _ in range(5):
+            a = step_rk4(a, dt, alpha)
+            b = textbook_rk4(b, dt, alpha)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_rhs_is_galerkin_rhs_of_dealiased_input(self, alpha):
+        # modes beyond floor(M/3) in either k1 or k2 are ignored, not only
+        # those in the k2 columns the transforms skip
+        g = GridSpec(32)
+        rng = np.random.default_rng(13)
+        f = zero_mean(forward_transform(rng.standard_normal((32, 32)), g))
+        w, clean = _half(f), _half(dealias(f))
+        assert np.max(np.abs(w - clean)) > 0.01 * np.max(np.abs(w))
+        assert np.array_equal(rhs(w, alpha), rhs(clean, alpha))
 
     def test_field_of_half_is_identity_on_hermitian_fields(self):
         f = make_random_sobolev(GridSpec(32), sigma=2.0, seed=11, band=10)
@@ -129,6 +177,55 @@ class TestRightHandSides:
         k = np.fft.fftfreq(g.size, 1.0 / g.size).astype(int)
         high = np.maximum(np.abs(k)[:, None], np.abs(k)[None, :]) > cut
         assert np.max(np.abs(r.coeffs[high])) == 0.0
+
+
+class TestWorkspace:
+    def test_inputs_never_written(self):
+        g = GridSpec(32)
+        f = make_random_sobolev(g, sigma=2.5, seed=14, band=g.dealias_cutoff)
+        before = f.coeffs.copy()
+        w = _half(f)  # a non-contiguous view into f
+        assert not w.flags.c_contiguous
+        rhs(w, 0.1)
+        rhs(w, 0.1, out=np.empty_like(w))
+        step_rk4(w, 0.01, 0.1)
+        assert np.array_equal(f.coeffs, before)
+
+    def test_held_results_not_changed_by_later_calls(self):
+        w = dealiased_half(32, seed=15)
+        r = rhs(w, 0.0)
+        s = step_rk4(w, 0.01, 0.0)
+        r_copy, s_copy = r.copy(), s.copy()
+        rhs(s, 0.1)
+        step_rk4(s, 0.01, 0.1)
+        step_rk4(r, 0.01, 0.0)
+        assert np.array_equal(r, r_copy)
+        assert np.array_equal(s, s_copy)
+
+    def test_out_is_filled_and_returned(self):
+        w = dealiased_half(32, seed=16)
+        buf = np.full_like(w, np.nan)
+        assert rhs(w, 0.1, out=buf) is buf
+        assert np.array_equal(buf, rhs(w, 0.1))
+
+    def test_interleaved_grids_and_alphas_match_separate_runs(self):
+        calls = [(m, alpha) for m in (32, 64) for alpha in (0.0, 0.1)]
+        states = {m: dealiased_half(m, seed=17 + m) for m in (32, 64)}
+
+        def run(order):
+            state = {call: states[call[0]] for call in calls}
+            results = {call: [] for call in calls}
+            for m, alpha in order:
+                w = state[(m, alpha)]
+                results[(m, alpha)].append(rhs(w, alpha))
+                state[(m, alpha)] = step_rk4(w, 0.2 * GridSpec(m).spacing, alpha)
+                results[(m, alpha)].append(state[(m, alpha)])
+            return results
+
+        separate = run([call for call in calls for _ in range(3)])
+        interleaved = run(calls * 3)
+        for key in calls:
+            assert all(np.array_equal(a, b) for a, b in zip(separate[key], interleaved[key]))
 
 
 class TestStepper:
