@@ -108,7 +108,7 @@ def voigt_energy(v: VelocityPair, alpha: float) -> float:
     Conserved by the Voigt evolution; alpha = 0 gives the kinetic energy
     conserved by Euler.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     w = 1.0 + alpha * tables(v.grid).ksq
     total = np.sum(w * np.abs(v.u1.coeffs) ** 2) + np.sum(w * np.abs(v.u2.coeffs) ** 2)
@@ -117,7 +117,7 @@ def voigt_energy(v: VelocityPair, alpha: float) -> float:
 
 def voigt_enstrophy(omega: SpectralField, alpha: float) -> float:
     """(2pi)^2 sum_k (1 + alpha|k|^2) |omega_hat|^2; enstrophy at alpha = 0."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     w = 1.0 + alpha * tables(omega.grid).ksq
     return float(TWO_PI**2 * np.sum(w * np.abs(omega.coeffs) ** 2))

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridSpec, tables
-from .spectral import SpectralField, dealias, zero_mean
+from .spectral import SpectralField, _field, _half, dealias, zero_mean
 from .diagnostics import sample_state
 
 #: floor for the velocity scale in the CFL rule (guards the zero field)
@@ -42,6 +42,7 @@ class SolverConfig:
     neither is given the CFL rule with c_cfl = 0.5 applies.  Steps are
     shortened to land exactly on diagnostic/snapshot times and on t_end,
     and a step that ends within 1e-12 t_end short of one lands on it.
+    Every number given must be finite.
     """
 
     grid: GridSpec
@@ -53,6 +54,10 @@ class SolverConfig:
     snapshot_every: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "t_end", "record_every", "dt", "c_cfl", "snapshot_every"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.t_end > 0:
@@ -87,35 +92,11 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 # the half-spectrum state of the time stepper
 #
-# Inside integrate the vorticity is the rfft2 half spectrum w = coeffs[:, :M/2+1]
-# of its SpectralField: the columns k2 < 0 are the conjugates of those with
-# k2 > 0, so a real field needs only these, and the real transforms keep it
-# real.  The state is dealiased, so only its first floor(M/3)+1 columns, the
-# live columns 0 <= k2 <= floor(M/3) (Orszag's two-thirds rule), can be
-# nonzero: the right-hand side runs its complex k1-axis passes over those
-# columns alone, and irfft zero-pads the rest.
-
-
-def _half(omega: SpectralField) -> np.ndarray:
-    """The half spectrum w of a full-layout field."""
-    return omega.coeffs[:, : omega.grid.size // 2 + 1]
-
-
-def _field(w: np.ndarray) -> SpectralField:
-    """The Hermitian SpectralField of half spectrum w.
-
-    Mirrors the columns 0 < k2 < M/2 onto -k2 and symmetrizes the
-    self-conjugate columns k2 = 0 and M/2, so hermitian_defect() is 0.
-    """
-    grid = GridSpec(w.shape[0])
-    m, h = grid.size, grid.size // 2
-    neg = tables(grid).negate
-    c = np.empty((m, m), dtype=np.complex128)
-    c[:, : h + 1] = w
-    c[:, h + 1 :] = np.conj(w[neg, h - 1 : 0 : -1])
-    for j in (0, h):
-        c[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
-    return SpectralField(grid, c)
+# Inside integrate the vorticity is the rfft2 half spectrum w = _half(omega)
+# (voigt2d.spectral owns the layout).  The state is dealiased, so only its
+# live columns 0 <= k2 <= floor(M/3) (Orszag's two-thirds rule) can be
+# nonzero: rhs and cfl_dt run their complex k1-axis passes over those alone,
+# and irfft zero-pads the rest.
 
 
 @lru_cache(maxsize=16)
@@ -131,12 +112,12 @@ def _projection(grid: GridSpec, alpha: float) -> np.ndarray:
 
 
 class _Workspace:
-    """The fixed multiplier and preallocated buffers of rhs and step_rk4 on
-    one grid.
+    """The fixed multiplier and preallocated buffers of rhs, step_rk4 and
+    cfl_dt on one grid.
 
-    Every call on the grid in this process shares them, so rhs and step_rk4
-    must not run concurrently on one grid (sweeps run in parallel in
-    separate processes).
+    Every call on the grid in this process shares them, so rhs, step_rk4
+    and cfl_dt must not run concurrently on one grid (sweeps run in
+    parallel in separate processes).
     """
 
     def __init__(self, grid: GridSpec) -> None:
@@ -144,9 +125,12 @@ class _Workspace:
         c = grid.dealias_cutoff + 1
         t = tables(grid)
         self.live = c
-        #: advection multipliers on the live columns, 0 outside the dealias
-        #: square, so rhs(w) only ever sees dealias(w)
-        self.multiplier = np.where(t.dealias_mask[:, :c], t.advection[:, :, :c], 0.0)
+        #: on the live columns, the multipliers taking the half spectrum of
+        #: omega to those of u1, u2, d1 omega, d2 omega (u = biot_savart(omega)),
+        #: 0 outside the dealias square, so rhs(w) only ever sees dealias(w)
+        i_d1, i_d2, inv = 1j * t.d1[:, :c], 1j * t.d2[:, :c], t.inv_ksq[:, :c]
+        advection = np.stack([i_d2 * inv, -i_d1 * inv, i_d1, i_d2])
+        self.multiplier = np.where(t.dealias_mask[:, :c], advection, 0.0)
         self.multiplier.setflags(write=False)
         #: spectra of u1, u2, d1 omega, d2 omega on the live columns
         self.spectra = np.empty((4, m, c), dtype=np.complex128)
@@ -163,6 +147,16 @@ class _Workspace:
 @lru_cache(maxsize=8)
 def _workspace(grid: GridSpec) -> _Workspace:
     return _Workspace(grid)
+
+
+def _live_values(ws: _Workspace, w: np.ndarray, rows: int) -> np.ndarray:
+    """ws.planes[:rows], set to the grid values / M^2 of the first ``rows``
+    of u1, u2, d1 omega, d2 omega for omega = dealias(w)."""
+    spectra, planes = ws.spectra[:rows], ws.planes[:rows]
+    np.multiply(ws.multiplier[:rows], w[:, : ws.live], out=spectra)
+    np.fft.ifft(spectra, axis=1, out=spectra)
+    np.fft.irfft(spectra, n=w.shape[0], axis=2, out=planes)
+    return planes
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +184,21 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     result is written into ``out`` if given (and returned), else into a
     new array.  ``w`` is never written.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     m = w.shape[0]
     grid = GridSpec(m)
     ws = _workspace(grid)
     c = ws.live
-    spectra, planes = ws.spectra, ws.planes
-    np.multiply(ws.multiplier, w[:, :c], out=spectra)
-    np.fft.ifft(spectra, axis=1, out=spectra)
-    np.fft.irfft(spectra, n=m, axis=2, out=planes)
-    u1, u2, w1, w2 = planes
+    u1, u2, w1, w2 = _live_values(ws, w, 4)
     np.multiply(u1, w1, out=u1)
     np.multiply(u2, w2, out=u2)
     np.add(u1, u2, out=u1)
     np.fft.rfft(u1, axis=1, out=ws.half)
-    np.fft.fft(ws.half[:, :c], axis=0, out=spectra[0])
+    np.fft.fft(ws.half[:, :c], axis=0, out=ws.spectra[0])
     if out is None:
         out = np.empty_like(ws.half)
-    np.multiply(spectra[0], _projection(grid, alpha), out=out[:, :c])
+    np.multiply(ws.spectra[0], _projection(grid, alpha), out=out[:, :c])
     out[:, c:] = 0.0
     return out
 
@@ -254,13 +244,16 @@ def step_rk4(w: np.ndarray, dt: float, alpha: float) -> np.ndarray:
 
 def cfl_dt(w: np.ndarray, c_cfl: float) -> float:
     """Advective step c_cfl * (2pi/M) / max(component sup norms, floor) for
-    the velocity of the (M, M/2+1) half spectrum w."""
+    the velocity of dealias(w), the one rhs(w) advects with, for an
+    (M, M/2+1) half spectrum w; from rhs's live-column pass on the rows u1
+    and u2 alone, in the grid's workspace.  ``w`` is not written."""
     if not c_cfl > 0:
         raise ValueError(f"c_cfl must be positive, got {c_cfl}")
     m = w.shape[0]
     grid = GridSpec(m)
-    u = np.fft.irfft2(tables(grid).advection[:2] * w, s=(m, m))
-    umax = max(float(np.max(np.abs(u))) * m**2, CFL_VELOCITY_FLOOR)
+    u = _live_values(_workspace(grid), w, 2)
+    peak = max(float(u.max()), -float(u.min()))  # max |u| with no temporary
+    umax = max(peak * m**2, CFL_VELOCITY_FLOOR)
     return c_cfl * grid.spacing / umax
 
 

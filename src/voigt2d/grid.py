@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,21 +85,6 @@ class _Tables:
             self.inv_ksq, self.dealias_mask, self.negate,
         ):
             arr.setflags(write=False)
-
-    @cached_property
-    def advection(self) -> np.ndarray:
-        """(4, M, M/2+1) multipliers taking the rfft2 half spectrum of omega
-        to those of u1, u2, d1 omega, d2 omega, u = biot_savart(omega).
-
-        Built on first use: only the time stepper needs it.
-        """
-        h = self.negate.size // 2 + 1
-        i_d1 = 1j * self.d1[:, :h]
-        i_d2 = 1j * self.d2[:, :h]
-        inv = self.inv_ksq[:, :h]
-        out = np.stack([i_d2 * inv, -i_d1 * inv, i_d1, i_d2])
-        out.setflags(write=False)
-        return out
 
 
 @lru_cache(maxsize=64)

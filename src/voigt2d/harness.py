@@ -11,8 +11,8 @@ from itertools import repeat
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralField, biot_savart
-from .dynamics import SolverConfig, TrajectoryRecord, _half, cfl_dt, integrate
+from .spectral import SpectralField, _half, biot_savart
+from .dynamics import SolverConfig, TrajectoryRecord, cfl_dt, integrate
 from .diagnostics import error_norms, l2_norm, velocity_sobolev
 from .initial_data import DataRecipe, galerkin_truncate, realize
 

@@ -6,12 +6,13 @@ f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), stored as an M x M complex
 array in numpy FFT layout.  Parseval then reads
 integral |f|^2 dx = (2pi)^2 * sum_k |f_hat[k]|^2.
 
-This full layout is the one every public name takes and returns.  Two
-computations work on rfft2 half spectra internally: inside
-:func:`voigt2d.dynamics.integrate` the state is coeffs[:, :M/2+1], and every
-record and snapshot is converted back; :func:`values_oversampled` pads the
-half spectrum's rows to 2M, shape (2M, M/2+1), and takes one irfft2, which
-zero-pads the columns itself.
+This full layout is the one every public name takes and returns.  This
+module owns the rfft2 half spectrum coeffs[:, :M/2+1] of a real field and
+its conversions :func:`_half` and :func:`_field` (the exact Hermitian
+mirror): :func:`forward_transform` is one rfft2 and the mirror, the
+stepper of :mod:`voigt2d.dynamics` runs on half spectra, and
+:func:`values_oversampled` pads the half spectrum's rows to 2M, shape
+(2M, M/2+1), and takes one irfft2, which zero-pads the columns itself.
 """
 
 from __future__ import annotations
@@ -96,15 +97,38 @@ class VelocityPair:
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# the half spectrum and the transforms
+
+
+def _half(f: SpectralField) -> np.ndarray:
+    """The half spectrum w of a full-layout field (a view): the columns
+    k2 < 0 of a real field are the conjugates of those with k2 > 0."""
+    return f.coeffs[:, : f.grid.size // 2 + 1]
+
+
+def _field(w: np.ndarray) -> SpectralField:
+    """The Hermitian SpectralField of half spectrum w.
+
+    Mirrors the columns 0 < k2 < M/2 onto -k2 and symmetrizes the
+    self-conjugate columns k2 = 0 and M/2, so hermitian_defect() is 0.
+    """
+    grid = GridSpec(w.shape[0])
+    m, h = grid.size, grid.size // 2
+    neg = tables(grid).negate
+    c = np.empty((m, m), dtype=np.complex128)
+    c[:, : h + 1] = w
+    c[:, h + 1 :] = np.conj(w[neg, h - 1 : 0 : -1])
+    for j in (0, h):
+        c[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
+    return SpectralField(grid, c)
 
 
 def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
     """Collocation values -> spectral coefficients.
 
-    Input must be real and finite with shape (M, M).  The output is
-    symmetrized so Hermitian symmetry holds exactly, not merely to
-    roundoff; the mean mode is retained as computed.
+    Input must be real and finite with shape (M, M).  The output is the
+    :func:`_field` mirror of the rfft2 half spectrum, so Hermitian symmetry
+    holds exactly; the mean mode keeps its computed (real) value.
     """
     values = np.asarray(values)
     if values.shape != (grid.size, grid.size):
@@ -115,10 +139,7 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ValueError("forward_transform expects a real array")
     if not np.all(np.isfinite(values)):
         raise ValueError("forward_transform expects finite values")
-    c = np.fft.fft2(values) / grid.size**2
-    t = tables(grid)
-    mirror = np.conj(c[np.ix_(t.negate, t.negate)])
-    return SpectralField(grid, 0.5 * (c + mirror))
+    return _field(np.fft.rfft2(values) / grid.size**2)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
@@ -160,7 +181,7 @@ def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
 
     alpha = 0 is the identity bit-for-bit; negative alpha is rejected.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return f
@@ -216,7 +237,7 @@ def values_oversampled(f: SpectralField) -> np.ndarray:
     rows M/2 and 3M/2, the k2 = M/2 column is halved, and the corner gets a
     quarter in each place.
     """
-    return _oversample_half(f.coeffs[:, : f.grid.size // 2 + 1])
+    return _oversample_half(_half(f))
 
 
 def _oversample_half(half: np.ndarray) -> np.ndarray:

@@ -72,6 +72,14 @@ BAD_VALUES = [
     ("size = 32", "size = 32\ndealias_cutoff = 10", "dealias_cutoff"),  # fixed at M // 3
 ]
 
+#: non-finite time settings, each exits 2 naming its key
+NON_FINITE = [
+    ("t_end = 0.5", "t_end = inf", "t_end"),
+    ("record_every = 0.1", "record_every = inf", "record_every"),
+    ("dt = 0.02", "dt = inf", "dt"),
+    ("dt = 0.02", "cfl = inf", "c_cfl"),
+]
+
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 class TestBadConfigWritesNothing:
@@ -84,6 +92,15 @@ class TestBadConfigWritesNothing:
         "old, new, named", BAD_VALUES, ids=[named for _, _, named in BAD_VALUES]
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, command, old, new, named):
+        self.check_exits_2(tmp_path, capsys, command, old, new, named)
+
+    @pytest.mark.parametrize(
+        "old, new, named", NON_FINITE, ids=[new for _, new, _ in NON_FINITE]
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, old, new, named):
+        self.check_exits_2(tmp_path, capsys, command, old, new, named)
+
+    def check_exits_2(self, tmp_path, capsys, command, old, new, named):
         out = tmp_path / "out"
         cfg = Path(self.config(tmp_path, command, out))
         assert old in cfg.read_text()
@@ -105,6 +122,24 @@ class TestBadConfigWritesNothing:
         err = capsys.readouterr().err
         assert "[model]" in err and "[sweep]" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("alpha = 0.01", "alpha = nan"),
+        ("alpha = 0.01", "alpha = inf"),
+        ("snapshot_every = 0.25", "snapshot_every = inf"),
+    ],
+    ids=["alpha = nan", "alpha = inf", "snapshot_every = inf"],
+)
+def test_non_finite_simulate_setting_exits_2(tmp_path, capsys, old, new):
+    out = tmp_path / "out"
+    cfg = Path(sim_config(tmp_path, out))
+    cfg.write_text(cfg.read_text().replace(old, new))
+    assert entry(["simulate", str(cfg)]) == EXIT_CONFIG
+    assert f"{new.split()[0]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSimulate:

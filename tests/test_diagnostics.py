@@ -151,6 +151,13 @@ class TestConservedQuantities:
             assert voigt_energy(u, alpha) >= velocity_l2(u) ** 2 * (1 - 1e-15)
             assert voigt_enstrophy(f, alpha) >= l2_norm(f) ** 2 * (1 - 1e-15)
 
+    def test_voigt_quantities_reject_nan_alpha(self):
+        f = seeded(GridSpec(32), 12)
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            voigt_energy(biot_savart(f), float("nan"))
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            voigt_enstrophy(f, float("nan"))
+
     def test_voigt_energy_monotone_in_alpha(self):
         u = biot_savart(seeded(GridSpec(32), 10))
         values = [voigt_energy(u, a) for a in (0.0, 0.01, 0.1, 1.0)]

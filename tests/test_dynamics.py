@@ -22,7 +22,8 @@ from voigt2d import (
     zero_mean,
 )
 from voigt2d import dynamics
-from voigt2d.dynamics import _event_times, _field, _half, _schedule
+from voigt2d.dynamics import _event_times, _schedule
+from voigt2d.spectral import _field, _half
 from voigt2d.grid import tables
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
 
@@ -49,6 +50,15 @@ def full_layout_rhs(omega: SpectralField, alpha: float) -> SpectralField:
     return helmholtz_filter(zero_mean(dealias(adv)), alpha)
 
 
+def advection_table(m: int) -> np.ndarray:
+    """(4, M, M/2+1) multipliers taking the half spectrum of omega to those
+    of u1, u2, d1 omega, d2 omega, over every column."""
+    t = tables(GridSpec(m))
+    h = m // 2 + 1
+    i_d1, i_d2, inv = 1j * t.d1[:, :h], 1j * t.d2[:, :h], t.inv_ksq[:, :h]
+    return np.stack([i_d2 * inv, -i_d1 * inv, i_d1, i_d2])
+
+
 def unpruned_rhs(w: np.ndarray, alpha: float) -> np.ndarray:
     """The right-hand side over every half-spectrum column: the four factors
     from one irfft2 of the advection multipliers times w, one rfft2 of the
@@ -58,7 +68,7 @@ def unpruned_rhs(w: np.ndarray, alpha: float) -> np.ndarray:
     h = m // 2 + 1
     projection = -(m**2) * t.dealias_mask[:, :h] / (1.0 + alpha * t.ksq[:, :h])
     projection[0, 0] = 0.0
-    u1, u2, w1, w2 = np.fft.irfft2(t.advection * w, s=(m, m))
+    u1, u2, w1, w2 = np.fft.irfft2(advection_table(m) * w, s=(m, m))
     return np.fft.rfft2(u1 * w1 + u2 * w2) * projection
 
 
@@ -165,8 +175,9 @@ class TestRightHandSides:
         assert float(np.max(np.abs(rhs(_half(f), 0.3)))) == 0.0
 
     def test_rhs_rejects_negative_alpha(self):
-        with pytest.raises(ValueError, match="alpha must be >= 0"):
-            rhs(_half(two_mode(GridSpec(16))), -0.1)
+        for alpha in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                rhs(_half(two_mode(GridSpec(16))), alpha)
 
     def test_rhs_mean_free_and_dealiased(self):
         g = GridSpec(32)
@@ -264,6 +275,41 @@ class TestStepper:
         zero = np.zeros((32, 17), dtype=complex)
         assert cfl_dt(zero, 0.5) <= 0.5 * g.spacing / 1e-12
         assert np.isfinite(cfl_dt(zero, 0.5))
+
+
+class TestCflDt:
+    def test_is_the_step_of_the_dealiased_velocity(self):
+        g = GridSpec(32)
+        rng = np.random.default_rng(21)
+        f = zero_mean(forward_transform(rng.standard_normal((32, 32)), g))
+        w, clean = _half(f), _half(dealias(f))
+        assert np.max(np.abs(w - clean)) > 0.01 * np.max(np.abs(w))
+        assert cfl_dt(w, 0.5) == cfl_dt(clean, 0.5)
+
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    def test_bit_identical_to_unpruned_oracle(self, m):
+        # on dealiased data, the velocity from one irfft2 over every column
+        g = GridSpec(m)
+        w = dealiased_half(m, seed=22 + m)
+        u = np.fft.irfft2(advection_table(m)[:2] * w, s=(m, m))
+        want = 0.5 * g.spacing / max(float(np.max(np.abs(u))) * m**2, 1e-12)
+        assert cfl_dt(w, 0.5) == want
+
+    def test_input_not_written(self):
+        g = GridSpec(32)
+        f = forward_transform(np.random.default_rng(23).standard_normal((32, 32)), g)
+        before = f.coeffs.copy()
+        cfl_dt(_half(f), 0.5)
+        assert np.array_equal(f.coeffs, before)
+
+    def test_rhs_unchanged_by_calls_between(self):
+        w = dealiased_half(32, seed=24)
+        alone = [rhs(w, 0.1), step_rk4(w, 0.01, 0.1)]
+        cfl_dt(w, 0.5)
+        r = rhs(w, 0.1)
+        cfl_dt(dealiased_half(32, seed=25), 0.5)
+        s = step_rk4(w, 0.01, 0.1)
+        assert np.array_equal(r, alone[0]) and np.array_equal(s, alone[1])
 
 
 class TestIntegrate:
@@ -399,6 +445,15 @@ class TestIntegrate:
             SolverConfig(grid=g, alpha=0.0, t_end=1.0, record_every=0.1, dt=0.1, c_cfl=0.5)
         with pytest.raises(ValueError):
             SolverConfig(grid=g, alpha=0.0, t_end=1.0, record_every=0.1, dt=-0.1)
+
+    @pytest.mark.parametrize(
+        "name", ["alpha", "t_end", "record_every", "dt", "c_cfl", "snapshot_every"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, name, value):
+        settings = {"alpha": 0.0, "t_end": 1.0, "record_every": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SolverConfig(grid=GridSpec(16), **settings)
 
     def test_steady_state_l2_change_is_zero(self):
         g = GridSpec(32)

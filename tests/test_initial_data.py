@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from voigt2d import (
+    KINDS,
     DataRecipe,
     GridSpec,
+    dealias,
     forward_transform,
     galerkin_truncate,
     inverse_transform,
@@ -20,9 +22,9 @@ from voigt2d import (
     rhs,
     values_oversampled,
 )
-from voigt2d.dynamics import _field, _half
 from voigt2d.grid import tables
 from voigt2d.initial_data import _half_plane_modes
+from voigt2d.spectral import _field, _half
 
 
 class TestRecipe:
@@ -240,6 +242,19 @@ class TestRealize:
     def test_missing_required_parameter(self):
         with pytest.raises(KeyError):
             realize(DataRecipe("random_sobolev", {"band": 4}), GridSpec(32))
+
+    @pytest.mark.parametrize("m", [32, 64, 128])
+    def test_every_kind_is_dealiased_and_mean_free(self, m):
+        # so the CFL step of realize's output is that of integrate's
+        # dealiased initial state
+        required = {
+            "random_sobolev": {"sigma": 2.5, "band": 10},
+            "yudovich_patch": {"radius": 0.8},
+        }
+        for kind in KINDS:
+            f = realize(DataRecipe(kind, required.get(kind, {}), seed=3), GridSpec(m))
+            assert np.array_equal(dealias(f).coeffs, f.coeffs), kind
+            assert f.coeffs[0, 0] == 0, kind
 
 
 class TestGalerkinTruncate:

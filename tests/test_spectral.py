@@ -117,6 +117,20 @@ class TestTransforms:
         f = seeded(grid32(), seed=3)
         assert f.hermitian_defect() == 0.0
 
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    def test_forward_matches_full_fft_reference(self, m):
+        # reference: the complex fft2, symmetrized by a gather of -k
+        g = GridSpec(m)
+        values = np.random.default_rng(m).standard_normal((m, m)) + 0.3
+        c = np.fft.fft2(values) / m**2
+        neg = tables(g).negate
+        want = 0.5 * (c + np.conj(c[np.ix_(neg, neg)]))
+        f = forward_transform(values, g)
+        assert np.max(np.abs(f.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+        assert f.hermitian_defect() == 0.0
+        assert f.mean_coefficient.imag == 0.0
+        assert f.mean_coefficient.real == pytest.approx(values.mean(), rel=1e-14)
+
     def test_inverse_rejects_asymmetric(self):
         g = grid32()
         c = np.zeros((32, 32), dtype=complex)
@@ -196,8 +210,9 @@ class TestCalculus:
         assert np.array_equal(helmholtz_filter(f, 0.0).coeffs, f.coeffs)
 
     def test_helmholtz_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            helmholtz_filter(cos_x1(grid32()), -0.1)
+        for alpha in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                helmholtz_filter(cos_x1(grid32()), alpha)
 
     def test_dealias_zeroes_high_modes(self):
         g = grid32()
