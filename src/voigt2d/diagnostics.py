@@ -4,11 +4,17 @@ sample_state returns the per-record dict of TrajectoryRecord.diagnostics;
 lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
 oversampled grid, and each ratio evaluates a whole sequence of p on one
 oversampled field: gagliardo_ratio on |f|, cz_ratio on |grad u|, which it
-builds from three oversampled transforms of omega's half spectrum.
+builds from three oversampled transforms of omega's half spectrum.  The
+quadrature raises each p in one scratch buffer (cz_ratio's last gradient
+plane, else a 2M x 2M buffer cached per grid size, shared by every call in
+the process, so not for concurrent threads), and takes a power of two p by
+repeated squaring in place.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -65,28 +71,62 @@ def lp_norm(f: SpectralField, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if p == np.inf:
         return float(np.max(np.abs(inverse_transform(f))))
-    return _oversampled_lp(np.abs(values_oversampled(f)), f.grid.size, (p,))[0]
+    return _abs_lp(f, (p,))[0]
 
 
-def _oversampled_lp(a: np.ndarray, m: int, ps: Sequence[float]) -> tuple[float, ...]:
-    """L^p norms, one per p in ``ps``, of magnitudes a on the 2x oversampled
-    grid of an M grid, by quadrature with weight (2pi/2M)^2.
+@lru_cache(maxsize=8)
+def _power_buffer(m: int) -> np.ndarray:
+    """The 2M x 2M scratch buffer of :func:`_abs_lp`, one per grid size.
 
-    a is divided by its max once; each p is raised into one reused buffer,
-    bit for bit the sum of ``(a / vmax) ** p * h2``.  a is not modified.
+    Every call in the process shares it, so lp_norm and gagliardo_ratio
+    must not run concurrently in threads (parallel sweeps use processes).
+    """
+    return np.empty((2 * m, 2 * m))
+
+
+def _abs_lp(f: SpectralField, ps: Sequence[float]) -> tuple[float, ...]:
+    """:func:`_oversampled_lp` of |f| on the 2x oversampled grid."""
+    a = values_oversampled(f)
+    np.abs(a, out=a)
+    return _oversampled_lp(a, f.grid.size, ps, _power_buffer(f.grid.size))
+
+
+def _oversampled_lp(
+    a: np.ndarray, m: int, ps: Sequence[float], buf: np.ndarray
+) -> tuple[float, ...]:
+    """L^p norms, one per p >= 1 in ``ps``, of magnitudes a on the 2x
+    oversampled grid of an M grid, by quadrature with weight (2pi/2M)^2.
+
+    Every p works in the scratch buffer ``buf`` of a's shape; a is not
+    modified.  A power of two p = 2^k takes (a/vmax)^p as a/vmax squared in
+    place k times and weights the sum by h2; after a smaller power of two
+    the squaring goes on from it, which repeats the same operations.  Any
+    other p is bit for bit the sum of ``(a / vmax) ** p * h2``.  Either way
+    each p gives the bits of a call with that p alone.
     """
     h2 = (TWO_PI / (2 * m)) ** 2
+    # factor out the max so p up to ~64 neither overflows nor underflows
     vmax = float(np.max(a))
     if vmax == 0.0:
         return (0.0,) * len(ps)
-    # factor out the max so p up to ~64 neither overflows nor underflows
-    b = a / vmax
-    buf = np.empty_like(b)
     norms = []
+    held = 0.0  # the power of two of a/vmax that buf holds, 0 for none
     for p in ps:
-        np.power(b, p, out=buf)
-        np.multiply(buf, h2, out=buf)
-        norms.append(vmax * float(np.sum(buf)) ** (1.0 / p))
+        if math.frexp(p)[0] == 0.5:  # p is a power of two
+            if not 0.0 < held <= p:
+                np.divide(a, vmax, out=buf)
+                held = 1.0
+            while held < p:
+                np.multiply(buf, buf, out=buf)
+                held *= 2.0
+            total = h2 * float(np.sum(buf))
+        else:
+            np.divide(a, vmax, out=buf)
+            np.power(buf, p, out=buf)
+            np.multiply(buf, h2, out=buf)
+            total = float(np.sum(buf))
+            held = 0.0
+        norms.append(vmax * total ** (1.0 / p))
     return tuple(norms)
 
 
@@ -184,7 +224,8 @@ def cz_ratio(
         v = _oversample_half(grad)
         mag += np.multiply(v, v, out=v)
     np.sqrt(mag, out=mag)
-    ratios = tuple(n / (q * sup) for n, q in zip(_oversampled_lp(mag, m, ps), ps))
+    norms = _oversampled_lp(mag, m, ps, v)  # the last gradient plane is scratch
+    ratios = tuple(n / (q * sup) for n, q in zip(norms, ps))
     return ratios[0] if np.ndim(p) == 0 else ratios
 
 
@@ -207,8 +248,7 @@ def gagliardo_ratio(
         raise ValueError(
             f"gagliardo_ratio_p{ps[0]:g}: gagliardo_ratio is undefined for constant fields"
         )
-    a = np.abs(values_oversampled(f))
-    norms = _oversampled_lp(a, f.grid.size, tuple(2.0 * q / (q - 1.0) for q in ps))
+    norms = _abs_lp(f, tuple(2.0 * q / (q - 1.0) for q in ps))
     ratios = tuple(
         n / (n2 ** (1.0 - 1.0 / q) * ng ** (1.0 / q)) for n, q in zip(norms, ps)
     )

@@ -13,11 +13,15 @@ mirror): :func:`forward_transform` is one rfft2 and the mirror, the
 stepper of :mod:`voigt2d.dynamics` runs on half spectra, and
 :func:`values_oversampled` pads the half spectrum's rows to 2M, shape
 (2M, M/2+1), and takes one irfft2, which zero-pads the columns itself.
+That row pad is allocated once per grid size and reused (only its M+1 data
+rows are rewritten), so oversampled evaluations share it and must not run
+concurrently in threads of one process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,21 +39,31 @@ class SymmetryError(ValueError):
 class SpectralField:
     """Immutable scalar field in spectral representation.
 
-    ``coeffs`` is a read-only complex128 copy of shape (M, M) in FFT layout.
-    Fields used by the dynamics satisfy two invariants, enforced at the
-    generator and integrator boundaries: Hermitian symmetry (realness) and a
-    zero mean mode (coeffs[0, 0] == 0).
+    ``coeffs`` is a read-only complex128 array of shape (M, M) in FFT
+    layout.  A read-only complex128 ndarray that owns its data is kept as it
+    is (this module's constructors hand over fresh arrays that way); any
+    other input is copied, so writing to the caller's array later leaves the
+    field unchanged.  Fields used by the dynamics satisfy two invariants,
+    enforced at the generator and integrator boundaries: Hermitian symmetry
+    (realness) and a zero mean mode (coeffs[0, 0] == 0).
     """
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=np.complex128)
+        c = self.coeffs
+        if not (
+            type(c) is np.ndarray
+            and c.dtype == np.complex128
+            and c.base is None
+            and not c.flags.writeable
+        ):
+            c = np.array(c, dtype=np.complex128)
+            c.setflags(write=False)
         m = self.grid.size
         if c.shape != (m, m):
             raise ValueError(f"coefficient shape {c.shape} does not match grid size {m}")
-        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     # -- difference, negation and scaling -------------------------------
@@ -75,9 +89,16 @@ class SpectralField:
 
     def hermitian_defect(self) -> float:
         """Max |f_hat(-k) - conj(f_hat(k))| over all modes."""
-        t = tables(self.grid)
-        mirror = np.conj(self.coeffs[np.ix_(t.negate, t.negate)])
-        return float(np.max(np.abs(self.coeffs - mirror)))
+        c = self.coeffs
+        # f_hat(-k) in FFT layout: index 0 stays, indices 1 .. M-1 reverse
+        mirror = np.empty_like(c)
+        mirror[0, 0] = c[0, 0]
+        mirror[0, 1:] = c[0, :0:-1]
+        mirror[1:, 0] = c[:0:-1, 0]
+        mirror[1:, 1:] = c[:0:-1, :0:-1]
+        np.conjugate(mirror, out=mirror)
+        np.subtract(c, mirror, out=mirror)
+        return float(np.max(np.abs(mirror)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +138,12 @@ def _field(w: np.ndarray) -> SpectralField:
     neg = tables(grid).negate
     c = np.empty((m, m), dtype=np.complex128)
     c[:, : h + 1] = w
-    c[:, h + 1 :] = np.conj(w[neg, h - 1 : 0 : -1])
+    # column -k2 of row k1 is conj(w[-k1, k2]); -k1 reverses rows 1 .. M-1
+    np.conjugate(w[0, h - 1 : 0 : -1], out=c[0, h + 1 :])
+    np.conjugate(w[:0:-1, h - 1 : 0 : -1], out=c[1:, h + 1 :])
     for j in (0, h):
         c[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
+    c.setflags(write=False)  # fresh and read-only: the field keeps it uncopied
     return SpectralField(grid, c)
 
 
@@ -235,18 +259,33 @@ def values_oversampled(f: SpectralField) -> np.ndarray:
     (2M, M+1) pad.  The unpaired Nyquist mode is split evenly between +M/2
     and -M/2 so the refined field stays real: the k1 = M/2 row is halved at
     rows M/2 and 3M/2, the k2 = M/2 column is halved, and the corner gets a
-    quarter in each place.
+    quarter in each place.  The result is a fresh array the caller owns.
     """
     return _oversample_half(_half(f))
 
 
+@lru_cache(maxsize=8)
+def _oversample_pad(m: int) -> np.ndarray:
+    """The (2M, M/2+1) row pad of :func:`_oversample_half`, one per grid
+    size.  Every call rewrites its M+1 data rows; the rows M/2+1 .. 3M/2-1
+    between them stay zero (only the halving of column M/2 touches them).
+    It is shared by every call in the process, so oversampled evaluations
+    must not run concurrently in threads (parallel sweeps use processes)."""
+    return np.zeros((2 * m, m // 2 + 1), dtype=np.complex128)
+
+
 def _oversample_half(half: np.ndarray) -> np.ndarray:
     """:func:`values_oversampled` of the field whose rfft2 half spectrum
-    (M, M/2+1) is ``half``."""
+    (M, M/2+1) is ``half``.
+
+    ``irfft2`` gets no ``out=``: numpy's irfft2 (2.4 included) calls
+    irfftn with ``out=None`` and drops the argument, so a buffer passed
+    there stays untouched and the result is always a fresh array.
+    """
     m = half.shape[0]
     mf = 2 * m
     h = m // 2
-    big = np.zeros((mf, h + 1), dtype=np.complex128)
+    big = _oversample_pad(m)
     # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1
     big[: h + 1] = half[: h + 1]
     big[mf - h :] = half[h:]

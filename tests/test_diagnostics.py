@@ -237,10 +237,12 @@ class TestInequalityRatios:
 
     def test_sequence_of_p_matches_single_p_bitwise(self):
         f = seeded(GridSpec(64), 14, sigma=3.0)
-        cz_ps = (4.0, 8.0, 16.0, 64.0)
-        gn_ps = (2.0, 4.0, 8.0, 64.0)
-        assert cz_ratio(f, cz_ps) == tuple(cz_ratio(f, p) for p in cz_ps)
-        assert gagliardo_ratio(f, gn_ps) == tuple(gagliardo_ratio(f, p) for p in gn_ps)
+        for cz_ps, gn_ps in [
+            ((4.0, 8.0, 16.0, 64.0), (2.0, 4.0, 8.0, 64.0)),
+            ((64.0, 4.0, 2.5, 8.0, 3.0, 16.0), (64.0, 2.0, 3.0, 8.0, 2.0)),  # unsorted, mixed
+        ]:
+            assert cz_ratio(f, cz_ps) == tuple(cz_ratio(f, p) for p in cz_ps)
+            assert gagliardo_ratio(f, gn_ps) == tuple(gagliardo_ratio(f, p) for p in gn_ps)
         assert cz_ratio(f, [8.0]) == (cz_ratio(f, 8.0),)
         assert isinstance(cz_ratio(f, 8.0), float)
         assert isinstance(gagliardo_ratio(f, 8.0), float)
@@ -312,10 +314,36 @@ class TestInequalityRatios:
         ps = (1.0, 2.0, 2.5, 4.0, 8.0, 64.0)
         vmax = float(np.max(a))
         h2 = (TWO_PI / 64) ** 2
-        want = tuple(vmax * float(np.sum((a / vmax) ** p * h2)) ** (1.0 / p) for p in ps)
-        assert diagnostics._oversampled_lp(a, 32, ps) == want
+
+        def oracle(p):
+            if p in (1.0, 2.0, 4.0, 8.0, 64.0):  # powers of two: repeated squaring
+                b = a / vmax
+                for _ in range(int(math.log2(p))):
+                    b = b * b
+                return vmax * (h2 * float(np.sum(b))) ** (1.0 / p)
+            return vmax * float(np.sum((a / vmax) ** p * h2)) ** (1.0 / p)
+
+        want = tuple(oracle(p) for p in ps)
+        assert diagnostics._oversampled_lp(a, 32, ps, np.empty_like(a)) == want
         assert np.array_equal(a, before)
-        assert diagnostics._oversampled_lp(np.zeros((64, 64)), 32, ps) == (0.0,) * len(ps)
+        zero = np.zeros((64, 64))
+        assert diagnostics._oversampled_lp(zero, 32, ps, np.empty_like(zero)) == (0.0,) * len(ps)
+
+    def test_unsorted_mixed_p_match_single_p_bitwise(self):
+        a = np.abs(np.random.default_rng(4).standard_normal((64, 64)))
+        ps = (64.0, 4.0, 2.5, 8.0, 3.0, 2.0)
+        buf = np.empty_like(a)
+        got = diagnostics._oversampled_lp(a, 32, ps, buf)
+        assert got == tuple(diagnostics._oversampled_lp(a, 32, (p,), buf)[0] for p in ps)
+
+    def test_ratios_leave_an_oversampled_array_unchanged(self):
+        f = seeded(GridSpec(32), 9, sigma=3.0)
+        fine = values_oversampled(f)
+        before = fine.copy()
+        cz_ratio(f, (4.0, 2.5))
+        gagliardo_ratio(f, (2.0, 3.0))
+        lp_norm(f, 4.0)
+        assert np.array_equal(fine, before)
 
     def test_ratios_bounded_on_seeded_family(self):
         g = GridSpec(64)

@@ -19,6 +19,7 @@ from voigt2d import (
     zero_mean,
 )
 from voigt2d.grid import tables
+from voigt2d.spectral import _field, _half
 from voigt2d.initial_data import make_random_sobolev
 
 
@@ -154,8 +155,31 @@ class TestTransforms:
     def test_constructor_does_not_freeze_callers_array(self):
         g = grid32()
         c = np.zeros((32, 32), dtype=complex)
-        SpectralField(g, c)
+        f = SpectralField(g, c)
         c[0, 0] = 5.0  # caller's buffer must stay writable
+        assert f.coeffs[0, 0] == 0.0  # and writing it leaves the field unchanged
+        assert not np.shares_memory(f.coeffs, c)
+
+    def test_field_does_not_alias_half_spectrum(self):
+        g = grid32()
+        w = seeded(g, 5).coeffs[:, :17].copy()
+        f = _field(w)
+        assert not np.shares_memory(f.coeffs, w)
+        assert not f.coeffs.flags.writeable
+        w[3, 4] = 9.0
+        assert f.coeffs[3, 4] != 9.0
+
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    def test_hermitian_defect_matches_gather_oracle(self, m):
+        g = GridSpec(m)
+        rng = np.random.default_rng(m + 3)
+        c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        f = SpectralField(g, c)
+        neg = tables(g).negate
+        want = float(np.max(np.abs(f.coeffs - np.conj(f.coeffs[np.ix_(neg, neg)]))))
+        assert want > 0.0
+        assert f.hermitian_defect() == want
+        assert _field(_half(f)).hermitian_defect() == 0.0
 
     def test_float_input_becomes_complex_copy(self):
         g = grid32()
@@ -319,6 +343,19 @@ class TestOversampling:
         assert np.max(np.abs(fine - direct.real)) < 1e-12
         assert np.max(np.abs(fine[::2, ::2] - values)) < 1e-12
 
+    @staticmethod
+    def wide_pad_oracle(f: SpectralField) -> np.ndarray:
+        """The oversampled values from a fresh (2M, M+1) pad of the half spectrum."""
+        m = f.grid.size
+        half, mf = m // 2, 2 * m
+        big = np.zeros((mf, m + 1), dtype=complex)
+        big[: half + 1, : half + 1] = f.coeffs[: half + 1, : half + 1]
+        big[mf - half :, : half + 1] = f.coeffs[half:, : half + 1]
+        big[half] *= 0.5
+        big[mf - half] *= 0.5
+        big[:, half] *= 0.5
+        return np.fft.irfft2(big, s=(mf, mf)) * mf**2
+
     @pytest.mark.parametrize("m", [8, 10, 16, 64])
     def test_matches_wide_pad(self, m):
         # the (2M, M/2+1) row pad, whose columns irfft2 pads itself, equals
@@ -327,14 +364,20 @@ class TestOversampling:
         f = forward_transform(np.random.default_rng(m + 1).standard_normal((m, m)), g)
         assert np.all(np.abs(f.coeffs[m // 2, :]) > 0)
         assert np.all(np.abs(f.coeffs[:, m // 2]) > 0)
-        half, mf = m // 2, 2 * m
-        big = np.zeros((mf, m + 1), dtype=complex)
-        big[: half + 1, : half + 1] = f.coeffs[: half + 1, : half + 1]
-        big[mf - half :, : half + 1] = f.coeffs[half:, : half + 1]
-        big[half] *= 0.5
-        big[mf - half] *= 0.5
-        big[:, half] *= 0.5
-        assert np.array_equal(values_oversampled(f), np.fft.irfft2(big, s=(mf, mf)) * mf**2)
+        assert np.array_equal(values_oversampled(f), self.wide_pad_oracle(f))
+
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    def test_cached_pad_stays_clean_between_fields(self, m):
+        # two different fields back to back on one grid: the reused row pad
+        # carries nothing of the first into the second
+        g = GridSpec(m)
+        rng = np.random.default_rng(m + 2)
+        f, h = (forward_transform(rng.standard_normal((m, m)), g) for _ in range(2))
+        first = values_oversampled(f)
+        second = values_oversampled(h)
+        assert np.array_equal(first, self.wide_pad_oracle(f))
+        assert np.array_equal(second, self.wide_pad_oracle(h))
+        assert np.array_equal(values_oversampled(f), first)
 
     def test_divergence_alias(self):
         g = grid32()
