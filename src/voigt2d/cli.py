@@ -36,7 +36,7 @@ from .diagnostics import (
 from .dynamics import BlowUpError, integrate
 from .harness import ConvergenceReport, fit_rate, run_sweep
 from .initial_data import realize
-from .snapshots import SnapshotError, read_snapshot, snapshot_of, write_snapshot
+from .snapshots import SnapshotError, _encode, read_snapshot, snapshot_of, write_snapshot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,8 +150,10 @@ def cmd_diagnose(
     gagliardo: tuple[float, ...],
 ) -> int:
     snap = read_snapshot(snapshot_path)
-    with open(snapshot_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    # the file's bytes, as the round trip is bit-exact, without reading it again
+    digest = hashlib.sha256()
+    for part in _encode(snap):
+        digest.update(part)
     try:
         omega = snap.field()
         state = sample_state(omega, snap.alpha)
@@ -160,7 +162,7 @@ def cmd_diagnose(
 
     lines = [
         f"# voigt2d {__version__}",
-        f"# snapshot sha256 {digest}",
+        f"# snapshot sha256 {digest.hexdigest()}",
         "quantity,value",
         f"time,{snap.time!r}",
         f"alpha,{snap.alpha!r}",

@@ -1,14 +1,17 @@
 """Norms, conserved quantities, and inequality diagnostics.
 
-sample_state returns the per-record dict of TrajectoryRecord.diagnostics;
-lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
-oversampled grid, and each ratio evaluates a whole sequence of p on one
-oversampled field: gagliardo_ratio on |f|, cz_ratio on |grad u|, which it
-builds from three oversampled transforms of omega's half spectrum.  The
-quadrature raises each p in one scratch buffer (cz_ratio's last gradient
-plane, else a 2M x 2M buffer cached per grid size, shared by every call in
-the process, so not for concurrent threads), and takes a power of two p by
-repeated squaring in place.
+sample_state returns the per-record dict of TrajectoryRecord.diagnostics,
+every invariant a weighted sum of |omega_hat|^2; lp_norm, cz_ratio and
+gagliardo_ratio share one L^p quadrature on the 2x oversampled grid, and
+each ratio evaluates a whole sequence of p on one oversampled field:
+gagliardo_ratio on |f|, cz_ratio on |grad u|, which it builds from three
+oversampled transforms of omega's half spectrum.  The oversampled values
+and the scratch buffer in which the quadrature raises each p are the two
+2M x 2M planes of the spectral oversampling workspace, one per grid size,
+shared by every call in the process, so not for concurrent threads; a
+power of two p is taken by repeated squaring in place.  The collocation sup
+of the last field asked for is kept, so sample_state and cz_ratio of one
+field transform it once.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from .grid import TWO_PI, tables
 from .spectral import (
     SpectralField,
     VelocityPair,
+    _half,
     _oversample_half,
+    _oversampling,
+    _require_zero_mean,
     biot_savart,
-    inverse_laplacian,
     inverse_transform,
-    values_oversampled,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,25 +74,29 @@ def lp_norm(f: SpectralField, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if p == np.inf:
-        return float(np.max(np.abs(inverse_transform(f))))
+        return _sup(f)
     return _abs_lp(f, (p,))[0]
 
 
-@lru_cache(maxsize=8)
-def _power_buffer(m: int) -> np.ndarray:
-    """The 2M x 2M scratch buffer of :func:`_abs_lp`, one per grid size.
+@lru_cache(maxsize=1)
+def _sup(f: SpectralField) -> float:
+    """Max |collocation value| of f, kept for the last field asked for.
 
-    Every call in the process shares it, so lp_norm and gagliardo_ratio
-    must not run concurrently in threads (parallel sweeps use processes).
+    Fields are immutable and hash by identity, so a second call on one
+    field (sample_state, then cz_ratio) takes no second transform.
     """
-    return np.empty((2 * m, 2 * m))
+    values = inverse_transform(f)
+    return float(np.max(np.abs(values, out=values)))
 
 
 def _abs_lp(f: SpectralField, ps: Sequence[float]) -> tuple[float, ...]:
-    """:func:`_oversampled_lp` of |f| on the 2x oversampled grid."""
-    a = values_oversampled(f)
+    """:func:`_oversampled_lp` of |f| on the 2x oversampled grid, in the
+    two planes of the oversampling workspace."""
+    m = f.grid.size
+    a, buf = _oversampling(m).planes
+    _oversample_half(_half(f), a)
     np.abs(a, out=a)
-    return _oversampled_lp(a, f.grid.size, ps, _power_buffer(f.grid.size))
+    return _oversampled_lp(a, m, ps, buf)
 
 
 def _oversampled_lp(
@@ -165,13 +173,28 @@ def voigt_enstrophy(omega: SpectralField, alpha: float) -> float:
 
 def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     """Squared L2 norms of velocity and vorticity, their voigt_* variants
-    with the extra alpha|k|^2 weight, and the collocation sup of omega."""
-    u = biot_savart(omega)
+    with the extra alpha|k|^2 weight, and the collocation sup of omega.
+
+    All four sums weight |omega_hat|^2: for u = biot_savart(omega),
+    |u1_hat|^2 + |u2_hat|^2 = (d1^2 + d2^2) / |k|^4 |omega_hat|^2 with the
+    Nyquist-zeroed d tables, so no velocity field is built.  The sup is
+    that of lp_norm(omega, inf), which keeps it for a later cz_ratio.  The
+    whole process shares that kept value, as it shares the ratios'
+    oversampling workspace, so these diagnostics are not for concurrent
+    threads.
+    """
+    _require_zero_mean(omega)  # as biot_savart(omega) would
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    t = tables(omega.grid)
+    w = 1.0 + alpha * t.ksq
+    omega_sq = np.abs(omega.coeffs) ** 2
+    u_sq = (t.d1**2 + t.d2**2) * t.inv_ksq**2 * omega_sq
     return {
-        "energy": voigt_energy(u, 0.0),
-        "enstrophy": voigt_enstrophy(omega, 0.0),
-        "voigt_energy": voigt_energy(u, alpha),
-        "voigt_enstrophy": voigt_enstrophy(omega, alpha),
+        "energy": float(TWO_PI**2 * np.sum(u_sq)),
+        "enstrophy": float(TWO_PI**2 * np.sum(omega_sq)),
+        "voigt_energy": float(TWO_PI**2 * np.sum(w * u_sq)),
+        "voigt_enstrophy": float(TWO_PI**2 * np.sum(w * omega_sq)),
         "omega_sup": lp_norm(omega, np.inf),
     }
 
@@ -212,16 +235,18 @@ def cz_ratio(
     sup = lp_norm(omega, np.inf)
     if sup == 0.0:
         raise ValueError(f"cz_ratio_p{ps[0]:g}: cz_ratio is undefined for the zero field")
+    _require_zero_mean(omega)  # as inverse_laplacian(omega) would
     m = omega.grid.size
     h = m // 2 + 1
     t = tables(omega.grid)
     d1, d2 = t.d1[:, :h], t.d2[:, :h]
-    psi = inverse_laplacian(omega).coeffs[:, :h]  # rejects a nonzero mean
-    mag = _oversample_half(d1 * d2 * psi)  # d1 u1, whose square counts twice
+    psi = -t.inv_ksq[:, :h] * _half(omega)
+    mag, v = _oversampling(m).planes
+    _oversample_half(d1 * d2 * psi, mag)  # d1 u1, whose square counts twice
     mag *= mag
     mag *= 2.0
     for grad in (d2 * d2 * psi, -d1 * d1 * psi):  # d2 u1, d1 u2
-        v = _oversample_half(grad)
+        _oversample_half(grad, v)
         mag += np.multiply(v, v, out=v)
     np.sqrt(mag, out=mag)
     norms = _oversampled_lp(mag, m, ps, v)  # the last gradient plane is scratch

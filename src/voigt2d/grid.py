@@ -59,19 +59,21 @@ class _Tables:
     All arrays are read-only.  ``k1``/``k2`` are the raw integer
     wave-numbers; ``d1``/``d2`` are the derivative factors with the
     unpaired Nyquist mode k_j = M/2 zeroed (it carries no usable phase
-    information for odd derivatives on an even grid).
+    information for odd derivatives on an even grid).  These four are
+    M x M broadcast views of one 1D vector each, so they hold no M x M
+    memory of their own.
     """
 
     def __init__(self, grid: GridSpec) -> None:
         m = grid.size
         k = np.fft.fftfreq(m, d=1.0 / m)  # [0, 1, ..., M/2-1, -M/2, ..., -1]
-        self.k1 = k[:, None] * np.ones((1, m))
-        self.k2 = np.ones((m, 1)) * k[None, :]
+        self.k1 = np.broadcast_to(k[:, None], (m, m))
+        self.k2 = np.broadcast_to(k[None, :], (m, m))
         self.ksq = self.k1**2 + self.k2**2
         d = k.copy()
         d[m // 2] = 0.0
-        self.d1 = d[:, None] * np.ones((1, m))
-        self.d2 = np.ones((m, 1)) * d[None, :]
+        self.d1 = np.broadcast_to(d[:, None], (m, m))
+        self.d2 = np.broadcast_to(d[None, :], (m, m))
         with np.errstate(divide="ignore"):
             inv = 1.0 / self.ksq
         inv[0, 0] = 0.0
@@ -80,10 +82,7 @@ class _Tables:
         self.dealias_mask = (np.abs(self.k1) <= cut) & (np.abs(self.k2) <= cut)
         # index that maps k -> -k in FFT layout, applied along both axes
         self.negate = (-np.arange(m)) % m
-        for arr in (
-            self.k1, self.k2, self.ksq, self.d1, self.d2,
-            self.inv_ksq, self.dealias_mask, self.negate,
-        ):
+        for arr in (self.ksq, self.inv_ksq, self.dealias_mask, self.negate):
             arr.setflags(write=False)
 
 

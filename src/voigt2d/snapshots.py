@@ -56,14 +56,20 @@ def snapshot_of(omega: SpectralField, time: float, alpha: float) -> Snapshot:
     return Snapshot(time=float(time), alpha=float(alpha), values=inverse_transform(omega))
 
 
-def write_snapshot(path: str, snap: Snapshot) -> None:
+def _encode(snap: Snapshot) -> tuple[bytes, np.ndarray]:
+    """The file's header and its payload (a C-contiguous little-endian
+    array whose buffer is the payload bytes).  For a snapshot read from a
+    file they are that file's bytes: the round trip is bit-exact."""
     m = snap.values.shape[0]
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, m, snap.time, snap.alpha)
     # stored x-fastest: transpose the [i1, i2] layout before flattening
-    payload = np.ascontiguousarray(snap.values.T, dtype="<f8").tobytes()
+    return header, np.ascontiguousarray(snap.values.T, dtype="<f8")
+
+
+def write_snapshot(path: str, snap: Snapshot) -> None:
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        for part in _encode(snap):
+            fh.write(part)
 
 
 def read_snapshot(path: str) -> Snapshot:
@@ -95,4 +101,5 @@ def read_snapshot(path: str) -> Snapshot:
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     values = flat.reshape(m, m).T.copy()
+    values.setflags(write=False)  # fresh and read-only: Snapshot keeps it uncopied
     return Snapshot(time=time, alpha=alpha, values=values)

@@ -12,10 +12,12 @@ its conversions :func:`_half` and :func:`_field` (the exact Hermitian
 mirror): :func:`forward_transform` is one rfft2 and the mirror, the
 stepper of :mod:`voigt2d.dynamics` runs on half spectra, and
 :func:`values_oversampled` pads the half spectrum's rows to 2M, shape
-(2M, M/2+1), and takes one irfft2, which zero-pads the columns itself.
-That row pad is allocated once per grid size and reused (only its M+1 data
-rows are rewritten), so oversampled evaluations share it and must not run
-concurrently in threads of one process.
+(2M, M/2+1), and takes the two 1D passes of an irfft2, which zero-pads the
+columns itself.  The row pad, the intermediate of the two passes and two
+2M x 2M value planes form one workspace per grid size, allocated once and
+reused (only the pad's M+1 data rows are rewritten); the diagnostics write
+their oversampled values into its planes.  Every oversampled evaluation of
+the process shares it, so they must not run concurrently in threads.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ValueError("forward_transform expects a real array")
     if not np.all(np.isfinite(values)):
         raise ValueError("forward_transform expects finite values")
-    return _field(np.fft.rfft2(values) / grid.size**2)
+    half = np.fft.rfft2(values)
+    half /= grid.size**2
+    return _field(half)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
@@ -212,13 +216,19 @@ def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs / (1.0 + alpha * tables(f.grid).ksq))
 
 
-def inverse_laplacian(f: SpectralField) -> SpectralField:
-    """Zero-mean solution of Laplacian(g) = f; requires zero-mean input."""
+def _require_zero_mean(f: SpectralField) -> None:
+    """The zero-mean check of :func:`inverse_laplacian`, for callers that
+    apply -1/|k|^2 to a part of the spectrum themselves."""
     scale = max(1.0, float(np.max(np.abs(f.coeffs))))
     if abs(f.mean_coefficient) > SYMMETRY_TOL * scale:
         raise ValueError(
             f"inverse_laplacian requires zero-mean input, mean mode is {f.mean_coefficient}"
         )
+
+
+def inverse_laplacian(f: SpectralField) -> SpectralField:
+    """Zero-mean solution of Laplacian(g) = f; requires zero-mean input."""
+    _require_zero_mean(f)
     t = tables(f.grid)
     out = -t.inv_ksq * f.coeffs
     return SpectralField(f.grid, out)
@@ -253,45 +263,69 @@ def values_oversampled(f: SpectralField) -> np.ndarray:
     """Evaluate the trigonometric interpolant on the 2M x 2M grid.
 
     Zero-pads the rows of the rfft2 half spectrum to 2M, giving shape
-    (2M, M/2+1), and takes one irfft2 with s = (2M, 2M).  Only columns
-    k2 = 0 .. M/2 hold data, and irfft2 zero-pads the last axis to M+1
-    columns itself, so the complex pass runs over half the columns of a
-    (2M, M+1) pad.  The unpaired Nyquist mode is split evenly between +M/2
-    and -M/2 so the refined field stays real: the k1 = M/2 row is halved at
-    rows M/2 and 3M/2, the k2 = M/2 column is halved, and the corner gets a
-    quarter in each place.  The result is a fresh array the caller owns.
+    (2M, M/2+1), and takes the two 1D passes of an irfft2 with
+    s = (2M, 2M).  Only columns k2 = 0 .. M/2 hold data, and the irfft
+    along k2 zero-pads them to M+1 columns itself, so the complex pass runs
+    over half the columns of a (2M, M+1) pad.  The unpaired Nyquist mode is
+    split evenly between +M/2 and -M/2 so the refined field stays real: the
+    k1 = M/2 row is halved at rows M/2 and 3M/2, the k2 = M/2 column is
+    halved, and the corner gets a quarter in each place.  The result is a
+    fresh array the caller owns; the pad and the intermediate are the
+    per-process workspace of :func:`_oversampling`, not for concurrent
+    threads.
     """
-    return _oversample_half(_half(f))
+    m = f.grid.size
+    return _oversample_half(_half(f), np.empty((2 * m, 2 * m)))
+
+
+class _Oversampling:
+    """The buffers of the 2x oversampled evaluation on one grid size.
+
+    Every call in the process shares them, so oversampled evaluations must
+    not run concurrently in threads (parallel sweeps use processes).
+    """
+
+    def __init__(self, m: int) -> None:
+        #: the (2M, M/2+1) row pad; every call rewrites its M+1 data rows,
+        #: and the rows M/2+1 .. 3M/2-1 between them stay zero (only the
+        #: halving of column M/2 touches them)
+        self.pad = np.zeros((2 * m, m // 2 + 1), dtype=np.complex128)
+        #: the pad after the complex pass along k1
+        self.rows = np.empty_like(self.pad)
+        #: two 2M x 2M value planes the diagnostics evaluate into
+        self.planes = np.empty((2, 2 * m, 2 * m))
 
 
 @lru_cache(maxsize=8)
-def _oversample_pad(m: int) -> np.ndarray:
-    """The (2M, M/2+1) row pad of :func:`_oversample_half`, one per grid
-    size.  Every call rewrites its M+1 data rows; the rows M/2+1 .. 3M/2-1
-    between them stay zero (only the halving of column M/2 touches them).
-    It is shared by every call in the process, so oversampled evaluations
-    must not run concurrently in threads (parallel sweeps use processes)."""
-    return np.zeros((2 * m, m // 2 + 1), dtype=np.complex128)
+def _oversampling(m: int) -> _Oversampling:
+    return _Oversampling(m)
 
 
-def _oversample_half(half: np.ndarray) -> np.ndarray:
+def _oversample_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """:func:`values_oversampled` of the field whose rfft2 half spectrum
-    (M, M/2+1) is ``half``.
+    (M, M/2+1) is ``half``, written into the 2M x 2M array ``out`` and
+    returned.
 
-    ``irfft2`` gets no ``out=``: numpy's irfft2 (2.4 included) calls
-    irfftn with ``out=None`` and drops the argument, so a buffer passed
-    there stays untouched and the result is always a fresh array.
+    It runs the two passes that numpy's irfft2 runs inside, an ifft along
+    k1 and an irfft with n = 2M along k2, each with ``out=`` (irfft2 itself
+    drops its ``out=``), so the values are bit for bit those of irfft2 and
+    no fresh array is made.  The pad and
+    the intermediate belong to the per-process workspace of
+    :func:`_oversampling`, not for concurrent threads; ``out`` may be one
+    of its planes.
     """
     m = half.shape[0]
     mf = 2 * m
     h = m // 2
-    big = _oversample_pad(m)
+    ws = _oversampling(m)
+    big = ws.pad
     # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1
     big[: h + 1] = half[: h + 1]
     big[mf - h :] = half[h:]
     big[h] *= 0.5
     big[mf - h] *= 0.5
     big[:, h] *= 0.5
-    out = np.fft.irfft2(big, s=(mf, mf))
+    np.fft.ifft(big, axis=0, out=ws.rows)
+    np.fft.irfft(ws.rows, n=mf, axis=1, out=out)
     out *= mf**2
     return out

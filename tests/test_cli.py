@@ -366,9 +366,10 @@ class TestDiagnose:
     def test_one_oversampled_field_per_ratio_input(self, tmp_path, capsys, monkeypatch):
         import voigt2d.cli as cli
         import voigt2d.diagnostics as diagnostics
+        import voigt2d.spectral as spectral
 
         calls = dict.fromkeys(
-            ["values_oversampled", "inverse_transform", "biot_savart", "irfft2"], 0
+            ["values_oversampled", "inverse_transform", "biot_savart", "irfft2", "irfft"], 0
         )
 
         def counting(name, inner):
@@ -378,12 +379,12 @@ class TestDiagnose:
 
             return wrapper
 
-        for name in ("values_oversampled", "inverse_transform"):
-            monkeypatch.setattr(diagnostics, name, counting(name, getattr(diagnostics, name)))
-        for module in (cli, diagnostics):
-            bs = counting("biot_savart", diagnostics.biot_savart)
-            monkeypatch.setattr(module, "biot_savart", bs, raising=False)
-        monkeypatch.setattr(np.fft, "irfft2", counting("irfft2", np.fft.irfft2))
+        for module in (cli, diagnostics, spectral):
+            for name in ("values_oversampled", "inverse_transform", "biot_savart"):
+                inner = getattr(spectral, name)
+                monkeypatch.setattr(module, name, counting(name, inner), raising=False)
+        for name in ("irfft2", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         g = GridSpec(32)
         path = tmp_path / "state.vfld"
         write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 3.0, 4, 10), 0.0, 0.0))
@@ -392,12 +393,35 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert sum(line.startswith(("cz_ratio_p", "gagliardo_ratio_p"))
                    for line in out.splitlines()) == 6
-        # three gradient components for cz plus omega for gagliardo; the
-        # sup of sample_state and of cz_ratio; sample_state's velocity only
-        assert calls["irfft2"] <= 4
-        assert calls["values_oversampled"] <= 1
-        assert calls["inverse_transform"] <= 2
-        assert calls["biot_savart"] <= 1
+        # 1-D irfft passes: three gradient components for cz plus omega for
+        # gagliardo; one sup shared by sample_state and cz_ratio; no velocity
+        assert calls["irfft"] <= 4
+        assert calls["irfft2"] == 0
+        assert calls["values_oversampled"] == 0
+        assert calls["inverse_transform"] <= 1
+        assert calls["biot_savart"] == 0
+
+    def test_hash_is_of_the_file_read_once(self, tmp_path, capsys, monkeypatch):
+        import builtins
+        import hashlib
+
+        g = GridSpec(32)
+        path = tmp_path / "state.vfld"
+        write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 3.0, 5, 10), 0.5, 1e-3))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert entry(["diagnose", str(path), "--cz", "4"]) == EXIT_OK
+        assert len(opened) == 1
+        lines = capsys.readouterr().out.splitlines()
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert f"# snapshot sha256 {want}" in lines
 
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
         g = GridSpec(16)

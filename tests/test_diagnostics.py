@@ -174,6 +174,35 @@ class TestConservedQuantities:
         assert s["voigt_enstrophy"] >= s["enstrophy"]
         assert s["omega_sup"] == pytest.approx(lp_norm(f, math.inf), rel=1e-13)
 
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3])
+    def test_sample_state_matches_biot_savart_oracle(self, m, alpha):
+        # white noise: every Nyquist coefficient nonzero, where the d tables
+        # and |k|^2 differ
+        g = GridSpec(m)
+        values = np.random.default_rng(m + 7).standard_normal((m, m))
+        omega = forward_transform(values - values.mean(), g)
+        assert np.all(np.abs(omega.coeffs[m // 2, 1:]) > 0)
+        assert np.all(np.abs(omega.coeffs[1:, m // 2]) > 0)
+        u = biot_savart(omega)
+        k = np.fft.fftfreq(m, d=1.0 / m)
+        w = 1.0 + alpha * (k[:, None] ** 2 + k[None, :] ** 2)
+
+        def energy(weight):
+            return TWO_PI**2 * sum(np.sum(weight * np.abs(c.coeffs) ** 2) for c in (u.u1, u.u2))
+
+        want = {
+            "energy": energy(1.0),
+            "enstrophy": TWO_PI**2 * np.sum(np.abs(omega.coeffs) ** 2),
+            "voigt_energy": energy(w),
+            "voigt_enstrophy": TWO_PI**2 * np.sum(w * np.abs(omega.coeffs) ** 2),
+            "omega_sup": np.max(np.abs(np.fft.ifft2(omega.coeffs).real * m * m)),
+        }
+        got = sample_state(omega, alpha)
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert abs(got[name] - value) <= 1e-14 * value, name
+
 
 class TestInequalityRatios:
     def test_cz_single_mode_decreasing_in_p(self):
@@ -252,9 +281,10 @@ class TestInequalityRatios:
         def fail(*args):
             raise AssertionError("transform called before every p was checked")
 
-        monkeypatch.setattr(diagnostics, "values_oversampled", fail)
         monkeypatch.setattr(diagnostics, "_oversample_half", fail)
         monkeypatch.setattr(diagnostics, "inverse_transform", fail)
+        for name in ("ifft", "irfft", "ifft2", "irfft2"):  # whatever the path
+            monkeypatch.setattr(np.fft, name, fail)
 
     def test_empty_sequence_computes_nothing(self, no_transforms):
         zero = SpectralField(GridSpec(32), np.zeros((32, 32), dtype=complex))
@@ -344,6 +374,54 @@ class TestInequalityRatios:
         gagliardo_ratio(f, (2.0, 3.0))
         lp_norm(f, 4.0)
         assert np.array_equal(fine, before)
+
+    def test_workspace_carries_nothing_between_calls(self):
+        # two grid sizes, interleaved, with values_oversampled in between:
+        # every result equals the value computed alone on a fresh workspace
+        f32, f64 = seeded(GridSpec(32), 21, sigma=3.0), seeded(GridSpec(64), 22, sigma=3.0)
+        calls = [
+            (cz_ratio, f64, (4.0, 2.5)), (gagliardo_ratio, f32, (2.0, 3.0)),
+            (values_oversampled, f32, None), (cz_ratio, f32, (4.0, 8.0)),
+            (gagliardo_ratio, f64, (2.0, 8.0)), (values_oversampled, f64, None),
+            (cz_ratio, f64, (4.0, 2.5)), (lp_norm, f32, 3.0),
+        ]
+
+        def run(fn, f, p):
+            return fn(f) if p is None else fn(f, p)
+
+        alone = []
+        for call in calls:
+            diagnostics._oversampling.cache_clear()
+            diagnostics._sup.cache_clear()
+            alone.append(run(*call))
+        held = values_oversampled(f32)
+        before = held.copy()
+        for call, want in zip(calls, alone):
+            got = run(*call)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+                assert not np.shares_memory(got, held)
+            else:
+                assert got == want
+        assert np.array_equal(held, before)
+
+    def test_sup_is_computed_once_per_field(self, monkeypatch):
+        count = []
+
+        original = diagnostics.inverse_transform
+
+        def counting(f):
+            count.append(f)
+            return original(f)
+
+        monkeypatch.setattr(diagnostics, "inverse_transform", counting)
+        f, h = seeded(GridSpec(32), 23), seeded(GridSpec(32), 24)
+        first = lp_norm(f, math.inf)
+        assert lp_norm(f, math.inf) == first
+        assert count == [f]
+        assert first == float(np.max(np.abs(original(f))))
+        assert lp_norm(h, math.inf) == float(np.max(np.abs(original(h))))
+        assert count == [f, h]
 
     def test_ratios_bounded_on_seeded_family(self):
         g = GridSpec(64)

@@ -62,6 +62,23 @@ class TestRoundtrip:
             read_snapshot(str(p)).values[0, 0] = 1.0
 
 
+    def test_read_copies_the_values_once(self, tmp_path):
+        # the file's bytes and one array of values, not a second copy
+        import tracemalloc
+
+        m = 128
+        p = tmp_path / "state.vfld"
+        write_snapshot(str(p), sample_snapshot(m))
+        tracemalloc.start()
+        try:
+            snap = read_snapshot(str(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not snap.values.flags.writeable
+        assert peak < 2.5 * 8 * m * m
+
+
 class TestLayout:
     def test_header_fields(self, tmp_path):
         p = tmp_path / "state.vfld"

@@ -19,7 +19,7 @@ from voigt2d import (
     zero_mean,
 )
 from voigt2d.grid import tables
-from voigt2d.spectral import _field, _half
+from voigt2d.spectral import _field, _half, _oversample_half
 from voigt2d.initial_data import make_random_sobolev
 
 
@@ -75,6 +75,28 @@ class TestGridSpec:
         t = tables(GridSpec(16))
         with pytest.raises(ValueError):
             t.ksq[0, 0] = 1.0
+
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    def test_wave_number_tables_are_read_only_views(self, m):
+        # k1, k2, d1, d2 are broadcasts of one vector each, equal to the
+        # full M x M arrays they replace
+        t = tables(GridSpec(m))
+        k = np.fft.fftfreq(m, d=1.0 / m)
+        d = k.copy()
+        d[m // 2] = 0.0
+        full = {
+            "k1": k[:, None] * np.ones((1, m)), "k2": np.ones((m, 1)) * k[None, :],
+            "d1": d[:, None] * np.ones((1, m)), "d2": np.ones((m, 1)) * d[None, :],
+        }
+        for name, want in full.items():
+            view = getattr(t, name)
+            assert view.shape == (m, m) and view.dtype == np.float64, name
+            assert np.array_equal(view, want), name
+            assert 0 in view.strides, name  # no M x M memory of its own
+            assert not view.flags.writeable, name
+            with pytest.raises(ValueError):
+                view[1, 1] = 7.0
+        assert np.array_equal(t.ksq, full["k1"] ** 2 + full["k2"] ** 2)
 
 
 class TestTransforms:
@@ -378,6 +400,26 @@ class TestOversampling:
         assert np.array_equal(first, self.wide_pad_oracle(f))
         assert np.array_equal(second, self.wide_pad_oracle(h))
         assert np.array_equal(values_oversampled(f), first)
+
+    @pytest.mark.parametrize("m", [8, 10, 16, 64])
+    def test_two_passes_match_irfft2(self, m):
+        # the row pad of the half spectrum through irfft2, against the two
+        # 1D passes into a caller's array
+        g = GridSpec(m)
+        f = forward_transform(np.random.default_rng(m + 3).standard_normal((m, m)), g)
+        assert np.all(np.abs(f.coeffs[m // 2, :]) > 0)
+        assert np.all(np.abs(f.coeffs[:, m // 2]) > 0)
+        half, mf = m // 2, 2 * m
+        pad = np.zeros((mf, half + 1), dtype=complex)
+        pad[: half + 1] = _half(f)[: half + 1]
+        pad[mf - half :] = _half(f)[half:]
+        pad[half] *= 0.5
+        pad[mf - half] *= 0.5
+        pad[:, half] *= 0.5
+        want = np.fft.irfft2(pad, s=(mf, mf)) * mf**2
+        out = np.full((mf, mf), np.nan)
+        assert _oversample_half(_half(f), out) is out
+        assert np.array_equal(out, want)
 
     def test_divergence_alias(self):
         g = grid32()
