@@ -1,7 +1,8 @@
 """Norms, conserved quantities, and inequality diagnostics.
 
-sample_state returns the per-record dict of TrajectoryRecord.diagnostics,
-every invariant a weighted sum of |omega_hat|^2; lp_norm, cz_ratio and
+Every velocity norm is a weight on |omega_hat|^2 (_velocity_weight), so
+sample_state, the per-record dict of TrajectoryRecord.diagnostics, and
+error_norms build no velocity field.  lp_norm, cz_ratio and
 gagliardo_ratio share one L^p quadrature on the 2x oversampled grid, and
 each ratio evaluates a whole sequence of p on one oversampled field:
 gagliardo_ratio on |f|, cz_ratio on |grad u|, which it builds from three
@@ -22,15 +23,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import TWO_PI, tables
+from .grid import TWO_PI, _Tables, tables
 from .spectral import (
     SpectralField,
-    VelocityPair,
     _half,
     _oversample_half,
     _oversampling,
+    _require_real,
     _require_zero_mean,
-    biot_savart,
     inverse_transform,
 )
 
@@ -75,6 +75,7 @@ def lp_norm(f: SpectralField, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if p == np.inf:
         return _sup(f)
+    _require_real(f)  # the oversampling reads the half spectrum only
     return _abs_lp(f, (p,))[0]
 
 
@@ -138,46 +139,32 @@ def _oversampled_lp(
     return tuple(norms)
 
 
-def velocity_l2(v: VelocityPair) -> float:
-    return float(np.sqrt(l2_norm(v.u1) ** 2 + l2_norm(v.u2) ** 2))
+def _velocity_weight(t: _Tables) -> np.ndarray:
+    """The weight (d1^2 + d2^2) / |k|^4 of the grid tables t:
+    |u1_hat|^2 + |u2_hat|^2 = weight * |omega_hat|^2 for u = biot_savart(omega),
+    with the Nyquist-zeroed d tables that derivative uses."""
+    return (t.d1**2 + t.d2**2) * t.inv_ksq**2
 
 
-def velocity_sobolev(v: VelocityPair, s: float) -> float:
-    return float(np.sqrt(sobolev_norm(v.u1, s) ** 2 + sobolev_norm(v.u2, s) ** 2))
+def _velocity_sobolev(omega: SpectralField, s: float) -> float:
+    """H^s norm, weight (1 + |k|^2)^s, of the velocity biot_savart(omega),
+    summed over both components, from omega alone."""
+    _require_zero_mean(omega)  # as biot_savart(omega) would
+    t = tables(omega.grid)
+    w = (1.0 + t.ksq) ** s * _velocity_weight(t)
+    return float(np.sqrt(TWO_PI**2 * np.sum(w * np.abs(omega.coeffs) ** 2)))
 
 
 # ---------------------------------------------------------------------------
 # conserved quantities
 
 
-def voigt_energy(v: VelocityPair, alpha: float) -> float:
-    """sum over components of (2pi)^2 sum_k (1 + alpha|k|^2) |u_hat|^2.
-
-    Conserved by the Voigt evolution; alpha = 0 gives the kinetic energy
-    conserved by Euler.
-    """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    w = 1.0 + alpha * tables(v.grid).ksq
-    total = np.sum(w * np.abs(v.u1.coeffs) ** 2) + np.sum(w * np.abs(v.u2.coeffs) ** 2)
-    return float(TWO_PI**2 * total)
-
-
-def voigt_enstrophy(omega: SpectralField, alpha: float) -> float:
-    """(2pi)^2 sum_k (1 + alpha|k|^2) |omega_hat|^2; enstrophy at alpha = 0."""
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    w = 1.0 + alpha * tables(omega.grid).ksq
-    return float(TWO_PI**2 * np.sum(w * np.abs(omega.coeffs) ** 2))
-
-
 def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     """Squared L2 norms of velocity and vorticity, their voigt_* variants
     with the extra alpha|k|^2 weight, and the collocation sup of omega.
 
-    All four sums weight |omega_hat|^2: for u = biot_savart(omega),
-    |u1_hat|^2 + |u2_hat|^2 = (d1^2 + d2^2) / |k|^4 |omega_hat|^2 with the
-    Nyquist-zeroed d tables, so no velocity field is built.  The sup is
+    All four sums weight |omega_hat|^2, the energies by
+    :func:`_velocity_weight`, so no velocity field is built.  The sup is
     that of lp_norm(omega, inf), which keeps it for a later cz_ratio.  The
     whole process shares that kept value, as it shares the ratios'
     oversampling workspace, so these diagnostics are not for concurrent
@@ -189,7 +176,7 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     t = tables(omega.grid)
     w = 1.0 + alpha * t.ksq
     omega_sq = np.abs(omega.coeffs) ** 2
-    u_sq = (t.d1**2 + t.d2**2) * t.inv_ksq**2 * omega_sq
+    u_sq = _velocity_weight(t) * omega_sq
     return {
         "energy": float(TWO_PI**2 * np.sum(u_sq)),
         "enstrophy": float(TWO_PI**2 * np.sum(omega_sq)),
@@ -288,8 +275,10 @@ def error_norms(a: "TrajectoryRecord", b: "TrajectoryRecord") -> dict[str, float
     """Sup-in-time discrepancy norms between two trajectories.
 
     Both records must carry snapshots on identical time grids and grids.
-    Velocities are reconstructed from vorticity via Biot-Savart.  Returns
-    sup_u_l2, sup_omega_l2, sup_u_h1.
+    Each norm is a weighted sum over the spectrum of the vorticity
+    difference d, the velocity ones by :func:`_velocity_weight` (the
+    velocity of d is biot_savart(d)), so no velocity field is built.
+    Returns sup_u_l2, sup_omega_l2, sup_u_h1.
     """
     if a.snapshots is None or b.snapshots is None:
         raise ValueError("error_norms requires records with snapshots")
@@ -305,7 +294,6 @@ def error_norms(a: "TrajectoryRecord", b: "TrajectoryRecord") -> dict[str, float
     for (_, wa), (_, wb) in zip(a.snapshots, b.snapshots):
         d = wa - wb
         sup_w = max(sup_w, l2_norm(d))
-        du = biot_savart(d)
-        sup_u = max(sup_u, velocity_l2(du))
-        sup_h1 = max(sup_h1, velocity_sobolev(du, 1.0))
+        sup_u = max(sup_u, _velocity_sobolev(d, 0.0))
+        sup_h1 = max(sup_h1, _velocity_sobolev(d, 1.0))
     return {"sup_u_l2": sup_u, "sup_omega_l2": sup_w, "sup_u_h1": sup_h1}

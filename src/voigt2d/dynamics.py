@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridSpec, tables
-from .spectral import SpectralField, _field, _half, dealias, zero_mean
+from .spectral import SpectralField, _field, _half, _require_real, dealias, zero_mean
 from .diagnostics import sample_state
 
 #: floor for the velocity scale in the CFL rule (guards the zero field)
@@ -295,11 +295,13 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
 
     The initial state is dealiased and mean-zeroed before stepping, which
     runs on its rfft2 half spectrum; records and snapshots see the full,
-    exactly Hermitian SpectralField of the state.  Raises :class:`BlowUpError` with the failure time if the state
-    stops being finite.
+    exactly Hermitian SpectralField of the state.  Raises
+    :class:`SymmetryError` if omega0 is not real and :class:`BlowUpError`
+    with the failure time if the state stops being finite.
     """
     if omega0.grid != config.grid:
         raise ValueError("initial data grid does not match config grid")
+    _require_real(omega0)  # the half spectrum would drop its non-real part
     w = _half(zero_mean(dealias(omega0)))
     omega = _field(w)
 

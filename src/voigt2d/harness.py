@@ -11,9 +11,9 @@ from itertools import repeat
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralField, _half, biot_savart
+from .spectral import SpectralField, _half
 from .dynamics import SolverConfig, TrajectoryRecord, cfl_dt, integrate
-from .diagnostics import error_norms, l2_norm, velocity_sobolev
+from .diagnostics import _velocity_sobolev, error_norms, l2_norm
 from .initial_data import DataRecipe, galerkin_truncate, realize
 
 REGIMES = ("smooth_s_ge_3", "smooth_2_lt_s_lt_3", "yudovich", "enstrophy_class")
@@ -293,21 +293,18 @@ def _truncation_checks(
          the Bernstein factor of the (1 + |k|^2)^s weight
       c) ||u^N - u||_{sbar,2} <= N^{sbar-s} ||u||_{s,2} for sbar in {0, 1}
     plus the vorticity corollary ||omega^N - omega||_2 <= N^{1-s}||u||_{s,2}.
+    Each velocity norm is taken from the vorticity, by _velocity_sobolev.
     """
-    u = biot_savart(base)
     base_n = galerkin_truncate(base, n)
-    un = biot_savart(base_n)
-    us = velocity_sobolev(u, s)
+    us = _velocity_sobolev(base, s)
     out: dict[str, float | bool] = {"n": n, "u_s_norm": us}
-    a_lhs = velocity_sobolev(un, s)
-    out["nest_a"] = a_lhs <= us
+    out["nest_a"] = _velocity_sobolev(base_n, s) <= us
     sp = s + 1.0
-    b_lhs = velocity_sobolev(un, sp)
+    b_lhs = _velocity_sobolev(base_n, sp)
     out["nest_b"] = b_lhs <= (1.0 + n * n) ** ((sp - s) / 2.0) * us
     d1 = base_n - base
-    du = biot_savart(d1)
     for sbar in (0.0, 1.0):
-        lhs = velocity_sobolev(du, sbar)
+        lhs = _velocity_sobolev(d1, sbar)
         out[f"nest_c_sbar{int(sbar)}"] = lhs <= n ** (sbar - s) * us
     out["omega_trunc_bound"] = l2_norm(d1) <= n ** (1.0 - s) * us
     return out

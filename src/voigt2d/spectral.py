@@ -173,15 +173,23 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Spectral coefficients -> collocation values (real array).
 
-    Raises :class:`SymmetryError` if the coefficients violate Hermitian
-    symmetry beyond 1e-12 relative, i.e. the field is not real.
+    Raises :class:`SymmetryError` if the field is not real (see
+    :func:`_require_real`).
     """
+    _require_real(f)
+    return np.fft.ifft2(f.coeffs).real * f.grid.size**2
+
+
+def _require_real(f: SpectralField) -> None:
+    """Raise :class:`SymmetryError` if the coefficients violate Hermitian
+    symmetry beyond 1e-12 relative, i.e. the field is not real.  A path
+    that reads only the half spectrum calls this first, since it would
+    otherwise take the Hermitian part of f without a word."""
     defect = f.hermitian_defect()
     if not defect <= SYMMETRY_TOL * max(1.0, float(np.max(np.abs(f.coeffs)))):
         raise SymmetryError(
             f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
         )
-    return np.fft.ifft2(f.coeffs).real * f.grid.size**2
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +280,9 @@ def values_oversampled(f: SpectralField) -> np.ndarray:
     halved, and the corner gets a quarter in each place.  The result is a
     fresh array the caller owns; the pad and the intermediate are the
     per-process workspace of :func:`_oversampling`, not for concurrent
-    threads.
+    threads.  Raises :class:`SymmetryError` if f is not real.
     """
+    _require_real(f)
     m = f.grid.size
     return _oversample_half(_half(f), np.empty((2 * m, 2 * m)))
 

@@ -9,6 +9,7 @@ from voigt2d import (
     GridSpec,
     SolverConfig,
     SpectralField,
+    SymmetryError,
     TrajectoryRecord,
     TWO_PI,
     biot_savart,
@@ -24,9 +25,6 @@ from voigt2d import (
     sample_state,
     sobolev_norm,
     values_oversampled,
-    velocity_l2,
-    voigt_energy,
-    voigt_enstrophy,
 )
 import voigt2d.diagnostics as diagnostics
 from voigt2d.initial_data import make_random_sobolev
@@ -104,6 +102,16 @@ class TestNorms:
         assert lp_norm(zero, 2.0) == 0.0
         assert lp_norm(zero, 4.0) == 0.0
 
+    def test_lp_rejects_non_real_field(self):
+        # two modes without conjugate partners: the half spectrum would
+        # silently keep only the field's Hermitian part
+        c = np.zeros((16, 16), dtype=complex)
+        c[1, 2] = c[2, 1] = 1.0
+        f = SpectralField(GridSpec(16), c)
+        for p in (1.0, 4.0, math.inf):
+            with pytest.raises(SymmetryError, match="not real"):
+                lp_norm(f, p)
+
     def test_lp_homogeneous(self):
         f = seeded(GridSpec(32), 4)
         for p in (1.0, 3.0, 7.5, math.inf):
@@ -131,37 +139,41 @@ class TestNorms:
 
 class TestConservedQuantities:
     def test_voigt_energy_alpha_zero_is_energy(self):
-        u = biot_savart(seeded(GridSpec(32), 8))
-        assert voigt_energy(u, 0.0) == pytest.approx(velocity_l2(u) ** 2, rel=1e-14)
+        s = sample_state(seeded(GridSpec(32), 8), 0.0)
+        assert s["voigt_energy"] == s["energy"]
 
     def test_voigt_energy_single_mode(self):
         # u = (0, sin x1): alpha = 1 doubles the |k|^2 = 1 contribution
-        u = biot_savart(cos_x1(GridSpec(32)))
-        assert voigt_energy(u, 1.0) == pytest.approx(4.0 * math.pi**2, rel=1e-13)
+        s = sample_state(cos_x1(GridSpec(32)), 1.0)
+        assert s["voigt_energy"] == pytest.approx(4.0 * math.pi**2, rel=1e-13)
 
     def test_voigt_enstrophy_single_mode(self):
         w = cos_x1(GridSpec(32))
-        assert voigt_enstrophy(w, 0.5) == pytest.approx(3.0 * math.pi**2, rel=1e-13)
-        assert voigt_enstrophy(w, 0.0) == pytest.approx(l2_norm(w) ** 2, rel=1e-14)
+        assert sample_state(w, 0.5)["voigt_enstrophy"] == pytest.approx(
+            3.0 * math.pi**2, rel=1e-13
+        )
+        assert sample_state(w, 0.0)["voigt_enstrophy"] == pytest.approx(
+            l2_norm(w) ** 2, rel=1e-14
+        )
 
     def test_voigt_quantities_dominate_plain(self):
         f = seeded(GridSpec(32), 9)
-        u = biot_savart(f)
         for alpha in (0.0, 0.01, 1.0):
-            assert voigt_energy(u, alpha) >= velocity_l2(u) ** 2 * (1 - 1e-15)
-            assert voigt_enstrophy(f, alpha) >= l2_norm(f) ** 2 * (1 - 1e-15)
+            s = sample_state(f, alpha)
+            assert s["voigt_energy"] >= s["energy"] * (1 - 1e-15)
+            assert s["voigt_enstrophy"] >= l2_norm(f) ** 2 * (1 - 1e-15)
 
     def test_voigt_quantities_reject_nan_alpha(self):
         f = seeded(GridSpec(32), 12)
         with pytest.raises(ValueError, match="alpha must be >= 0"):
-            voigt_energy(biot_savart(f), float("nan"))
-        with pytest.raises(ValueError, match="alpha must be >= 0"):
-            voigt_enstrophy(f, float("nan"))
+            sample_state(f, float("nan"))
 
     def test_voigt_energy_monotone_in_alpha(self):
-        u = biot_savart(seeded(GridSpec(32), 10))
-        values = [voigt_energy(u, a) for a in (0.0, 0.01, 0.1, 1.0)]
-        assert all(a < b for a, b in zip(values, values[1:]))
+        f = seeded(GridSpec(32), 10)
+        states = [sample_state(f, a) for a in (0.0, 0.01, 0.1, 1.0)]
+        for key in ("voigt_energy", "voigt_enstrophy"):
+            values = [s[key] for s in states]
+            assert all(a < b for a, b in zip(values, values[1:])), key
 
     def test_sample_state_fields(self):
         f = seeded(GridSpec(32), 11)
@@ -488,6 +500,40 @@ class TestErrorNorms:
         assert errs["sup_omega_l2"] == pytest.approx(sup_w, rel=1e-12)
         assert errs["sup_u_l2"] == pytest.approx(sup_u, rel=1e-12)
         assert errs["sup_u_h1"] == pytest.approx(sup_h1, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [16, 32, 64])
+    def test_matches_biot_savart_oracle(self, m):
+        # white noise: every Nyquist coefficient nonzero, where the d tables
+        # and |k|^2 differ
+        g = GridSpec(m)
+        rng = np.random.default_rng(m + 3)
+
+        def record(snapshots):
+            cfg = SolverConfig(grid=g, alpha=0.0, t_end=0.2, record_every=0.1)
+            return TrajectoryRecord(cfg, np.array([0.0, 0.1, 0.2]), {}, snapshots)
+
+        def noise():
+            values = rng.standard_normal((m, m))
+            return forward_transform(values - values.mean(), g)
+
+        times = (0.0, 0.1, 0.2)
+        a = record([(t, noise()) for t in times])
+        b = record([(t, noise()) for t in times])
+        sup_u = sup_w = sup_h1 = 0.0
+        for (_, wa), (_, wb) in zip(a.snapshots, b.snapshots):
+            d = wa - wb
+            assert np.all(np.abs(d.coeffs[m // 2, 1:]) > 0)
+            assert np.all(np.abs(d.coeffs[1:, m // 2]) > 0)
+            u = biot_savart(d)
+            sup_w = max(sup_w, l2_norm(d))
+            sup_u = max(sup_u, math.sqrt(l2_norm(u.u1) ** 2 + l2_norm(u.u2) ** 2))
+            sup_h1 = max(
+                sup_h1, math.sqrt(sobolev_norm(u.u1, 1.0) ** 2 + sobolev_norm(u.u2, 1.0) ** 2)
+            )
+        got = error_norms(a, b)
+        assert got["sup_omega_l2"] == sup_w
+        assert abs(got["sup_u_l2"] - sup_u) <= 1e-14 * sup_u
+        assert abs(got["sup_u_h1"] - sup_h1) <= 1e-14 * sup_h1
 
     def test_mismatched_grids_rejected(self):
         a, _ = small_pair()

@@ -10,6 +10,7 @@ from voigt2d import (
     GridSpec,
     SolverConfig,
     SpectralField,
+    SymmetryError,
     biot_savart,
     cfl_dt,
     dealias,
@@ -330,6 +331,16 @@ class TestIntegrate:
         rec = integrate(f, cfg)
         assert rec.times[-1] == 0.25
         assert len(rec.times) == 4  # 0, 0.1, 0.2, 0.25
+
+    def test_rejects_non_real_initial_data(self):
+        # two modes without conjugate partners: stepping the half spectrum
+        # would silently integrate only the field's Hermitian part
+        g = GridSpec(16)
+        c = np.zeros((16, 16), dtype=complex)
+        c[1, 2] = c[2, 1] = 1.0
+        cfg = SolverConfig(grid=g, alpha=0.0, t_end=0.1, record_every=0.1, dt=0.01)
+        with pytest.raises(SymmetryError, match="not real"):
+            integrate(SpectralField(g, c), cfg)
 
     def test_enstrophy_conserved_euler(self):
         g = GridSpec(64)

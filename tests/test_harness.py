@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 
 import pytest
 
@@ -18,11 +19,16 @@ from voigt2d import (
     galerkin_reference_sweep,
     integrate,
     make_eigenfunction,
+    biot_savart,
+    galerkin_truncate,
+    l2_norm,
+    make_random_sobolev,
     realize,
     run_sweep,
+    sobolev_norm,
     theoretical_slope,
 )
-from voigt2d import harness
+from voigt2d import harness, spectral
 from voigt2d.harness import ERROR_METRICS, SLOPE_TOL, _apply_verdicts
 
 ALPHAS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -205,6 +211,56 @@ class TestTruncationChecks:
         omega = make_eigenfunction(GridSpec(32), (1, 0))
         checks = harness._truncation_checks(omega, 1, 2.5)
         assert all(checks[k] for k in checks if k.startswith(("nest", "omega")))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("s", [2.25, 2.5, 2.75])
+    def test_matches_biot_savart_oracle(self, n, s):
+        # the checks with every velocity norm taken from u = biot_savart(.)
+        # and summed over both components
+        def velocity_sobolev(omega, order):
+            u = biot_savart(omega)
+            return math.sqrt(sobolev_norm(u.u1, order) ** 2 + sobolev_norm(u.u2, order) ** 2)
+
+        g = GridSpec(32)
+        base = make_random_sobolev(g, sigma=s, seed=n, band=8)
+        base_n = galerkin_truncate(base, n)
+        diff = base_n - base
+        us = velocity_sobolev(base, s)
+        sp = s + 1.0
+        want = {
+            "nest_a": velocity_sobolev(base_n, s) <= us,
+            "nest_b": velocity_sobolev(base_n, sp) <= (1.0 + n * n) ** ((sp - s) / 2.0) * us,
+            "nest_c_sbar0": velocity_sobolev(diff, 0.0) <= n ** (0.0 - s) * us,
+            "nest_c_sbar1": velocity_sobolev(diff, 1.0) <= n ** (1.0 - s) * us,
+            "omega_trunc_bound": l2_norm(diff) <= n ** (1.0 - s) * us,
+        }
+        got = harness._truncation_checks(base, n, s)
+        assert got["n"] == n
+        assert abs(got["u_s_norm"] - us) <= 1e-14 * us
+        assert {k: got[k] for k in want} == want
+
+
+class TestNoVelocityFields:
+    @pytest.mark.parametrize(
+        "plan", [small_plan, galerkin_plan], ids=["smooth_s_ge_3", "smooth_2_lt_s_lt_3"]
+    )
+    def test_serial_sweep_calls_no_biot_savart(self, monkeypatch, plan):
+        # patched in every voigt2d module that holds the name, as a tracer would
+        calls = []
+        original = spectral.biot_savart
+
+        def counted(omega):
+            calls.append(omega.grid)
+            return original(omega)
+
+        for name, module in list(sys.modules.items()):
+            if name == "voigt2d" or name.startswith("voigt2d."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        report = run_sweep(plan())
+        assert len(report.per_alpha) == 5
+        assert len(calls) == 0
 
 
 class TestRunPair:

@@ -322,6 +322,14 @@ class TestOversampling:
         expected = np.cos(x)[:, None] * np.ones(n)[None, :]
         assert np.max(np.abs(fine - expected)) < 1e-13
 
+    def test_rejects_non_real_field(self):
+        # two modes without conjugate partners: the half spectrum would
+        # silently keep only the field's Hermitian part
+        c = np.zeros((16, 16), dtype=complex)
+        c[1, 2] = c[2, 1] = 1.0
+        with pytest.raises(SymmetryError, match="not real"):
+            values_oversampled(SpectralField(GridSpec(16), c))
+
     def test_nyquist_split_keeps_field_real(self):
         g = GridSpec(16)
         c = np.zeros((16, 16), dtype=complex)
