@@ -29,7 +29,6 @@ from .spectral import (
     _half,
     _oversample_half,
     _oversampling,
-    _require_real,
     _require_zero_mean,
     inverse_transform,
 )
@@ -75,7 +74,6 @@ def lp_norm(f: SpectralField, p: float) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if p == np.inf:
         return _sup(f)
-    _require_real(f)  # the oversampling reads the half spectrum only
     return _abs_lp(f, (p,))[0]
 
 

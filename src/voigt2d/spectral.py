@@ -6,12 +6,14 @@ f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), stored as an M x M complex
 array in numpy FFT layout.  Parseval then reads
 integral |f|^2 dx = (2pi)^2 * sum_k |f_hat[k]|^2.
 
-This full layout is the one every public name takes and returns.  This
-module owns the rfft2 half spectrum coeffs[:, :M/2+1] of a real field and
-its conversions :func:`_half` and :func:`_field` (the exact Hermitian
-mirror): :func:`forward_transform` is one rfft2 and the mirror, the
-stepper of :mod:`voigt2d.dynamics` runs on half spectra, and
-:func:`values_oversampled` pads the half spectrum's rows to 2M, shape
+This full layout is the one every public name takes and returns.  A
+SpectralField is real by construction: its constructor rejects
+coefficients that are not Hermitian, so the half spectrum of any field is
+the whole of it.  This module owns the rfft2 half spectrum
+coeffs[:, :M/2+1] and its conversions :func:`_half` and :func:`_field`
+(the exact Hermitian mirror): :func:`forward_transform` is one rfft2 and
+the mirror, the stepper of :mod:`voigt2d.dynamics` runs on half spectra,
+and :func:`values_oversampled` pads the half spectrum's rows to 2M, shape
 (2M, M/2+1), and takes the two 1D passes of an irfft2, which zero-pads the
 columns itself.  The row pad, the intermediate of the two passes and two
 2M x 2M value planes form one workspace per grid size, allocated once and
@@ -45,9 +47,12 @@ class SpectralField:
     layout.  A read-only complex128 ndarray that owns its data is kept as it
     is (this module's constructors hand over fresh arrays that way); any
     other input is copied, so writing to the caller's array later leaves the
-    field unchanged.  Fields used by the dynamics satisfy two invariants,
-    enforced at the generator and integrator boundaries: Hermitian symmetry
-    (realness) and a zero mean mode (coeffs[0, 0] == 0).
+    field unchanged.  The field is real: the constructor raises
+    :class:`SymmetryError` if the coefficients violate Hermitian symmetry
+    beyond 1e-12 relative, so every half-spectrum reader may take it as
+    whole.  Fields used by the dynamics also have a zero mean mode
+    (coeffs[0, 0] == 0), enforced at the generator and integrator
+    boundaries.
     """
 
     grid: GridSpec
@@ -66,6 +71,11 @@ class SpectralField:
         m = self.grid.size
         if c.shape != (m, m):
             raise ValueError(f"coefficient shape {c.shape} does not match grid size {m}")
+        defect = _hermitian_defect(c)
+        if not defect <= SYMMETRY_TOL * max(1.0, float(np.max(np.abs(c)))):
+            raise SymmetryError(
+                f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
+            )
         object.__setattr__(self, "coeffs", c)
 
     # -- difference, negation and scaling -------------------------------
@@ -89,18 +99,18 @@ class SpectralField:
     def mean_coefficient(self) -> complex:
         return complex(self.coeffs[0, 0])
 
-    def hermitian_defect(self) -> float:
-        """Max |f_hat(-k) - conj(f_hat(k))| over all modes."""
-        c = self.coeffs
-        # f_hat(-k) in FFT layout: index 0 stays, indices 1 .. M-1 reverse
-        mirror = np.empty_like(c)
-        mirror[0, 0] = c[0, 0]
-        mirror[0, 1:] = c[0, :0:-1]
-        mirror[1:, 0] = c[:0:-1, 0]
-        mirror[1:, 1:] = c[:0:-1, :0:-1]
-        np.conjugate(mirror, out=mirror)
-        np.subtract(c, mirror, out=mirror)
-        return float(np.max(np.abs(mirror)))
+
+def _hermitian_defect(c: np.ndarray) -> float:
+    """Max |c(-k) - conj(c(k))| over all modes of the M x M array c."""
+    # c(-k) in FFT layout: index 0 stays, indices 1 .. M-1 reverse
+    mirror = np.empty_like(c)
+    mirror[0, 0] = c[0, 0]
+    mirror[0, 1:] = c[0, :0:-1]
+    mirror[1:, 0] = c[:0:-1, 0]
+    mirror[1:, 1:] = c[:0:-1, :0:-1]
+    np.conjugate(mirror, out=mirror)
+    np.subtract(c, mirror, out=mirror)
+    return float(np.max(np.abs(mirror)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +143,7 @@ def _field(w: np.ndarray) -> SpectralField:
     """The Hermitian SpectralField of half spectrum w.
 
     Mirrors the columns 0 < k2 < M/2 onto -k2 and symmetrizes the
-    self-conjugate columns k2 = 0 and M/2, so hermitian_defect() is 0.
+    self-conjugate columns k2 = 0 and M/2, so the Hermitian defect is 0.
     """
     grid = GridSpec(w.shape[0])
     m, h = grid.size, grid.size // 2
@@ -171,25 +181,8 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Spectral coefficients -> collocation values (real array).
-
-    Raises :class:`SymmetryError` if the field is not real (see
-    :func:`_require_real`).
-    """
-    _require_real(f)
+    """Spectral coefficients -> collocation values (real array)."""
     return np.fft.ifft2(f.coeffs).real * f.grid.size**2
-
-
-def _require_real(f: SpectralField) -> None:
-    """Raise :class:`SymmetryError` if the coefficients violate Hermitian
-    symmetry beyond 1e-12 relative, i.e. the field is not real.  A path
-    that reads only the half spectrum calls this first, since it would
-    otherwise take the Hermitian part of f without a word."""
-    defect = f.hermitian_defect()
-    if not defect <= SYMMETRY_TOL * max(1.0, float(np.max(np.abs(f.coeffs)))):
-        raise SymmetryError(
-            f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +222,7 @@ def _require_zero_mean(f: SpectralField) -> None:
     apply -1/|k|^2 to a part of the spectrum themselves."""
     scale = max(1.0, float(np.max(np.abs(f.coeffs))))
     if abs(f.mean_coefficient) > SYMMETRY_TOL * scale:
-        raise ValueError(
-            f"inverse_laplacian requires zero-mean input, mean mode is {f.mean_coefficient}"
-        )
+        raise ValueError(f"field must be zero-mean, mean mode is {f.mean_coefficient}")
 
 
 def inverse_laplacian(f: SpectralField) -> SpectralField:
@@ -280,9 +271,8 @@ def values_oversampled(f: SpectralField) -> np.ndarray:
     halved, and the corner gets a quarter in each place.  The result is a
     fresh array the caller owns; the pad and the intermediate are the
     per-process workspace of :func:`_oversampling`, not for concurrent
-    threads.  Raises :class:`SymmetryError` if f is not real.
+    threads.
     """
-    _require_real(f)
     m = f.grid.size
     return _oversample_half(_half(f), np.empty((2 * m, 2 * m)))
 

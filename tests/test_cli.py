@@ -507,6 +507,7 @@ class TestDiagnose:
         assert entry(["diagnose", str(path), "--cz", "4"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "state.vfld" in captured.err and "zero-mean" in captured.err
+        assert "inverse_laplacian" not in captured.err  # a function never called
         assert captured.out == ""
 
 

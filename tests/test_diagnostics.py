@@ -104,13 +104,13 @@ class TestNorms:
 
     def test_lp_rejects_non_real_field(self):
         # two modes without conjugate partners: the half spectrum would
-        # silently keep only the field's Hermitian part
+        # silently keep only the field's Hermitian part, so the field is
+        # rejected before lp_norm can read it
         c = np.zeros((16, 16), dtype=complex)
         c[1, 2] = c[2, 1] = 1.0
-        f = SpectralField(GridSpec(16), c)
         for p in (1.0, 4.0, math.inf):
             with pytest.raises(SymmetryError, match="not real"):
-                lp_norm(f, p)
+                lp_norm(SpectralField(GridSpec(16), c), p)
 
     def test_lp_homogeneous(self):
         f = seeded(GridSpec(32), 4)

@@ -24,7 +24,7 @@ from voigt2d import (
 )
 from voigt2d import dynamics
 from voigt2d.dynamics import _event_times, _schedule
-from voigt2d.spectral import _field, _half
+from voigt2d.spectral import _field, _half, _hermitian_defect
 from voigt2d.grid import tables
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
 
@@ -94,7 +94,7 @@ class TestHalfSpectrum:
         f = make_random_sobolev(g, sigma=2.5, seed=m, band=g.dealias_cutoff)
         want = full_layout_rhs(f, alpha).coeffs
         got = _field(rhs(_half(f), alpha))
-        assert got.hermitian_defect() == 0.0
+        assert _hermitian_defect(got.coeffs) == 0.0
         assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("m", [16, 32, 64])
@@ -140,7 +140,7 @@ class TestHalfSpectrum:
         rec = integrate(f, cfg)
         states = seen + [w for _, w in rec.snapshots]
         assert len(seen) == 4 and len(rec.snapshots) == 3
-        assert [w.hermitian_defect() for w in states] == [0.0] * len(states)
+        assert [_hermitian_defect(w.coeffs) for w in states] == [0.0] * len(states)
 
 
 class TestRightHandSides:
@@ -341,6 +341,37 @@ class TestIntegrate:
         cfg = SolverConfig(grid=g, alpha=0.0, t_end=0.1, record_every=0.1, dt=0.01)
         with pytest.raises(SymmetryError, match="not real"):
             integrate(SpectralField(g, c), cfg)
+
+    @pytest.mark.parametrize("m", [32, 64])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.1])
+    def test_amplitude_time_scaling_is_exact(self, m, alpha):
+        # Euler-Voigt is invariant under omega -> 2 omega, t -> t/2; scaling
+        # by a power of two is exact in floating point, so with dt, t_end and
+        # the record and snapshot spacing halved the run agrees bit for bit
+        g = GridSpec(m)
+        f = make_random_sobolev(g, sigma=2.5, seed=m, band=g.dealias_cutoff)
+        dt = 0.25 * g.spacing
+        base = SolverConfig(
+            grid=g, alpha=alpha, t_end=0.3, record_every=0.1, snapshot_every=0.15, dt=dt
+        )
+        fast = SolverConfig(
+            grid=g,
+            alpha=alpha,
+            t_end=0.15,
+            record_every=0.05,
+            snapshot_every=0.075,
+            dt=dt / 2,
+        )
+        a = integrate(f, base)
+        b = integrate(2.0 * f, fast)
+        assert np.array_equal(b.times, 0.5 * a.times)
+        assert np.array_equal(b.diagnostics["omega_sup"], 2.0 * a.diagnostics["omega_sup"])
+        for key in ("energy", "enstrophy", "voigt_energy", "voigt_enstrophy"):
+            assert np.array_equal(b.diagnostics[key], 4.0 * a.diagnostics[key]), key
+        assert len(a.snapshots) == len(b.snapshots) == 3
+        for (ta, wa), (tb, wb) in zip(a.snapshots, b.snapshots):
+            assert tb == 0.5 * ta
+            assert np.array_equal(wb.coeffs, 2.0 * wa.coeffs)
 
     def test_enstrophy_conserved_euler(self):
         g = GridSpec(64)

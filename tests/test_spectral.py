@@ -19,8 +19,14 @@ from voigt2d import (
     zero_mean,
 )
 from voigt2d.grid import tables
-from voigt2d.spectral import _field, _half, _oversample_half
-from voigt2d.initial_data import make_random_sobolev
+from voigt2d.spectral import _field, _half, _hermitian_defect, _oversample_half
+from voigt2d.initial_data import (
+    galerkin_truncate,
+    make_eigenfunction,
+    make_random_sobolev,
+    make_taylor_family,
+    make_yudovich_patch,
+)
 
 
 def divergence(u) -> np.ndarray:
@@ -138,7 +144,7 @@ class TestTransforms:
 
     def test_hermitian_symmetry_exact(self):
         f = seeded(grid32(), seed=3)
-        assert f.hermitian_defect() == 0.0
+        assert _hermitian_defect(f.coeffs) == 0.0
 
     @pytest.mark.parametrize("m", [8, 32, 64])
     def test_forward_matches_full_fft_reference(self, m):
@@ -150,7 +156,7 @@ class TestTransforms:
         want = 0.5 * (c + np.conj(c[np.ix_(neg, neg)]))
         f = forward_transform(values, g)
         assert np.max(np.abs(f.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
-        assert f.hermitian_defect() == 0.0
+        assert _hermitian_defect(f.coeffs) == 0.0
         assert f.mean_coefficient.imag == 0.0
         assert f.mean_coefficient.real == pytest.approx(values.mean(), rel=1e-14)
 
@@ -196,12 +202,11 @@ class TestTransforms:
         g = GridSpec(m)
         rng = np.random.default_rng(m + 3)
         c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        f = SpectralField(g, c)
         neg = tables(g).negate
-        want = float(np.max(np.abs(f.coeffs - np.conj(f.coeffs[np.ix_(neg, neg)]))))
+        want = float(np.max(np.abs(c - np.conj(c[np.ix_(neg, neg)]))))
         assert want > 0.0
-        assert f.hermitian_defect() == want
-        assert _field(_half(f)).hermitian_defect() == 0.0
+        assert _hermitian_defect(c) == want
+        assert _hermitian_defect(_field(c[:, : m // 2 + 1]).coeffs) == 0.0
 
     def test_float_input_becomes_complex_copy(self):
         g = grid32()
@@ -212,6 +217,66 @@ class TestTransforms:
         c[1, 0] = 7.0  # writing to the source leaves the field unchanged
         assert f.coeffs[1, 0] == 0.5
         assert not f.coeffs.flags.writeable
+
+
+def unpaired_modes() -> SpectralField:
+    c = np.zeros((16, 16), dtype=complex)
+    c[1, 2] = c[2, 1] = 1.0  # two modes without conjugate partners
+    return SpectralField(GridSpec(16), c)
+
+
+def complex_mean() -> SpectralField:
+    c = np.zeros((16, 16), dtype=complex)
+    c[0, 0] = 0.5 + 0.5j
+    return SpectralField(GridSpec(16), c)
+
+
+class TestRealness:
+    # every reader of the half spectrum would silently take the Hermitian
+    # part of a non-real field, so none may be constructed
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(unpaired_modes, id="unpaired_modes"),
+            pytest.param(complex_mean, id="complex_mean"),
+            pytest.param(lambda: seeded(grid32(), 9) * 1j, id="times_1j"),
+        ],
+    )
+    def test_constructor_rejects_non_real(self, make):
+        with pytest.raises(SymmetryError, match="not real"):
+            make()
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_every_field_made_is_exactly_hermitian(self, m):
+        # the constructor's check must never reject a field the package made
+        g = GridSpec(m)
+        rng = np.random.default_rng(m + 11)
+        made = forward_transform(rng.standard_normal((m, m)) + 0.3, g)
+        f = zero_mean(made)
+        h = m // 2
+        assert np.all(f.coeffs[h, :] != 0) and np.all(f.coeffs[:, h] != 0)
+        u = biot_savart(f)
+        fields = [
+            made,
+            f,
+            dealias(f),
+            helmholtz_filter(f, 0.1),
+            derivative(f, 1),
+            derivative(f, 2),
+            inverse_laplacian(f),
+            u.u1,
+            u.u2,
+            galerkin_truncate(f, m // 3),
+            f * 2.5,
+            0.3 * f,
+            f - seeded(g, 1),
+            -f,
+            make_eigenfunction(g, (1, 2), 1.5),
+            make_random_sobolev(g, sigma=2.0, seed=m, band=g.dealias_cutoff),
+            make_yudovich_patch(g, radius=1.0, seed=m),
+            make_taylor_family(g, mode=2, perturbation=0.1),
+        ]
+        assert [_hermitian_defect(x.coeffs) for x in fields] == [0.0] * len(fields)
 
 
 class TestCalculus:
