@@ -169,8 +169,8 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     threads.
     """
     _require_zero_mean(omega)  # as biot_savart(omega) would
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     t = tables(omega.grid)
     w = 1.0 + alpha * t.ksq
     omega_sq = np.abs(omega.coeffs) ** 2

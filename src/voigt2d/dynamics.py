@@ -4,7 +4,9 @@ Euler:        d_t omega + u . grad omega = 0
 Euler-Voigt:  d_t omega - alpha Lap d_t omega + u . grad omega = 0
 
 with u = biot_savart(omega).  Both are advanced as
-d_t omega = (I - alpha Lap)^{-1} (-u . grad omega), alpha = 0 giving Euler.
+d_t omega = (I - alpha Lap)^{-1} (-u . grad omega), alpha = 0 giving Euler,
+by a dealiased pseudo-spectral right-hand side that takes the advection
+term in Basdevant's form (1983): four real transforms per evaluation.
 """
 
 from __future__ import annotations
@@ -97,23 +99,35 @@ class TrajectoryRecord:
 # live columns 0 <= k2 <= floor(M/3) (Orszag's two-thirds rule) can be
 # nonzero: rhs and cfl_dt run their complex k1-axis passes over those alone,
 # and irfft zero-pads the rest.
+#
+# The advection term is taken in Basdevant's form (C. Basdevant, J. Comput.
+# Phys. 50 (1983) 209-214): for divergence-free u in 2-D,
+#     u . grad omega = (d1^2 - d2^2)(u1 u2) + d1 d2 (u2^2 - u1^2),
+# so rhs needs the values of u1 and u2 alone, two inverse transforms, and
+# the spectra of two products, two forward ones.  With dealiased products it
+# is the same Galerkin term as the convective form u1 d1 omega + u2 d2 omega.
 
 
 @lru_cache(maxsize=16)
 def _projection(grid: GridSpec, alpha: float) -> np.ndarray:
-    """-M^2 dealias_mask / (1 + alpha |k|^2) on the live columns, 0 at k = 0:
-    dealias, zero_mean and helmholtz_filter of an rfft2 output in one multiply."""
+    """(2, M, c) on the live columns: P (k2^2 - k1^2) and -P k1 k2, with
+    P = -M^2 dealias_mask / (1 + alpha |k|^2), 0 at k = 0.  Applied to the
+    rfft2 spectra of u1 u2 and u2^2 - u1^2 and summed, it gives the
+    dealiased, zero-mean, Helmholtz-filtered -u . grad omega in one multiply
+    and one add."""
     t = tables(grid)
     c = grid.dealias_cutoff + 1
-    out = -(grid.size**2) * t.dealias_mask[:, :c] / (1.0 + alpha * t.ksq[:, :c])
-    out[0, 0] = 0.0
+    k1, k2 = t.k1[:, :c], t.k2[:, :c]
+    p = -(grid.size**2) * t.dealias_mask[:, :c] / (1.0 + alpha * t.ksq[:, :c])
+    p[0, 0] = 0.0
+    out = p * np.stack([k2 * k2 - k1 * k1, -(k1 * k2)])
     out.setflags(write=False)
     return out
 
 
 class _Workspace:
-    """The fixed multiplier and preallocated buffers of rhs, step_rk4 and
-    cfl_dt on one grid.
+    """The fixed velocity multiplier and preallocated buffers of rhs,
+    step_rk4 and cfl_dt on one grid.
 
     Every call on the grid in this process shares them, so rhs, step_rk4
     and cfl_dt must not run concurrently on one grid (sweeps run in
@@ -126,18 +140,19 @@ class _Workspace:
         t = tables(grid)
         self.live = c
         #: on the live columns, the multipliers taking the half spectrum of
-        #: omega to those of u1, u2, d1 omega, d2 omega (u = biot_savart(omega)),
-        #: 0 outside the dealias square, so rhs(w) only ever sees dealias(w)
+        #: omega to those of u1, u2 (u = biot_savart(omega)), 0 outside the
+        #: dealias square, so rhs(w) only ever sees dealias(w)
         i_d1, i_d2, inv = 1j * t.d1[:, :c], 1j * t.d2[:, :c], t.inv_ksq[:, :c]
-        advection = np.stack([i_d2 * inv, -i_d1 * inv, i_d1, i_d2])
-        self.multiplier = np.where(t.dealias_mask[:, :c], advection, 0.0)
+        velocity = np.stack([i_d2 * inv, -i_d1 * inv])
+        self.multiplier = np.where(t.dealias_mask[:, :c], velocity, 0.0)
         self.multiplier.setflags(write=False)
-        #: spectra of u1, u2, d1 omega, d2 omega on the live columns
-        self.spectra = np.empty((4, m, c), dtype=np.complex128)
-        #: their grid values; u1 * d1 omega + u2 * d2 omega lands in planes[0]
+        #: spectra of u1, u2 on the live columns, then those of the products
+        self.spectra = np.empty((2, m, c), dtype=np.complex128)
+        #: grid values / M^2 of u1, u2 (planes[:2]) and of the products
+        #: u1 u2, u2^2 - u1^2 (planes[2:])
         self.planes = np.empty((4, m, m))
-        #: the advection term transformed along x2 only
-        self.half = np.empty((m, h), dtype=np.complex128)
+        #: the products transformed along x2 only
+        self.half = np.empty((2, m, h), dtype=np.complex128)
         #: RK4 stage input, current slope and running weighted slope sum
         self.stage = np.empty((m, h), dtype=np.complex128)
         self.slope = np.empty((m, h), dtype=np.complex128)
@@ -149,11 +164,11 @@ def _workspace(grid: GridSpec) -> _Workspace:
     return _Workspace(grid)
 
 
-def _live_values(ws: _Workspace, w: np.ndarray, rows: int) -> np.ndarray:
-    """ws.planes[:rows], set to the grid values / M^2 of the first ``rows``
-    of u1, u2, d1 omega, d2 omega for omega = dealias(w)."""
-    spectra, planes = ws.spectra[:rows], ws.planes[:rows]
-    np.multiply(ws.multiplier[:rows], w[:, : ws.live], out=spectra)
+def _live_values(ws: _Workspace, w: np.ndarray) -> np.ndarray:
+    """ws.planes[:2], set to the grid values / M^2 of u1, u2 for
+    omega = dealias(w)."""
+    spectra, planes = ws.spectra, ws.planes[:2]
+    np.multiply(ws.multiplier, w[:, : ws.live], out=spectra)
     np.fft.ifft(spectra, axis=1, out=spectra)
     np.fft.irfft(spectra, n=w.shape[0], axis=2, out=planes)
     return planes
@@ -174,31 +189,37 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     beyond the cutoff floor(M/3) are ignored, and on a dealiased ``w`` the
     masking multiplies by 1.0 and changes no bit.
 
-    The live columns k2 <= floor(M/3) of ``w`` times one fixed (4, M, c)
-    multiplier give the spectra of u1, u2, d1 omega, d2 omega; an ifft
+    The advection term is taken in Basdevant's form (1983),
+    (d1^2 - d2^2)(u1 u2) + d1 d2 (u2^2 - u1^2), which equals u . grad omega
+    for divergence-free u.  The live columns k2 <= floor(M/3) of ``w`` times
+    one fixed (2, M, c) multiplier give the spectra of u1 and u2; an ifft
     along k1 and an irfft along k2 their values; one rfft along x2 of
-    u1 d1 omega + u2 d2 omega and an fft along x1 of its live columns the
-    advection term, which one multiply by -M^2 / (1 + alpha |k|^2) on the
-    dealias square (zero at k = 0) projects.  The result is 0 outside the
-    live columns.  All intermediates live in a per-grid workspace; the
-    result is written into ``out`` if given (and returned), else into a
-    new array.  ``w`` is never written.
+    u1 u2 and u2^2 - u1^2 and an fft along k1 of its live columns their
+    spectra, which one multiply by the (2, M, c) :func:`_projection` and
+    one add turn into the result.  The result is 0 outside the live
+    columns.  All intermediates live in a per-grid workspace; the result is
+    written into ``out`` if given (and returned), else into a new array.
+    ``w`` is never written.  ``alpha`` must be finite and >= 0.
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     m = w.shape[0]
     grid = GridSpec(m)
     ws = _workspace(grid)
     c = ws.live
-    u1, u2, w1, w2 = _live_values(ws, w, 4)
-    np.multiply(u1, w1, out=u1)
-    np.multiply(u2, w2, out=u2)
-    np.add(u1, u2, out=u1)
-    np.fft.rfft(u1, axis=1, out=ws.half)
-    np.fft.fft(ws.half[:, :c], axis=0, out=ws.spectra[0])
+    u1, u2 = _live_values(ws, w)
+    cross, diff = ws.planes[2], ws.planes[3]
+    np.multiply(u1, u2, out=cross)
+    np.subtract(u2, u1, out=diff)
+    np.add(u2, u1, out=u1)
+    np.multiply(diff, u1, out=diff)  # u2^2 - u1^2 = (u2 - u1)(u2 + u1)
+    np.fft.rfft(ws.planes[2:], axis=2, out=ws.half)
+    spectra = ws.spectra
+    np.fft.fft(ws.half[:, :, :c], axis=1, out=spectra)
+    np.multiply(spectra, _projection(grid, alpha), out=spectra)
     if out is None:
-        out = np.empty_like(ws.half)
-    np.multiply(ws.spectra[0], _projection(grid, alpha), out=out[:, :c])
+        out = np.empty_like(ws.half[0])
+    np.add(spectra[0], spectra[1], out=out[:, :c])
     out[:, c:] = 0.0
     return out
 
@@ -245,13 +266,14 @@ def step_rk4(w: np.ndarray, dt: float, alpha: float) -> np.ndarray:
 def cfl_dt(w: np.ndarray, c_cfl: float) -> float:
     """Advective step c_cfl * (2pi/M) / max(component sup norms, floor) for
     the velocity of dealias(w), the one rhs(w) advects with, for an
-    (M, M/2+1) half spectrum w; from rhs's live-column pass on the rows u1
-    and u2 alone, in the grid's workspace.  ``w`` is not written."""
+    (M, M/2+1) half spectrum w; from the same live-column pass that gives
+    rhs its values of u1 and u2, in the grid's workspace.  ``w`` is not
+    written."""
     if not c_cfl > 0:
         raise ValueError(f"c_cfl must be positive, got {c_cfl}")
     m = w.shape[0]
     grid = GridSpec(m)
-    u = _live_values(_workspace(grid), w, 2)
+    u = _live_values(_workspace(grid), w)
     peak = max(float(u.max()), -float(u.min()))  # max |u| with no temporary
     umax = max(peak * m**2, CFL_VELOCITY_FLOOR)
     return c_cfl * grid.spacing / umax

@@ -50,9 +50,9 @@ class SpectralField:
     field unchanged.  The field is real: the constructor raises
     :class:`SymmetryError` if the coefficients violate Hermitian symmetry
     beyond 1e-12 relative, so every half-spectrum reader may take it as
-    whole.  Fields used by the dynamics also have a zero mean mode
-    (coeffs[0, 0] == 0), enforced at the generator and integrator
-    boundaries.
+    whole, and ValueError if any coefficient is not finite.  Fields used
+    by the dynamics also have a zero mean mode (coeffs[0, 0] == 0),
+    enforced at the generator and integrator boundaries.
     """
 
     grid: GridSpec
@@ -72,7 +72,11 @@ class SpectralField:
         if c.shape != (m, m):
             raise ValueError(f"coefficient shape {c.shape} does not match grid size {m}")
         defect = _hermitian_defect(c)
-        if not defect <= SYMMETRY_TOL * max(1.0, float(np.max(np.abs(c)))):
+        tol = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(c))))
+        # an infinite coefficient makes the tolerance infinite: rejected too
+        if not defect <= tol < np.inf:
+            if not np.all(np.isfinite(c)):
+                raise ValueError("coefficients must be finite")
             raise SymmetryError(
                 f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
             )
@@ -208,10 +212,11 @@ def derivative(f: SpectralField, axis: int) -> SpectralField:
 def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
     """Apply (I - alpha*Laplacian)^{-1}: divide mode k by 1 + alpha|k|^2.
 
-    alpha = 0 is the identity bit-for-bit; negative alpha is rejected.
+    alpha = 0 is the identity bit-for-bit; negative or non-finite alpha is
+    rejected.
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     if alpha == 0:
         return f
     return SpectralField(f.grid, f.coeffs / (1.0 + alpha * tables(f.grid).ksq))

@@ -165,8 +165,9 @@ class TestConservedQuantities:
 
     def test_voigt_quantities_reject_nan_alpha(self):
         f = seeded(GridSpec(32), 12)
-        with pytest.raises(ValueError, match="alpha must be >= 0"):
-            sample_state(f, float("nan"))
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                sample_state(f, alpha)
 
     def test_voigt_energy_monotone_in_alpha(self):
         f = seeded(GridSpec(32), 10)

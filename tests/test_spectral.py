@@ -246,6 +246,16 @@ class TestRealness:
         with pytest.raises(SymmetryError, match="not real"):
             make()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_constructor_rejects_non_finite(self, value):
+        # named as non-finite input, not as a symmetry violation; a lone
+        # infinite mode would also make the relative tolerance infinite
+        c = np.zeros((16, 16), dtype=complex)
+        c[1, 2] = value
+        with pytest.raises(ValueError, match="coefficients must be finite") as err:
+            SpectralField(GridSpec(16), c)
+        assert not isinstance(err.value, SymmetryError)
+
     @pytest.mark.parametrize("m", [16, 64])
     def test_every_field_made_is_exactly_hermitian(self, m):
         # the constructor's check must never reject a field the package made
@@ -321,7 +331,7 @@ class TestCalculus:
         assert np.array_equal(helmholtz_filter(f, 0.0).coeffs, f.coeffs)
 
     def test_helmholtz_negative_alpha_rejected(self):
-        for alpha in (-0.1, float("nan")):
+        for alpha in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be >= 0"):
                 helmholtz_filter(cos_x1(grid32()), alpha)
 
