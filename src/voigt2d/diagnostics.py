@@ -140,7 +140,7 @@ def _oversampled_lp(
 def _velocity_weight(t: _Tables) -> np.ndarray:
     """The weight (d1^2 + d2^2) / |k|^4 of the grid tables t:
     |u1_hat|^2 + |u2_hat|^2 = weight * |omega_hat|^2 for u = biot_savart(omega),
-    with the Nyquist-zeroed d tables that derivative uses."""
+    with the Nyquist-zeroed d tables that biot_savart uses."""
     return (t.d1**2 + t.d2**2) * t.inv_ksq**2
 
 
@@ -220,7 +220,7 @@ def cz_ratio(
     sup = lp_norm(omega, np.inf)
     if sup == 0.0:
         raise ValueError(f"cz_ratio_p{ps[0]:g}: cz_ratio is undefined for the zero field")
-    _require_zero_mean(omega)  # as inverse_laplacian(omega) would
+    _require_zero_mean(omega)  # as biot_savart(omega) would
     m = omega.grid.size
     h = m // 2 + 1
     t = tables(omega.grid)

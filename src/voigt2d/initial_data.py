@@ -91,7 +91,11 @@ def recipe_params(recipe: DataRecipe) -> dict:
 
 def check_params(kind: str, grid: GridSpec, p: Mapping) -> None:
     """Raise ValueError unless the typed parameters p of a kind make data
-    on grid; every generator calls this before it builds anything."""
+    on grid; every generator calls this before it builds anything.  Every
+    float parameter given must be finite."""
+    for name, value in p.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     cut = grid.dealias_cutoff
     if kind == "eigenfunction":
         k = (p["k1"], p["k2"])
@@ -128,7 +132,7 @@ def make_eigenfunction(
     the products untouched.
     """
     k1, k2 = int(k[0]), int(k[1])
-    check_params("eigenfunction", grid, {"k1": k1, "k2": k2})
+    check_params("eigenfunction", grid, {"k1": k1, "k2": k2, "amplitude": amplitude})
     m = grid.size
     c = np.zeros((m, m), dtype=np.complex128)
     c[k1 % m, k2 % m] = 0.5 * amplitude
@@ -162,7 +166,9 @@ def make_random_sobolev(
     The corresponding velocity gains one derivative, so choosing
     sigma slightly above s puts u in H^s.
     """
-    check_params("random_sobolev", grid, {"sigma": sigma, "band": band})
+    check_params(
+        "random_sobolev", grid, {"sigma": sigma, "band": band, "amplitude": amplitude}
+    )
     rng = np.random.default_rng(seed)
     m = grid.size
     c = np.zeros((m, m), dtype=np.complex128)
@@ -188,7 +194,8 @@ def make_yudovich_patch(
     lives on the grid, then dealiased, mean-zeroed, and scaled so the
     collocation sup norm equals ``amplitude``.
     """
-    check_params("yudovich_patch", grid, {"radius": radius, "smoothing": smoothing})
+    params = {"radius": radius, "smoothing": smoothing, "amplitude": amplitude}
+    check_params("yudovich_patch", grid, params)
     if smoothing is None:
         smoothing = 2.0 * grid.spacing
     rng = np.random.default_rng(seed)
@@ -211,7 +218,8 @@ def make_taylor_family(
     """Taylor-Green vortex array amplitude*cos(m x1)cos(m x2), optionally
     perturbed by a single cos((m+1) x1) mode to break steadiness."""
     m = int(mode)
-    check_params("taylor_family", grid, {"mode": m, "perturbation": perturbation})
+    params = {"mode": m, "perturbation": perturbation, "amplitude": amplitude}
+    check_params("taylor_family", grid, params)
     n = grid.size
     c = np.zeros((n, n), dtype=np.complex128)
     # cos(m x1) cos(m x2) = sum of quarter-amplitude modes at (+-m, +-m)

@@ -1,5 +1,8 @@
-"""Spectral fields, their transforms, and the linear operators the solver
-and the diagnostics use (the 2x oversampled evaluation included).
+"""Spectral fields, their transforms, the linear operators the solver and
+the diagnostics use (the 2x oversampled evaluation included), and
+:func:`biot_savart`, the velocity of a vorticity as two fields.  The solver
+and the diagnostics never build that velocity: they take every velocity
+quantity from omega's spectrum.
 
 Convention: a real field f on [0, 2pi)^2 is represented by coefficients
 f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), stored as an M x M complex
@@ -71,10 +74,11 @@ class SpectralField:
         m = self.grid.size
         if c.shape != (m, m):
             raise ValueError(f"coefficient shape {c.shape} does not match grid size {m}")
-        defect = _hermitian_defect(c)
-        tol = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(c))))
-        # an infinite coefficient makes the tolerance infinite: rejected too
-        if not defect <= tol < np.inf:
+        scale = float(np.max(np.abs(c)))
+        # a non-finite coefficient makes the scale inf or NaN: it fails
+        # without the defect, where a conjugate pair of infs would warn
+        defect = _hermitian_defect(c) if scale < np.inf else np.nan
+        if not defect <= SYMMETRY_TOL * max(1.0, scale):
             if not np.all(np.isfinite(c)):
                 raise ValueError("coefficients must be finite")
             raise SymmetryError(
@@ -82,7 +86,7 @@ class SpectralField:
             )
         object.__setattr__(self, "coeffs", c)
 
-    # -- difference, negation and scaling -------------------------------
+    # -- difference and scaling -----------------------------------------
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
         return SpectralField(self.grid, self.coeffs - other.coeffs)
@@ -91,9 +95,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
 
     def _check_same_grid(self, other: "SpectralField") -> None:
         if other.grid != self.grid:
@@ -115,22 +116,6 @@ def _hermitian_defect(c: np.ndarray) -> float:
     np.conjugate(mirror, out=mirror)
     np.subtract(c, mirror, out=mirror)
     return float(np.max(np.abs(mirror)))
-
-
-@dataclass(frozen=True, eq=False)
-class VelocityPair:
-    """Divergence-free velocity (u1, u2) as two spectral components."""
-
-    u1: SpectralField
-    u2: SpectralField
-
-    def __post_init__(self) -> None:
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("velocity components live on different grids")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.u1.grid
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +178,6 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
 # linear operators
 
 
-def derivative(f: SpectralField, axis: int) -> SpectralField:
-    """Partial derivative along axis 1 or 2 (multiplication by i*k_axis).
-
-    The unpaired Nyquist mode k_axis = M/2 is zeroed: on an even grid it
-    aliases its own conjugate and has no well-defined odd derivative.
-    """
-    t = tables(f.grid)
-    if axis == 1:
-        d = t.d1
-    elif axis == 2:
-        d = t.d2
-    else:
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    return SpectralField(f.grid, (1j * d) * f.coeffs)
-
-
 def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
     """Apply (I - alpha*Laplacian)^{-1}: divide mode k by 1 + alpha|k|^2.
 
@@ -223,28 +192,27 @@ def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
 
 
 def _require_zero_mean(f: SpectralField) -> None:
-    """The zero-mean check of :func:`inverse_laplacian`, for callers that
-    apply -1/|k|^2 to a part of the spectrum themselves."""
+    """The zero-mean check of every caller that applies -1/|k|^2 to the
+    spectrum: :func:`biot_savart` and the velocity diagnostics."""
     scale = max(1.0, float(np.max(np.abs(f.coeffs))))
     if abs(f.mean_coefficient) > SYMMETRY_TOL * scale:
         raise ValueError(f"field must be zero-mean, mean mode is {f.mean_coefficient}")
 
 
-def inverse_laplacian(f: SpectralField) -> SpectralField:
-    """Zero-mean solution of Laplacian(g) = f; requires zero-mean input."""
-    _require_zero_mean(f)
-    t = tables(f.grid)
-    out = -t.inv_ksq * f.coeffs
-    return SpectralField(f.grid, out)
+def biot_savart(omega: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Velocity (u1, u2) with curl(u) = omega, div(u) = 0, zero mean.
 
-
-def biot_savart(omega: SpectralField) -> VelocityPair:
-    """Velocity with curl(u) = omega, div(u) = 0, zero mean.
-
-    Solves Laplacian(psi) = omega and returns u = (-d2 psi, d1 psi).
+    Requires zero-mean omega.  The stream function psi = -omega/|k|^2
+    solves Laplacian(psi) = omega, and u = (-d2 psi, d1 psi) with the d
+    tables of :func:`voigt2d.grid.tables`: the unpaired Nyquist mode
+    k_axis = M/2 is zeroed, since on an even grid it aliases its own
+    conjugate and has no well-defined odd derivative.
     """
-    psi = inverse_laplacian(omega)
-    return VelocityPair(-derivative(psi, 2), derivative(psi, 1))
+    _require_zero_mean(omega)
+    g = omega.grid
+    t = tables(g)
+    psi = -t.inv_ksq * omega.coeffs
+    return SpectralField(g, -((1j * t.d2) * psi)), SpectralField(g, (1j * t.d1) * psi)
 
 
 def dealias(f: SpectralField) -> SpectralField:

@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 
 from voigt2d import (
+    ConfigError,
     GridSpec,
     Snapshot,
     cz_ratio,
     gagliardo_ratio,
     l2_norm,
     make_random_sobolev,
+    parse_config,
     read_snapshot,
     sample_state,
     snapshot_of,
     write_snapshot,
 )
 from voigt2d.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, entry
+from voigt2d.initial_data import INIT_PARAMS
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -80,6 +83,20 @@ NON_FINITE = [
     ("dt = 0.02", "cfl = inf", "c_cfl"),
 ]
 
+#: the settings each kind requires besides the one under test
+REQUIRED_INIT = {
+    "random_sobolev": {"sigma": "3.25", "band": "8"},
+    "yudovich_patch": {"radius": "1.0"},
+}
+
+#: every float [init] parameter of every kind
+INIT_FLOATS = [
+    (kind, name)
+    for kind, spec in INIT_PARAMS.items()
+    for name, (cast, _) in spec.items()
+    if cast is float
+]
+
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 class TestBadConfigWritesNothing:
@@ -100,6 +117,18 @@ class TestBadConfigWritesNothing:
     def test_non_finite_value_exits_2(self, tmp_path, capsys, command, old, new, named):
         self.check_exits_2(tmp_path, capsys, command, old, new, named)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("kind, key", INIT_FLOATS, ids=[f"{k}-{n}" for k, n in INIT_FLOATS])
+    def test_non_finite_init_value_exits_2(
+        self, tmp_path, capsys, command, kind, key, value
+    ):
+        params = {**REQUIRED_INIT.get(kind, {}), key: value}
+        new = "\n".join([f"kind = {kind}", *(f"{k} = {v}" for k, v in params.items())])
+        named = f"{key} must be finite"
+        cfg = self.check_exits_2(tmp_path, capsys, command, SOBOLEV, new, named)
+        with pytest.raises(ConfigError, match=named):
+            parse_config(cfg.read_text())
+
     def check_exits_2(self, tmp_path, capsys, command, old, new, named):
         out = tmp_path / "out"
         cfg = Path(self.config(tmp_path, command, out))
@@ -108,6 +137,7 @@ class TestBadConfigWritesNothing:
         assert entry([command, str(cfg)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not out.exists()
+        return cfg
 
     def test_section_of_other_command_exits_2(self, tmp_path, capsys, command):
         out = tmp_path / "out"

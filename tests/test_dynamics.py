@@ -43,11 +43,11 @@ def full_layout_rhs(omega: SpectralField, alpha: float) -> SpectralField:
     def values(c):
         return np.fft.ifft2(c).real * g.size**2
 
-    u = biot_savart(omega)
+    u1, u2 = biot_savart(omega)
     t = tables(g)
     w1 = values((1j * t.d1) * omega.coeffs)
     w2 = values((1j * t.d2) * omega.coeffs)
-    adv = forward_transform(-(values(u.u1.coeffs) * w1 + values(u.u2.coeffs) * w2), g)
+    adv = forward_transform(-(values(u1.coeffs) * w1 + values(u2.coeffs) * w2), g)
     return helmholtz_filter(zero_mean(dealias(adv)), alpha)
 
 

@@ -218,8 +218,8 @@ class TestTruncationChecks:
         # the checks with every velocity norm taken from u = biot_savart(.)
         # and summed over both components
         def velocity_sobolev(omega, order):
-            u = biot_savart(omega)
-            return math.sqrt(sobolev_norm(u.u1, order) ** 2 + sobolev_norm(u.u2, order) ** 2)
+            u1, u2 = biot_savart(omega)
+            return math.sqrt(sobolev_norm(u1, order) ** 2 + sobolev_norm(u2, order) ** 2)
 
         g = GridSpec(32)
         base = make_random_sobolev(g, sigma=s, seed=n, band=8)

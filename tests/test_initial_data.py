@@ -26,6 +26,9 @@ from voigt2d.grid import tables
 from voigt2d.initial_data import _half_plane_modes
 from voigt2d.spectral import _field, _half
 
+#: the parameters each kind requires, for tests that build every kind
+REQUIRED = {"random_sobolev": {"sigma": 2.5, "band": 10}, "yudovich_patch": {"radius": 0.8}}
+
 
 class TestRecipe:
     def test_unknown_kind_rejected(self):
@@ -243,16 +246,20 @@ class TestRealize:
         with pytest.raises(KeyError):
             realize(DataRecipe("random_sobolev", {"band": 4}), GridSpec(32))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_amplitude_named(self, kind, value):
+        # the generator's own check, before any coefficient is built
+        recipe = DataRecipe(kind, {**REQUIRED.get(kind, {}), "amplitude": value})
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            realize(recipe, GridSpec(32))
+
     @pytest.mark.parametrize("m", [32, 64, 128])
     def test_every_kind_is_dealiased_and_mean_free(self, m):
         # so the CFL step of realize's output is that of integrate's
         # dealiased initial state
-        required = {
-            "random_sobolev": {"sigma": 2.5, "band": 10},
-            "yudovich_patch": {"radius": 0.8},
-        }
         for kind in KINDS:
-            f = realize(DataRecipe(kind, required.get(kind, {}), seed=3), GridSpec(m))
+            f = realize(DataRecipe(kind, REQUIRED.get(kind, {}), seed=3), GridSpec(m))
             assert np.array_equal(dealias(f).coeffs, f.coeffs), kind
             assert f.coeffs[0, 0] == 0, kind
 
