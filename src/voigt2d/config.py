@@ -2,14 +2,17 @@
 
 INI-style text with sections [grid], [time], [model], [init], [sweep],
 [output], where a config has [model] (for simulate) or [sweep] (for sweep),
-not both.  Parsing is strict: unknown sections or keys fail fast naming
-the offender.  The parsed values are handed to the objects that own their
-rules (GridSpec, DataRecipe and the generator check of initial_data, then
-SolverConfig or SweepPlan), and every ValueError those raise becomes a
-ConfigError, so a bad value fails before anything is run or written.  The
-effective configuration (defaults applied) is read back from the built
-objects and echoed into every output file alongside a hash of the source
-text.
+not both.  One table, ``_KEYS``, lists every section and its keys with
+their types and defaults ([init] adds the per-kind rows of
+initial_data.INIT_PARAMS); the parser, its unknown-key checks and the
+effective echo all read it.  Parsing is strict: unknown sections or keys
+fail fast naming the offender.  The parsed values are handed to the
+objects that own their rules (GridSpec, DataRecipe and the generator check
+of initial_data, then SolverConfig or SweepPlan), and every ValueError
+those raise becomes a ConfigError, so a bad value fails before anything is
+run or written.  The effective configuration (defaults applied) is read
+back from the built objects and echoed into every output file alongside a
+hash of the source text.
 """
 
 from __future__ import annotations
@@ -28,12 +31,34 @@ class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending item."""
 
 
-#: section -> keys; [init] admits kind, seed and the per-kind INIT_PARAMS
-_GRID_KEYS = ("size",)
-_TIME_KEYS = ("t_end", "record_every", "dt", "cfl", "snapshot_every")
-_MODEL_KEYS = ("alpha",)
-_SWEEP_KEYS = ("alphas", "regime", "s")
-_OUTPUT_KEYS = ("directory",)
+def _float_list(text: str) -> tuple[float, ...]:
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    return tuple(float(t) for t in items)
+
+
+#: section -> {key: (type, default)}, in echo order, where default is REQUIRED
+#: or what the built object takes when the key is absent; [init] also admits
+#: the INIT_PARAMS rows of its kind
+_KEYS = {
+    "grid": {"size": (int, REQUIRED)},
+    "time": {
+        "t_end": (float, REQUIRED),
+        "record_every": (float, REQUIRED),
+        "dt": (float, None),
+        "cfl": (float, None),
+        "snapshot_every": (float, None),
+    },
+    "model": {"alpha": (float, REQUIRED)},
+    "init": {"kind": (str, REQUIRED), "seed": (int, 0)},
+    "sweep": {
+        "alphas": (_float_list, REQUIRED),
+        "regime": (str, REQUIRED),
+        "s": (float, None),
+    },
+    "output": {"directory": (str, ".")},
+}
+#: key -> the field that holds it, where the two names differ
+_FIELDS = {"cfl": "c_cfl", "directory": "out_dir"}
 
 
 @dataclass(frozen=True)
@@ -68,35 +93,30 @@ class RunConfig:
         return _checked(replace, self.run, jobs=jobs)
 
     def effective_lines(self) -> list[str]:
-        """The effective configuration as '[section] key = value' lines."""
-        run, recipe = self.run, self.recipe
-        sections = {
-            "grid": {"size": run.grid.size},
-            "time": {"t_end": run.t_end, "record_every": run.record_every},
-        }
-        time = sections["time"]
-        if run.dt is not None:
-            time["dt"] = run.dt
-        else:
-            time["cfl"] = run.c_cfl
-        if isinstance(run, SolverConfig):
-            if run.snapshot_every is not None:
-                time["snapshot_every"] = run.snapshot_every
-            sections["model"] = {"alpha": run.alpha}
-        sections["init"] = {"kind": recipe.kind, "seed": recipe.seed, **recipe.params}
-        if isinstance(run, SweepPlan):
-            sweep = sections["sweep"] = {
-                "alphas": ", ".join(repr(a) for a in run.alphas),
-                "regime": run.regime,
-            }
-            if run.s is not None:
-                sweep["s"] = run.s
-        sections["output"] = {"directory": self.out_dir}
-        return [
-            f"[{section}] {key} = {value if isinstance(value, str) else repr(value)}"
-            for section, keys in sections.items()
-            for key, value in keys.items()
-        ]
+        """The effective configuration as '[section] key = value' lines: each
+        _KEYS field read back from the object that holds it, fields the run
+        lacks or leaves None skipped, [init] followed by the recipe's
+        parameters."""
+        run = self.run
+        owners = {"grid": run.grid, "init": self.recipe, "output": self}
+        lines = []
+        for section, rows in _KEYS.items():
+            owner = owners.get(section, run)
+            values = {key: getattr(owner, _FIELDS.get(key, key), None) for key in rows}
+            if section == "init":
+                values.update(self.recipe.params)
+            lines += [
+                f"[{section}] {key} = {_text(value)}"
+                for key, value in values.items()
+                if value is not None
+            ]
+        return lines
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 def _checked(build, *args, **kwargs):
@@ -108,21 +128,31 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _get(raw: dict[str, str], section: str, key: str, kind, required: bool = False):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"missing key '{key}' in [{section}]")
-        return None
-    text = raw.pop(key)
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for '{key}' in [{section}]: {text!r}") from exc
+def _typed(given: dict[str, str], section: str, rows: dict) -> dict:
+    """Pop the keys of ``rows`` from ``given`` as field -> typed value, in row
+    order; a missing REQUIRED key or an untypeable value is a ConfigError,
+    and an absent optional key is left to its owner's default."""
+    values = {}
+    for key, (cast, default) in rows.items():
+        if key not in given:
+            if default is REQUIRED:
+                raise ConfigError(f"missing key '{key}' in [{section}]")
+            continue
+        text = given.pop(key)
+        try:
+            values[_FIELDS.get(key, key)] = cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for '{key}' in [{section}]: {text!r}") from exc
+    return values
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(float(t) for t in items)
+def _section(raw: dict[str, dict[str, str]], section: str) -> dict:
+    """Section ``section`` of ``raw`` read through its _KEYS rows; a key
+    left over is a ConfigError."""
+    given = raw.get(section, {})
+    values = _typed(given, section, _KEYS[section])
+    _reject_unknown(section, given, _KEYS[section])
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -135,9 +165,8 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
 
-    known = {"grid", "time", "model", "init", "sweep", "output"}
     for section in parser.sections():
-        if section not in known:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
     for section in ("grid", "time", "init"):
         if not parser.has_section(section):
@@ -149,68 +178,33 @@ def parse_config(text: str) -> RunConfig:
         )
 
     raw = {s: dict(parser.items(s)) for s in parser.sections()}
+    grid = _checked(GridSpec, **_section(raw, "grid"))
+    time = _section(raw, "time")
 
-    g = raw["grid"]
-    size = _get(g, "grid", "size", int, required=True)
-    _reject_unknown("grid", g, _GRID_KEYS)
-    grid = _checked(GridSpec, size)
-
-    t = raw["time"]
-    t_end = _get(t, "time", "t_end", float, required=True)
-    record_every = _get(t, "time", "record_every", float, required=True)
-    dt = _get(t, "time", "dt", float)
-    cfl = _get(t, "time", "cfl", float)
-    snapshot_every = _get(t, "time", "snapshot_every", float)
-    _reject_unknown("time", t, _TIME_KEYS)
-
+    # [init] reads its kind first: an unknown kind is named before its
+    # parameters are called unknown keys
     i = raw["init"]
-    kind = _get(i, "init", "kind", str, required=True)
-    seed = _get(i, "init", "seed", int)
-    spec = INIT_PARAMS.get(kind, {})
-    params = {}
-    for name, (cast, default) in spec.items():
-        value = _get(i, "init", name, cast, required=default is REQUIRED)
-        if value is not None:
-            params[name] = value
-    recipe = _checked(DataRecipe, kind, params, seed=0 if seed is None else seed)
-    _reject_unknown("init", i, ("kind", "seed", *spec))
-    _checked(check_params, kind, grid, recipe_params(recipe))
+    head = _typed(i, "init", _KEYS["init"])
+    spec = INIT_PARAMS.get(head["kind"], {})
+    recipe = _checked(DataRecipe, params=_typed(i, "init", spec), **head)
+    _reject_unknown("init", i, {**_KEYS["init"], **spec})
+    _checked(check_params, recipe.kind, grid, recipe_params(recipe))
 
     if "model" in raw:
-        m = raw["model"]
-        alpha = _get(m, "model", "alpha", float, required=True)
-        _reject_unknown("model", m, _MODEL_KEYS)
-        run = _checked(
-            SolverConfig, grid, alpha, t_end, record_every, dt, cfl, snapshot_every
-        )
+        run = _checked(SolverConfig, grid=grid, **time, **_section(raw, "model"))
     else:
-        w = raw["sweep"]
-        alphas = _get(w, "sweep", "alphas", _float_list, required=True)
-        regime = _get(w, "sweep", "regime", str, required=True)
-        s = _get(w, "sweep", "s", float)
-        _reject_unknown("sweep", w, _SWEEP_KEYS)
-        if snapshot_every is not None:
+        sweep = _section(raw, "sweep")
+        if "snapshot_every" in time:
             raise ConfigError(
                 "key 'snapshot_every' in [time] is not used by sweep "
                 "(sweeps compare a snapshot at every record time)"
             )
-        run = _checked(
-            SweepPlan, recipe=recipe, alphas=alphas, grid=grid, t_end=t_end,
-            regime=regime, record_every=record_every, dt=dt, c_cfl=cfl, s=s,
-        )
+        run = _checked(SweepPlan, recipe=recipe, grid=grid, **time, **sweep)
 
-    o = raw.get("output", {})
-    directory = _get(o, "output", "directory", str)
-    _reject_unknown("output", o, _OUTPUT_KEYS)
-    if directory == "":
+    output = _section(raw, "output")
+    if output.get("out_dir") == "":
         raise ConfigError("empty value for 'directory' in [output]")
-
-    return RunConfig(
-        source_text=text,
-        recipe=recipe,
-        run=run,
-        out_dir="." if directory is None else directory,
-    )
+    return RunConfig(source_text=text, recipe=recipe, run=run, **output)
 
 
 def load_config(path: str) -> RunConfig:
@@ -222,7 +216,7 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _reject_unknown(section: str, leftovers: dict, known: tuple[str, ...]) -> None:
+def _reject_unknown(section: str, leftovers: dict, known: dict) -> None:
     if leftovers:
         name = sorted(leftovers)[0]
         raise ConfigError(

@@ -297,7 +297,7 @@ def _truncation_checks(
     """
     base_n = galerkin_truncate(base, n)
     us = _velocity_sobolev(base, s)
-    out: dict[str, float | bool] = {"n": n, "u_s_norm": us}
+    out: dict[str, float | bool] = {"u_s_norm": us}
     out["nest_a"] = _velocity_sobolev(base_n, s) <= us
     sp = s + 1.0
     b_lhs = _velocity_sobolev(base_n, sp)

@@ -308,6 +308,13 @@ class TestSweep:
         assert "verdict velocity_rate:" in summary
         assert "fitted sup_u_l2 slope:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert entry(["sweep", sweep_config(tmp_path, out), "--jobs", jobs]) == EXIT_CONFIG
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reruns_and_concurrency_byte_identical(self, tmp_path):
         outs = [tmp_path / n for n in ("a", "b", "c")]
         entry(["sweep", sweep_config(tmp_path, outs[0])])
@@ -500,6 +507,17 @@ class TestDiagnose:
         assert named in captured.err and "requires finite p" in captured.err
         assert captured.out == ""
 
+    def test_bad_p_list_exits_2(self, tmp_path, capsys):
+        g = GridSpec(16)
+        path = tmp_path / "state.vfld"
+        write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 2.0, 1, 4), 0.0, 0.0))
+        with pytest.raises(SystemExit) as exc:
+            entry(["diagnose", str(path), "--cz", "4,x"])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "bad p list '4,x'" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--cz", "--gagliardo"])
     def test_undefined_ratio_exits_2(self, tmp_path, capsys, flag):
         path = tmp_path / "zero.vfld"
@@ -537,7 +555,7 @@ class TestDiagnose:
         assert entry(["diagnose", str(path), "--cz", "4"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "state.vfld" in captured.err and "zero-mean" in captured.err
-        assert "inverse_laplacian" not in captured.err  # a function never called
+        assert "mean mode is" in captured.err
         assert captured.out == ""
 
 

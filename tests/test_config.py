@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from voigt2d import ConfigError, SolverConfig, SweepPlan, load_config, parse_config
+from voigt2d.config import _KEYS
 
 SIM = textwrap.dedent(
     """\
@@ -237,6 +238,7 @@ def echo_as_ini(lines: list[str]) -> str:
 ECHO_CASES = {
     "readme_simulate": lambda: readme_ini_blocks()[0],
     "readme_sweep": lambda: readme_ini_blocks()[1],
+    "sweep_dt": lambda: SWEEP.replace("record_every = 0.1", "record_every = 0.1\ndt = 0.004"),
     "galerkin": lambda: SWEEP.replace(
         "regime = smooth_s_ge_3", "regime = smooth_2_lt_s_lt_3\ns = 2.5"
     ),
@@ -266,6 +268,15 @@ class TestEchoRoundTrip:
         assert back.recipe == cfg.recipe
         assert back.grid == cfg.grid
         assert back.out_dir == cfg.out_dir
+
+    def test_every_key_echoed_and_parsed_back(self):
+        # a _KEYS row that no echo case shows fails here
+        echoed = set()
+        for make in ECHO_CASES.values():
+            lines = parse_config(make()).effective_lines()
+            assert parse_config(echo_as_ini(lines)).effective_lines() == lines
+            echoed |= {line.split(" = ", 1)[0] for line in lines}
+        assert {f"[{s}] {key}" for s, rows in _KEYS.items() for key in rows} <= echoed
 
 
 class TestLoadConfig:

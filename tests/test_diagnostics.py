@@ -72,6 +72,11 @@ class TestNorms:
             f = seeded(GridSpec(32), seed)
             assert sobolev_norm(f, 0.0) == l2_norm(f)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_sobolev_rejects_non_finite_order(self, s):
+        with pytest.raises(ValueError, match="sobolev order must be finite"):
+            sobolev_norm(cos_x1(GridSpec(32)), s)
+
     def test_sobolev_monotone_in_s(self):
         f = seeded(GridSpec(32), 2)
         values = [sobolev_norm(f, s) for s in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)]
@@ -548,6 +553,17 @@ class TestErrorNorms:
         )
         with pytest.raises(ValueError):
             error_norms(a, other)
+
+    def test_different_snapshot_times_rejected(self):
+        g = GridSpec(16)
+        f = cos_x1(g)
+        cfg = SolverConfig(grid=g, alpha=0.0, t_end=0.2, record_every=0.1)
+
+        def record(times):
+            return TrajectoryRecord(cfg, np.array(times), {}, [(t, f) for t in times])
+
+        with pytest.raises(ValueError, match="snapshot time grids differ"):
+            error_norms(record([0.0, 0.1]), record([0.0, 0.2]))
 
     def test_missing_snapshots_rejected(self):
         g = GridSpec(32)

@@ -302,6 +302,11 @@ class TestStepper:
         # classical four-stage Runge-Kutta: halving dt divides the error by ~16
         assert 12.0 < e1 / e2 < 20.0
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_step_rejects_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_rk4(dealiased_half(16, seed=26), dt, 0.0)
+
     def test_single_step_preserves_mean(self):
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.0, seed=4, band=g.dealias_cutoff)
@@ -338,6 +343,11 @@ class TestCflDt:
         want = 0.5 * g.spacing / max(float(np.max(np.abs(u))) * m**2, 1e-12)
         assert cfl_dt(w, 0.5) == want
 
+    @pytest.mark.parametrize("c_cfl", [0.0, -0.5, float("nan")])
+    def test_rejects_non_positive_c_cfl(self, c_cfl):
+        with pytest.raises(ValueError, match="c_cfl must be positive"):
+            cfl_dt(dealiased_half(16, seed=27), c_cfl)
+
     def test_input_not_written(self):
         g = GridSpec(32)
         f = forward_transform(np.random.default_rng(23).standard_normal((32, 32)), g)
@@ -373,6 +383,11 @@ class TestIntegrate:
         rec = integrate(f, cfg)
         assert rec.times[-1] == 0.25
         assert len(rec.times) == 4  # 0, 0.1, 0.2, 0.25
+
+    def test_rejects_data_on_other_grid(self):
+        cfg = SolverConfig(grid=GridSpec(32), alpha=0.0, t_end=0.1, record_every=0.1)
+        with pytest.raises(ValueError, match="initial data grid"):
+            integrate(make_eigenfunction(GridSpec(16), (1, 0)), cfg)
 
     def test_rejects_non_real_initial_data(self):
         # two modes without conjugate partners: stepping the half spectrum

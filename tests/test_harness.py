@@ -235,7 +235,6 @@ class TestTruncationChecks:
             "omega_trunc_bound": l2_norm(diff) <= n ** (1.0 - s) * us,
         }
         got = harness._truncation_checks(base, n, s)
-        assert got["n"] == n
         assert abs(got["u_s_norm"] - us) <= 1e-14 * us
         assert {k: got[k] for k in want} == want
 
@@ -454,25 +453,34 @@ class TestGalerkinReferenceSweep:
         assert not any(here for here, _ in pool)
         assert sorted(a for _, a in pool) == sorted((0.0,) * (2 * len(alphas)) + alphas)
 
-    def test_advisory_names_dominant_part_and_interval_slopes(self):
-        # a vorticity slope below (s-1)/4 - SLOPE_TOL is pre-asymptotic: the
-        # verdict is advisory, and the note says which error part dominates
-        # at the smallest alpha and lists the slope of every alpha interval
+    @staticmethod
+    def advisory_report(trunc, voigt_vs_trunc):
+        """A galerkin_plan() report with every truncation check passing and
+        a vorticity slope below (s-1)/4 - SLOPE_TOL; at each alpha the two
+        error parts are trunc and voigt_vs_trunc times alpha^0.1."""
         plan = galerkin_plan()
-        alphas = plan.alphas
         checks = dict.fromkeys(
             ("nest_a", "nest_b", "nest_c_sbar0", "nest_c_sbar1", "omega_trunc_bound"), True
         )
         rows = [
             {"alpha": a, **{m: 2.0 * a**0.1 for m in ERROR_METRICS},
-             "trunc_omega_l2": 1.5 * a**0.1, "voigt_vs_trunc_omega_l2": 0.5 * a**0.1,
+             "trunc_omega_l2": trunc * a**0.1,
+             "voigt_vs_trunc_omega_l2": voigt_vs_trunc * a**0.1,
              **checks}
-            for a in alphas
+            for a in plan.alphas
         ]
         slope = (plan.s - 1.0) / 4.0 - SLOPE_TOL - 0.05
         fits = {m: FitResult(slope, 0.0, 0.0) for m in ERROR_METRICS}
         rep = ConvergenceReport(plan=plan, per_alpha=rows, dt_used=0.02, fits=fits)
         _apply_verdicts(rep)
+        return rep
+
+    def test_advisory_names_dominant_part_and_interval_slopes(self):
+        # a vorticity slope below (s-1)/4 - SLOPE_TOL is pre-asymptotic: the
+        # verdict is advisory, and the note says which error part dominates
+        # at the smallest alpha and lists the slope of every alpha interval
+        rep = self.advisory_report(1.5, 0.5)
+        alphas = rep.alphas
         assert rep.verdicts == {
             "truncation_inequalities": "PASS", "vorticity_rate": "ADVISORY"
         }
@@ -480,6 +488,12 @@ class TestGalerkinReferenceSweep:
         assert f"truncation error dominates at alpha = {alphas[-1]:g}" in note
         listed = note.split("interval slopes ", 1)[1].rstrip(")").split(", ")
         assert listed == ["0.100"] * (len(alphas) - 1)
+
+    def test_advisory_names_voigt_vs_truncated_when_it_dominates(self):
+        rep = self.advisory_report(0.5, 1.5)
+        assert rep.verdicts["vorticity_rate"] == "ADVISORY"
+        (note,) = rep.notes
+        assert f"voigt-vs-truncated error dominates at alpha = {rep.alphas[-1]:g}" in note
 
     def test_degenerate_data_skips_fit(self):
         zero = DataRecipe(

@@ -60,6 +60,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(4)
 
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(16.0)
+
     def test_nodes_and_spacing(self):
         g = GridSpec(16)
         assert g.spacing == pytest.approx(TWO_PI / 16)
@@ -226,6 +230,16 @@ def complex_mean() -> SpectralField:
     c = np.zeros((16, 16), dtype=complex)
     c[0, 0] = 0.5 + 0.5j
     return SpectralField(GridSpec(16), c)
+
+
+class TestConstruction:
+    def test_constructor_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="coefficient shape"):
+            SpectralField(GridSpec(16), np.zeros((16, 9), dtype=complex))
+
+    def test_difference_rejects_other_grid(self):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            seeded(grid32()) - seeded(GridSpec(16))
 
 
 class TestRealness:
