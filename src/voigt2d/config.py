@@ -165,6 +165,10 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
 
+    # configparser copies [DEFAULT] keys into every section, where they
+    # would be called unknown keys of a section they are not in
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
     for section in parser.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")

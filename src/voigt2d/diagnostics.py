@@ -7,12 +7,13 @@ gagliardo_ratio share one L^p quadrature on the 2x oversampled grid, and
 each ratio evaluates a whole sequence of p on one oversampled field:
 gagliardo_ratio on |f|, cz_ratio on |grad u|, which it builds from three
 oversampled transforms of omega's half spectrum.  The oversampled values
-and the scratch buffer in which the quadrature raises each p are the two
-2M x 2M planes of the spectral oversampling workspace, one per grid size,
-shared by every call in the process, so not for concurrent threads; a
-power of two p is taken by repeated squaring in place.  The collocation sup
-of the last field asked for is kept, so sample_state and cz_ratio of one
-field transform it once.
+and the scratch buffer of the quadrature are the two 2M x 2M planes of the
+spectral oversampling workspace, one per grid size, shared by every call in
+the process, so not for concurrent threads.  The quadrature sums every p
+over cache-sized row blocks in two row slices of the scratch plane: a power
+of two p by repeated squaring in place, any other p by exp(p log) from one
+log per block.  The collocation sup of the last field asked for is kept, so
+sample_state and cz_ratio of one field transform it once.
 """
 
 from __future__ import annotations
@@ -104,37 +105,48 @@ def _oversampled_lp(
     """L^p norms, one per p >= 1 in ``ps``, of magnitudes a on the 2x
     oversampled grid of an M grid, by quadrature with weight (2pi/2M)^2.
 
-    Every p works in the scratch buffer ``buf`` of a's shape; a is not
-    modified.  A power of two p = 2^k takes (a/vmax)^p as a/vmax squared in
-    place k times and weights the sum by h2; after a smaller power of two
-    the squaring goes on from it, which repeats the same operations.  Any
-    other p is bit for bit the sum of ``(a / vmax) ** p * h2``.  Either way
-    each p gives the bits of a call with that p alone.
+    Every p is summed over blocks of min(64, M) rows of a, which stay in
+    cache; the blocks live in two row slices of the scratch buffer ``buf``
+    of a's shape, and a is not modified.  A power of two p = 2^k takes
+    (a/vmax)^p as a/vmax squared in place k times; after a smaller power of
+    two the squaring goes on from it, which repeats the same operations.
+    Any other p takes exp(p log(a/vmax)), with the log taken once per
+    block for all of them (a zero of a gives exp(-inf) = 0).  Each p's norm
+    is vmax (h2 * the sum of its block sums)^(1/p), so each p gives the
+    bits of a call with that p alone.
     """
     h2 = (TWO_PI / (2 * m)) ** 2
     # factor out the max so p up to ~64 neither overflows nor underflows
     vmax = float(np.max(a))
     if vmax == 0.0:
         return (0.0,) * len(ps)
-    norms = []
-    held = 0.0  # the power of two of a/vmax that buf holds, 0 for none
-    for p in ps:
-        if math.frexp(p)[0] == 0.5:  # p is a power of two
-            if not 0.0 < held <= p:
-                np.divide(a, vmax, out=buf)
-                held = 1.0
-            while held < p:
-                np.multiply(buf, buf, out=buf)
-                held *= 2.0
-            total = h2 * float(np.sum(buf))
-        else:
-            np.divide(a, vmax, out=buf)
-            np.power(buf, p, out=buf)
-            np.multiply(buf, h2, out=buf)
-            total = float(np.sum(buf))
-            held = 0.0
-        norms.append(vmax * total ** (1.0 / p))
-    return tuple(norms)
+    rows = min(64, m)
+    general = [math.frexp(p)[0] != 0.5 for p in ps]  # p is not a power of two
+    need_log = any(general)
+    totals = [0.0] * len(ps)
+    for start in range(0, a.shape[0], rows):
+        block = a[start : start + rows]
+        n = block.shape[0]
+        lg, w = buf[:n], buf[rows : rows + n]  # the log, and each p's powers
+        if need_log:
+            np.divide(block, vmax, out=lg)
+            with np.errstate(divide="ignore"):
+                np.log(lg, out=lg)
+        held = 0.0  # the power of two of a/vmax that w holds, 0 for none
+        for i, p in enumerate(ps):
+            if general[i]:
+                np.multiply(lg, p, out=w)
+                np.exp(w, out=w)
+                held = 0.0
+            else:
+                if not 0.0 < held <= p:
+                    np.divide(block, vmax, out=w)
+                    held = 1.0
+                while held < p:
+                    np.multiply(w, w, out=w)
+                    held *= 2.0
+            totals[i] += float(np.sum(w))
+    return tuple(vmax * (h2 * total) ** (1.0 / p) for total, p in zip(totals, ps))
 
 
 def _velocity_weight(t: _Tables) -> np.ndarray:

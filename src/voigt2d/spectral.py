@@ -14,15 +14,15 @@ SpectralField is real by construction: its constructor rejects
 coefficients that are not Hermitian, so the half spectrum of any field is
 the whole of it.  This module owns the rfft2 half spectrum
 coeffs[:, :M/2+1] and its conversions :func:`_half` and :func:`_field`
-(the exact Hermitian mirror): :func:`forward_transform` is one rfft2 and
-the mirror, the stepper of :mod:`voigt2d.dynamics` runs on half spectra,
-and :func:`values_oversampled` pads the half spectrum's rows to 2M, shape
-(2M, M/2+1), and takes the two 1D passes of an irfft2, which zero-pads the
-columns itself.  The row pad, the intermediate of the two passes and two
-2M x 2M value planes form one workspace per grid size, allocated once and
-reused (only the pad's M+1 data rows are rewritten); the diagnostics write
-their oversampled values into its planes.  Every oversampled evaluation of
-the process shares it, so they must not run concurrently in threads.
+(the exact Hermitian mirror): :func:`forward_transform` is the two 1D
+passes of an rfft2 and the mirror, the stepper of :mod:`voigt2d.dynamics`
+runs on half spectra, and :func:`values_oversampled` writes the half
+spectrum's rows into the M/2+1 leading columns of a (2M, M+1) pad, whose
+other columns stay zero, and takes the two 1D passes of an irfft2, the
+first in place.  The pad and two 2M x 2M value planes form one workspace
+per grid size, allocated once and reused; the diagnostics write their
+oversampled values into its planes.  Every oversampled evaluation of the
+process shares it, so they must not run concurrently in threads.
 """
 
 from __future__ import annotations
@@ -152,8 +152,9 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
     """Collocation values -> spectral coefficients.
 
     Input must be real and finite with shape (M, M).  The output is the
-    :func:`_field` mirror of the rfft2 half spectrum, so Hermitian symmetry
-    holds exactly; the mean mode keeps its computed (real) value.
+    :func:`_field` mirror of the rfft2 half spectrum, taken as rfft2's two 1D
+    passes with the second in place, so Hermitian symmetry holds exactly;
+    the mean mode keeps its computed (real) value.
     """
     values = np.asarray(values)
     if values.shape != (grid.size, grid.size):
@@ -164,7 +165,8 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ValueError("forward_transform expects a real array")
     if not np.all(np.isfinite(values)):
         raise ValueError("forward_transform expects finite values")
-    half = np.fft.rfft2(values)
+    half = np.fft.rfft(values, axis=1)
+    np.fft.fft(half, axis=0, out=half)  # rfft2's two passes, the second in place
     half /= grid.size**2
     return _field(half)
 
@@ -234,16 +236,14 @@ def zero_mean(f: SpectralField) -> SpectralField:
 def values_oversampled(f: SpectralField) -> np.ndarray:
     """Evaluate the trigonometric interpolant on the 2M x 2M grid.
 
-    Zero-pads the rows of the rfft2 half spectrum to 2M, giving shape
-    (2M, M/2+1), and takes the two 1D passes of an irfft2 with
-    s = (2M, 2M).  Only columns k2 = 0 .. M/2 hold data, and the irfft
-    along k2 zero-pads them to M+1 columns itself, so the complex pass runs
-    over half the columns of a (2M, M+1) pad.  The unpaired Nyquist mode is
-    split evenly between +M/2 and -M/2 so the refined field stays real: the
-    k1 = M/2 row is halved at rows M/2 and 3M/2, the k2 = M/2 column is
-    halved, and the corner gets a quarter in each place.  The result is a
-    fresh array the caller owns; the pad and the intermediate are the
-    per-process workspace of :func:`_oversampling`, not for concurrent
+    Zero-pads the rfft2 half spectrum to a (2M, M+1) pad and takes the two
+    1D passes of an irfft2 with s = (2M, 2M).  Only columns k2 = 0 .. M/2
+    hold data, so the complex pass along k1 runs over those M/2+1 columns
+    alone.  The unpaired Nyquist mode is split evenly between +M/2 and -M/2
+    so the refined field stays real: the k1 = M/2 row is halved at rows M/2
+    and 3M/2, the k2 = M/2 column is halved, and the corner gets a quarter
+    in each place.  The result is a fresh array the caller owns; the pad is
+    the per-process workspace of :func:`_oversampling`, not for concurrent
     threads.
     """
     m = f.grid.size
@@ -258,12 +258,10 @@ class _Oversampling:
     """
 
     def __init__(self, m: int) -> None:
-        #: the (2M, M/2+1) row pad; every call rewrites its M+1 data rows,
-        #: and the rows M/2+1 .. 3M/2-1 between them stay zero (only the
-        #: halving of column M/2 touches them)
-        self.pad = np.zeros((2 * m, m // 2 + 1), dtype=np.complex128)
-        #: the pad after the complex pass along k1
-        self.rows = np.empty_like(self.pad)
+        #: the (2M, M+1) spectrum the irfft along k2 reads whole; every call
+        #: writes its first M/2+1 columns and takes their ifft along k1 in
+        #: place, and the columns beyond M/2 stay zero
+        self.pad = np.zeros((2 * m, m + 1), dtype=np.complex128)
         #: two 2M x 2M value planes the diagnostics evaluate into
         self.planes = np.empty((2, 2 * m, 2 * m))
 
@@ -279,25 +277,27 @@ def _oversample_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     returned.
 
     It runs the two passes that numpy's irfft2 runs inside, an ifft along
-    k1 and an irfft with n = 2M along k2, each with ``out=`` (irfft2 itself
-    drops its ``out=``), so the values are bit for bit those of irfft2 and
-    no fresh array is made.  The pad and
-    the intermediate belong to the per-process workspace of
-    :func:`_oversampling`, not for concurrent threads; ``out`` may be one
-    of its planes.
+    k1 in place on the M/2+1 data columns of the pad and an irfft with
+    n = 2M along k2 over the whole (2M, M+1) pad into ``out`` (irfft2
+    itself drops its ``out=``), so the values are bit for bit those of
+    irfft2 and no fresh array is made.  The pad belongs to the per-process
+    workspace of :func:`_oversampling`, not for concurrent threads; ``out``
+    may be one of its planes.
     """
     m = half.shape[0]
     mf = 2 * m
     h = m // 2
-    ws = _oversampling(m)
-    big = ws.pad
-    # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1
+    pad = _oversampling(m).pad
+    big = pad[:, : h + 1]
+    # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1;
+    # the rows between them held the last call's ifft
     big[: h + 1] = half[: h + 1]
+    big[h + 1 : mf - h] = 0.0
     big[mf - h :] = half[h:]
     big[h] *= 0.5
     big[mf - h] *= 0.5
     big[:, h] *= 0.5
-    np.fft.ifft(big, axis=0, out=ws.rows)
-    np.fft.irfft(ws.rows, n=mf, axis=1, out=out)
+    np.fft.ifft(big, axis=0, out=big)
+    np.fft.irfft(pad, n=mf, axis=1, out=out)
     out *= mf**2
     return out

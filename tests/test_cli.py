@@ -255,6 +255,13 @@ class TestSimulate:
         assert "grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_default_section_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = sim_config(tmp_path, out, extra_output="[DEFAULT]\nfoo = 1")
+        assert entry(["simulate", cfg]) == EXIT_CONFIG
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert entry(["simulate", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
         assert "cannot read" in capsys.readouterr().err

@@ -128,6 +128,20 @@ class TestRejection:
         with pytest.raises(ConfigError, match=r"unknown section \[solver\]"):
             parse_config(SIM + "\n[solver]\nmethod = rk4\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SIM + "[DEFAULT]\nfoo = 1\n",
+            SIM.replace("[grid]\nsize = 64", "[DEFAULT]\nsize = 64\n[grid]"),
+        ],
+        ids=["unknown_key", "moved_grid_key"],
+    )
+    def test_default_section_named(self, text):
+        # configparser copies [DEFAULT] keys into every section; the error
+        # names [DEFAULT], not the first section that received them
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_config(text)
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown key 'sizes'"):
             parse_config(SIM.replace("size = 64", "size = 64\nsizes = 2"))

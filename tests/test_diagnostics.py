@@ -384,6 +384,52 @@ class TestInequalityRatios:
         got = diagnostics._oversampled_lp(a, 32, ps, buf)
         assert got == tuple(diagnostics._oversampled_lp(a, 32, (p,), buf)[0] for p in ps)
 
+    def test_quadrature_over_uneven_row_blocks(self):
+        # M = 80: the 160 rows of the oversampled grid are summed in blocks
+        # of 64, 64 and 32; powers of two and the exp-log path alike agree
+        # with the plain power
+        m = 80
+        a = np.abs(np.random.default_rng(5).standard_normal((2 * m, 2 * m)))
+        ps = (2.5, 8.0 / 3.0, 4.0, 64.0 / 31.0)
+        vmax = float(np.max(a))
+        h2 = (TWO_PI / (2 * m)) ** 2
+        got = diagnostics._oversampled_lp(a, m, ps, np.empty_like(a))
+        for norm, p in zip(got, ps):
+            want = vmax * (h2 * float(np.sum((a / vmax) ** p))) ** (1.0 / p)
+            assert norm == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_quadrature_of_exact_zeros_is_silent(self):
+        # log(0) = -inf raises no warning (pytest turns warnings into
+        # errors) and exp(-inf) = 0 leaves the zeros out of the sum
+        m = 32
+        a = np.zeros((2 * m, 2 * m))
+        a[::2, ::3] = 1.0
+        a[5, 7] = 0.5
+        count = int(np.count_nonzero(a == 1.0))
+        h2 = (TWO_PI / (2 * m)) ** 2
+        for p in (2.5, 3.0, 4.0):
+            want = (h2 * (count + 0.5**p)) ** (1.0 / p)
+            (got,) = diagnostics._oversampled_lp(a, m, (p,), np.empty_like(a))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_quadrature_allocates_no_plane(self):
+        # after a warm-up call, every p works in row slices of the scratch
+        # buffer: no fresh 2M x 2M-sized array
+        import tracemalloc
+
+        m = 64
+        a = np.abs(np.random.default_rng(6).standard_normal((2 * m, 2 * m)))
+        buf = np.empty_like(a)
+        ps = (4.0, 2.5, 8.0 / 3.0, 64.0)
+        diagnostics._oversampled_lp(a, m, ps, buf)
+        tracemalloc.start()
+        try:
+            diagnostics._oversampled_lp(a, m, ps, buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 8
+
     def test_ratios_leave_an_oversampled_array_unchanged(self):
         f = seeded(GridSpec(32), 9, sigma=3.0)
         fine = values_oversampled(f)

@@ -17,7 +17,13 @@ from voigt2d import (
     zero_mean,
 )
 from voigt2d.grid import tables
-from voigt2d.spectral import _field, _half, _hermitian_defect, _oversample_half
+from voigt2d.spectral import (
+    _field,
+    _half,
+    _hermitian_defect,
+    _oversample_half,
+    _oversampling,
+)
 from voigt2d.initial_data import (
     galerkin_truncate,
     make_eigenfunction,
@@ -139,6 +145,13 @@ class TestTransforms:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             forward_transform(bad, g)
+
+    @pytest.mark.parametrize("m", [8, 10, 64])
+    def test_forward_is_the_rfft2_mirror_bitwise(self, m):
+        # the two 1D passes, the second in place, give rfft2's bits
+        values = np.random.default_rng(m + 4).standard_normal((m, m))
+        want = _field(np.fft.rfft2(values) / m**2)
+        assert np.array_equal(forward_transform(values, GridSpec(m)).coeffs, want.coeffs)
 
     def test_forward_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -457,8 +470,8 @@ class TestOversampling:
 
     @pytest.mark.parametrize("m", [8, 10, 16, 64])
     def test_matches_wide_pad(self, m):
-        # the (2M, M/2+1) row pad, whose columns irfft2 pads itself, equals
-        # a (2M, M+1) pad of the half spectrum bit for bit
+        # the workspace pad, transformed in place along k1, equals a fresh
+        # (2M, M+1) pad of the half spectrum through irfft2 bit for bit
         g = GridSpec(m)
         f = forward_transform(np.random.default_rng(m + 1).standard_normal((m, m)), g)
         assert np.all(np.abs(f.coeffs[m // 2, :]) > 0)
@@ -467,8 +480,9 @@ class TestOversampling:
 
     @pytest.mark.parametrize("m", [8, 16, 64])
     def test_cached_pad_stays_clean_between_fields(self, m):
-        # two different fields back to back on one grid: the reused row pad
-        # carries nothing of the first into the second
+        # two different fields back to back on one grid: the reused pad,
+        # whose middle rows hold the last call's ifft, carries nothing of
+        # the first into the second
         g = GridSpec(m)
         rng = np.random.default_rng(m + 2)
         f, h = (forward_transform(rng.standard_normal((m, m)), g) for _ in range(2))
@@ -477,6 +491,26 @@ class TestOversampling:
         assert np.array_equal(first, self.wide_pad_oracle(f))
         assert np.array_equal(second, self.wide_pad_oracle(h))
         assert np.array_equal(values_oversampled(f), first)
+        pad = _oversampling(m).pad
+        assert pad.shape == (2 * m, m + 1)
+        assert not np.any(pad[:, m // 2 + 1 :])  # the columns irfft reads as zero
+
+    def test_transform_allocates_no_plane(self):
+        # after a warm-up call, the two passes write into the workspace pad
+        # and the caller's array: no fresh 2M x 2M-sized array
+        import tracemalloc
+
+        m = 64
+        half = _half(seeded(GridSpec(m), 5))
+        out = np.empty((2 * m, 2 * m))
+        _oversample_half(half, out)
+        tracemalloc.start()
+        try:
+            _oversample_half(half, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 8
 
     @pytest.mark.parametrize("m", [8, 10, 16, 64])
     def test_two_passes_match_irfft2(self, m):
