@@ -1,19 +1,26 @@
 """Norms, conserved quantities, and inequality diagnostics.
 
-Every velocity norm is a weight on |omega_hat|^2 (_velocity_weight), so
-sample_state, the per-record dict of TrajectoryRecord.diagnostics, and
-error_norms build no velocity field.  lp_norm, cz_ratio and
-gagliardo_ratio share one L^p quadrature on the 2x oversampled grid, and
-each ratio evaluates a whole sequence of p on one oversampled field:
-gagliardo_ratio on |f|, cz_ratio on |grad u|, which it builds from three
-oversampled transforms of omega's half spectrum.  The oversampled values
-and the scratch buffer of the quadrature are the two 2M x 2M planes of the
-spectral oversampling workspace, one per grid size, shared by every call in
-the process, so not for concurrent threads.  The quadrature sums every p
-over cache-sized row blocks in two row slices of the scratch plane: a power
-of two p by repeated squaring in place, any other p by exp(p log) from one
-log per block.  The collocation sup of the last field asked for is kept, so
-sample_state and cz_ratio of one field transform it once.
+Every quadratic norm is a sum over the (M, M/2+1) half spectrum that a
+SpectralField stores, against one per-grid weight table (_norm_weights):
+weight 2 on the columns 0 < k2 < M/2, which stand for their conjugates at
+-k2 as well, and 1 on the self-conjugate columns k2 = 0 and M/2, with
+|k|^2 and the velocity weight folded in.  Every velocity norm is that
+weight on |omega_hat|^2, so sample_state, the per-record dict of
+TrajectoryRecord.diagnostics, and error_norms build no velocity field and
+no full M x M spectrum.
+
+lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
+oversampled grid, and each ratio evaluates a whole sequence of p on one
+oversampled field: gagliardo_ratio on |f|, cz_ratio on |grad u|, which it
+builds from three oversampled transforms of omega's half spectrum.  The
+oversampled values and the scratch buffer of the quadrature are the two
+2M x 2M planes of the spectral oversampling workspace, one per grid size,
+shared by every call in the process, so not for concurrent threads.  The
+quadrature sums every p over cache-sized row blocks in two row slices of
+the scratch plane: a power of two p by repeated squaring in place, any
+other p by exp(p log) from one log per block.  The collocation sup of the
+last field asked for is kept, so sample_state and cz_ratio of one field
+transform it once.
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import TWO_PI, _Tables, tables
+from .grid import TWO_PI, GridSpec, tables
 from .spectral import (
     SpectralField,
-    _half,
     _oversample_half,
     _oversampling,
     _require_zero_mean,
@@ -42,26 +48,63 @@ if TYPE_CHECKING:  # pragma: no cover
 # norms
 
 
+class _NormWeights:
+    """The weights of the quadratic norms on one grid's half spectrum.
+
+    A sum over the M x M spectrum of a real field is the sum over its
+    (M, M/2+1) half spectrum with weight ``fold``, a vector over k2: 2 on
+    the columns 0 < k2 < M/2, 1 on the self-conjugate columns k2 = 0 and
+    M/2.  ``ksq`` is |k|^2 on the half spectrum (a view of the grid table),
+    ``grad`` the folded |k|^2, and ``velocity`` the folded
+    (d1^2 + d2^2) / |k|^4: |u1_hat|^2 + |u2_hat|^2 =
+    (d1^2 + d2^2) / |k|^4 * |omega_hat|^2 for u = biot_savart(omega), with
+    the Nyquist-zeroed d tables that biot_savart uses.  All are read-only.
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        t = tables(grid)
+        h = grid.size // 2 + 1
+        fold = np.full(h, 2.0)
+        fold[0] = fold[-1] = 1.0
+        self.fold = fold
+        self.ksq = t.ksq[:, :h]
+        self.grad = fold * self.ksq
+        dsq = t.d1[:, :h] ** 2 + t.d2[:, :h] ** 2
+        self.velocity = fold * dsq * t.inv_ksq[:, :h] ** 2
+        for arr in (self.fold, self.grad, self.velocity):
+            arr.setflags(write=False)
+
+
+@lru_cache(maxsize=16)
+def _norm_weights(grid: GridSpec) -> _NormWeights:
+    return _NormWeights(grid)
+
+
+def _weighted_norm(weight: np.ndarray, f: SpectralField) -> float:
+    """sqrt((2pi)^2 sum weight |f_hat|^2) over the half spectrum of f."""
+    return float(np.sqrt(TWO_PI**2 * np.sum(weight * np.abs(f.half) ** 2)))
+
+
 def l2_norm(f: SpectralField) -> float:
     """sqrt((2pi)^2 sum_k |f_hat|^2) = L2 norm of the field."""
-    return float(np.sqrt(TWO_PI**2 * np.sum(np.abs(f.coeffs) ** 2)))
+    return _weighted_norm(_norm_weights(f.grid).fold, f)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm with weight (1 + |k|^2)^s.
 
-    s = 0 reproduces l2_norm bit-for-bit (the weight array is exactly 1.0
+    s = 0 reproduces l2_norm bit-for-bit (the weight is exactly the fold
     and the summation order is identical).
     """
     if not np.isfinite(s):
         raise ValueError(f"sobolev order must be finite, got {s}")
-    w = (1.0 + tables(f.grid).ksq) ** s
-    return float(np.sqrt(TWO_PI**2 * np.sum(w * np.abs(f.coeffs) ** 2)))
+    nw = _norm_weights(f.grid)
+    return _weighted_norm((1.0 + nw.ksq) ** s * nw.fold, f)
 
 
 def gradient_l2(f: SpectralField) -> float:
     """L2 norm of the gradient: sqrt((2pi)^2 sum |k|^2 |f_hat|^2)."""
-    return float(np.sqrt(TWO_PI**2 * np.sum(tables(f.grid).ksq * np.abs(f.coeffs) ** 2)))
+    return _weighted_norm(_norm_weights(f.grid).grad, f)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -94,7 +137,7 @@ def _abs_lp(f: SpectralField, ps: Sequence[float]) -> tuple[float, ...]:
     two planes of the oversampling workspace."""
     m = f.grid.size
     a, buf = _oversampling(m).planes
-    _oversample_half(_half(f), a)
+    _oversample_half(f.half, a)
     np.abs(a, out=a)
     return _oversampled_lp(a, m, ps, buf)
 
@@ -149,20 +192,12 @@ def _oversampled_lp(
     return tuple(vmax * (h2 * total) ** (1.0 / p) for total, p in zip(totals, ps))
 
 
-def _velocity_weight(t: _Tables) -> np.ndarray:
-    """The weight (d1^2 + d2^2) / |k|^4 of the grid tables t:
-    |u1_hat|^2 + |u2_hat|^2 = weight * |omega_hat|^2 for u = biot_savart(omega),
-    with the Nyquist-zeroed d tables that biot_savart uses."""
-    return (t.d1**2 + t.d2**2) * t.inv_ksq**2
-
-
 def _velocity_sobolev(omega: SpectralField, s: float) -> float:
     """H^s norm, weight (1 + |k|^2)^s, of the velocity biot_savart(omega),
     summed over both components, from omega alone."""
     _require_zero_mean(omega)  # as biot_savart(omega) would
-    t = tables(omega.grid)
-    w = (1.0 + t.ksq) ** s * _velocity_weight(t)
-    return float(np.sqrt(TWO_PI**2 * np.sum(w * np.abs(omega.coeffs) ** 2)))
+    nw = _norm_weights(omega.grid)
+    return _weighted_norm((1.0 + nw.ksq) ** s * nw.velocity, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +208,21 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     """Squared L2 norms of velocity and vorticity, their voigt_* variants
     with the extra alpha|k|^2 weight, and the collocation sup of omega.
 
-    All four sums weight |omega_hat|^2, the energies by
-    :func:`_velocity_weight`, so no velocity field is built.  The sup is
-    that of lp_norm(omega, inf), which keeps it for a later cz_ratio.  The
-    whole process shares that kept value, as it shares the ratios'
-    oversampling workspace, so these diagnostics are not for concurrent
-    threads.
+    All four sums weight |omega_hat|^2 over the half spectrum by the
+    grid's norm weights, the energies by their velocity weight, so no
+    velocity field is built.  The sup is that of lp_norm(omega, inf),
+    which keeps it for a later cz_ratio.  The whole process shares that
+    kept value, as it shares the ratios' oversampling workspace, so these
+    diagnostics are not for concurrent threads.
     """
     _require_zero_mean(omega)  # as biot_savart(omega) would
     if not 0.0 <= alpha < np.inf:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
-    t = tables(omega.grid)
-    w = 1.0 + alpha * t.ksq
-    omega_sq = np.abs(omega.coeffs) ** 2
-    u_sq = _velocity_weight(t) * omega_sq
+    nw = _norm_weights(omega.grid)
+    w = 1.0 + alpha * nw.ksq
+    omega_sq = np.abs(omega.half) ** 2
+    u_sq = nw.velocity * omega_sq
+    omega_sq *= nw.fold
     return {
         "energy": float(TWO_PI**2 * np.sum(u_sq)),
         "enstrophy": float(TWO_PI**2 * np.sum(omega_sq)),
@@ -237,13 +273,13 @@ def cz_ratio(
     h = m // 2 + 1
     t = tables(omega.grid)
     d1, d2 = t.d1[:, :h], t.d2[:, :h]
-    psi = -t.inv_ksq[:, :h] * _half(omega)
+    psi = -t.inv_ksq[:, :h] * omega.half
     mag, v = _oversampling(m).planes
     _oversample_half(d1 * d2 * psi, mag)  # d1 u1, whose square counts twice
     mag *= mag
     mag *= 2.0
-    for grad in (d2 * d2 * psi, -d1 * d1 * psi):  # d2 u1, d1 u2
-        _oversample_half(grad, v)
+    for a, b in ((d2, d2), (-d1, d1)):  # d2 u1, d1 u2, made one at a time
+        _oversample_half(a * b * psi, v)
         mag += np.multiply(v, v, out=v)
     np.sqrt(mag, out=mag)
     norms = _oversampled_lp(mag, m, ps, v)  # the last gradient plane is scratch
@@ -285,9 +321,10 @@ def error_norms(a: "TrajectoryRecord", b: "TrajectoryRecord") -> dict[str, float
     """Sup-in-time discrepancy norms between two trajectories.
 
     Both records must carry snapshots on identical time grids and grids.
-    Each norm is a weighted sum over the spectrum of the vorticity
-    difference d, the velocity ones by :func:`_velocity_weight` (the
-    velocity of d is biot_savart(d)), so no velocity field is built.
+    Each norm is a weighted sum over the half spectrum of the vorticity
+    difference d, the velocity ones by the velocity weight of the grid's
+    norm weights (the velocity of d is biot_savart(d)), so no velocity
+    field is built.
     Returns sup_u_l2, sup_omega_l2, sup_u_h1.
     """
     if a.snapshots is None or b.snapshots is None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridSpec, tables
-from .spectral import SpectralField, _field, _half, dealias, zero_mean
+from .spectral import SpectralField, _field, dealias, zero_mean
 from .diagnostics import sample_state
 
 #: floor for the velocity scale in the CFL rule (guards the zero field)
@@ -94,11 +94,11 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 # the half-spectrum state of the time stepper
 #
-# Inside integrate the vorticity is the rfft2 half spectrum w = _half(omega)
-# (voigt2d.spectral owns the layout).  The state is dealiased, so only its
-# live columns 0 <= k2 <= floor(M/3) (Orszag's two-thirds rule) can be
-# nonzero: rhs and cfl_dt run their complex k1-axis passes over those alone,
-# and irfft zero-pads the rest.
+# Inside integrate the vorticity is the rfft2 half spectrum w = omega.half
+# that a SpectralField stores (voigt2d.spectral owns the layout).  The state
+# is dealiased, so only its live columns 0 <= k2 <= floor(M/3) (Orszag's
+# two-thirds rule) can be nonzero: rhs and cfl_dt run their complex k1-axis
+# passes over those alone, and irfft zero-pads the rest.
 #
 # The advection term is taken in Basdevant's form (C. Basdevant, J. Comput.
 # Phys. 50 (1983) 209-214): for divergence-free u in 2-D,
@@ -184,7 +184,7 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     Euler right-hand side.
 
     ``w`` and the result are rfft2 half spectra of shape (M, M/2+1) in the
-    SpectralField normalisation (w = coeffs[:, :M/2+1]).  rhs(w) is by
+    SpectralField normalisation (a field's half, coeffs[:, :M/2+1]).  rhs(w) is by
     definition the Galerkin right-hand side of dealias(w): modes of ``w``
     beyond the cutoff floor(M/3) are ignored, and on a dealiased ``w`` the
     masking multiplies by 1.0 and changes no bit.
@@ -316,15 +316,15 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     """Advance omega0 to t_end recording diagnostics every record_every.
 
     The initial state is dealiased and mean-zeroed before stepping, which
-    runs on its rfft2 half spectrum; records and snapshots see the full,
-    exactly Hermitian SpectralField of the state.  Raises
+    runs on its rfft2 half spectrum; records and snapshots see the
+    SpectralField of a copy of it.  Raises
     :class:`BlowUpError` with the failure time if the state stops being
     finite.
     """
     if omega0.grid != config.grid:
         raise ValueError("initial data grid does not match config grid")
-    w = _half(zero_mean(dealias(omega0)))
-    omega = _field(w)
+    omega = zero_mean(dealias(omega0))
+    w = omega.half
 
     events, rec_set, snap_set = _schedule(config)
 

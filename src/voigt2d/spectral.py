@@ -5,24 +5,26 @@ and the diagnostics never build that velocity: they take every velocity
 quantity from omega's spectrum.
 
 Convention: a real field f on [0, 2pi)^2 is represented by coefficients
-f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), stored as an M x M complex
-array in numpy FFT layout.  Parseval then reads
-integral |f|^2 dx = (2pi)^2 * sum_k |f_hat[k]|^2.
+f_hat[k] with f(x) = sum_k f_hat[k] exp(i k.x), in numpy FFT layout.
+Parseval then reads integral |f|^2 dx = (2pi)^2 * sum_k |f_hat[k]|^2.
 
-This full layout is the one every public name takes and returns.  A
-SpectralField is real by construction: its constructor rejects
-coefficients that are not Hermitian, so the half spectrum of any field is
-the whole of it.  This module owns the rfft2 half spectrum
-coeffs[:, :M/2+1] and its conversions :func:`_half` and :func:`_field`
-(the exact Hermitian mirror): :func:`forward_transform` is the two 1D
-passes of an rfft2 and the mirror, the stepper of :mod:`voigt2d.dynamics`
-runs on half spectra, and :func:`values_oversampled` writes the half
-spectrum's rows into the M/2+1 leading columns of a (2M, M+1) pad, whose
-other columns stay zero, and takes the two 1D passes of an irfft2, the
-first in place.  The pad and two 2M x 2M value planes form one workspace
-per grid size, allocated once and reused; the diagnostics write their
-oversampled values into its planes.  Every oversampled evaluation of the
-process shares it, so they must not run concurrently in threads.
+A SpectralField stores only the rfft2 half spectrum ``half`` =
+f_hat[:, :M/2+1], an (M, M/2+1) array: the columns k2 < 0 of a real field
+are the conjugates of those with k2 > 0.  The M x M full layout is the one
+the public constructor takes and :attr:`SpectralField.coeffs` returns,
+mirrored on demand; the constructor rejects coefficients that are not
+Hermitian, so the half spectrum of any field is the whole of it.  Every
+operator here, :func:`forward_transform` (the two 1D passes of an rfft2),
+the stepper of :mod:`voigt2d.dynamics` and the quadratic norms of
+:mod:`voigt2d.diagnostics` run on half spectra; :func:`_field` is the
+private constructor from a copy of one.  :func:`values_oversampled` writes
+the half spectrum's rows into the M/2+1 leading columns of a (2M, M+1)
+pad, whose other columns stay zero, and takes the two unnormalized 1D
+passes of an irfft2, the first in place.  The pad and two 2M x 2M value
+planes form one workspace per grid size, allocated once and reused; the
+diagnostics write their oversampled values into its planes.  Every
+oversampled evaluation of the process shares it, so they must not run
+concurrently in threads.
 """
 
 from __future__ import annotations
@@ -42,57 +44,94 @@ class SymmetryError(ValueError):
     """Coefficients are not Hermitian-symmetric: the field is not real."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralField:
-    """Immutable scalar field in spectral representation.
+    """Immutable real scalar field in spectral representation.
 
-    ``coeffs`` is a read-only complex128 array of shape (M, M) in FFT
-    layout.  A read-only complex128 ndarray that owns its data is kept as it
-    is (this module's constructors hand over fresh arrays that way); any
-    other input is copied, so writing to the caller's array later leaves the
-    field unchanged.  The field is real: the constructor raises
-    :class:`SymmetryError` if the coefficients violate Hermitian symmetry
-    beyond 1e-12 relative, so every half-spectrum reader may take it as
-    whole, and ValueError if any coefficient is not finite.  Fields used
-    by the dynamics also have a zero mean mode (coeffs[0, 0] == 0),
-    enforced at the generator and integrator boundaries.
+    ``SpectralField(grid, coeffs)`` takes the M x M coefficients in FFT
+    layout.  It raises :class:`SymmetryError` if they violate Hermitian
+    symmetry beyond 1e-12 relative, and ValueError if any is not finite,
+    and keeps a copy of their half spectrum, so writing to the caller's
+    array later leaves the field unchanged.  Full-layout input that is
+    Hermitian within the 1e-12 tolerance, but not exactly, is read back as
+    its mirrored half: the columns 0 < k2 < M/2 as given, their conjugates
+    at -k2, and the self-conjugate columns k2 = 0 and M/2 symmetrized.
+
+    ``half`` is the read-only complex128 (M, M/2+1) half spectrum, the
+    field's only storage; ``coeffs`` is its exactly Hermitian M x M mirror,
+    a fresh read-only array built on each access.  The private constructor
+    ``SpectralField(grid, half, _half=True)`` takes over a fresh half
+    spectrum: it checks the two self-conjugate columns alone, with the same
+    errors, and symmetrizes them in place.  Fields used by the dynamics
+    also have a zero mean mode (coeffs[0, 0] == 0), enforced at the
+    generator and integrator boundaries.
     """
 
     grid: GridSpec
-    coeffs: np.ndarray
+    half: np.ndarray
 
-    def __post_init__(self) -> None:
-        c = self.coeffs
-        if not (
-            type(c) is np.ndarray
-            and c.dtype == np.complex128
-            and c.base is None
-            and not c.flags.writeable
-        ):
-            c = np.array(c, dtype=np.complex128)
-            c.setflags(write=False)
-        m = self.grid.size
-        if c.shape != (m, m):
-            raise ValueError(f"coefficient shape {c.shape} does not match grid size {m}")
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray, *, _half: bool = False) -> None:
+        m = grid.size
+        h = m // 2
+        if _half:
+            w = c = coeffs
+            if w.shape != (m, h + 1):
+                raise ValueError(f"half spectrum shape {w.shape} does not match grid {m}")
+            defect_of = _column_defect
+        else:
+            c = np.asarray(coeffs, dtype=np.complex128)
+            if c.shape != (m, m):
+                raise ValueError(
+                    f"coefficient shape {c.shape} does not match grid size {m}"
+                )
+            w = np.array(c[:, : h + 1])
+            defect_of = _hermitian_defect
         scale = float(np.max(np.abs(c)))
         # a non-finite coefficient makes the scale inf or NaN: it fails
         # without the defect, where a conjugate pair of infs would warn
-        defect = _hermitian_defect(c) if scale < np.inf else np.nan
+        defect = defect_of(c) if scale < np.inf else np.nan
         if not defect <= SYMMETRY_TOL * max(1.0, scale):
             if not np.all(np.isfinite(c)):
                 raise ValueError("coefficients must be finite")
             raise SymmetryError(
                 f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
             )
-        object.__setattr__(self, "coeffs", c)
+        neg = tables(grid).negate
+        for j in (0, h):  # the self-conjugate columns, made exactly Hermitian
+            w[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
+        w.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "half", w)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The M x M coefficients in FFT layout, mirrored from ``half``."""
+        w = self.half
+        m, h = self.grid.size, self.grid.size // 2
+        c = np.empty((m, m), dtype=np.complex128)
+        c[:, : h + 1] = w
+        # column -k2 of row k1 is conj(w[-k1, k2]); -k1 reverses rows 1 .. M-1
+        np.conjugate(w[0, h - 1 : 0 : -1], out=c[0, h + 1 :])
+        np.conjugate(w[:0:-1, h - 1 : 0 : -1], out=c[1:, h + 1 :])
+        c.setflags(write=False)
+        return c
+
+    def __reduce__(self):
+        # pickle (the sweep's process pool) rebuilds the field through the
+        # private constructor, so it arrives checked and read-only again
+        return (_field, (self.half,))
 
     # -- difference and scaling -----------------------------------------
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.half - other.half, _half=True)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
+        # the half spectrum cannot show that i f is not real where f's
+        # self-conjugate columns vanish, so a non-real scalar fails here
+        if complex(scalar).imag != 0.0:
+            raise SymmetryError(f"a real field times {scalar} is not real")
+        return SpectralField(self.grid, self.half * scalar, _half=True)
 
     __rmul__ = __mul__
 
@@ -102,7 +141,7 @@ class SpectralField:
 
     @property
     def mean_coefficient(self) -> complex:
-        return complex(self.coeffs[0, 0])
+        return complex(self.half[0, 0])
 
 
 def _hermitian_defect(c: np.ndarray) -> float:
@@ -118,43 +157,33 @@ def _hermitian_defect(c: np.ndarray) -> float:
     return float(np.max(np.abs(mirror)))
 
 
+def _column_defect(w: np.ndarray) -> float:
+    """Max |w(-k1, k2) - conj(w(k1, k2))| over the self-conjugate columns
+    k2 = 0 and M/2 of the (M, M/2+1) half spectrum w, the only modes of a
+    half spectrum that realness constrains."""
+    cols = w[:, :: w.shape[1] - 1]
+    mirror = np.conjugate(np.concatenate([cols[:1], cols[:0:-1]]))
+    return float(np.max(np.abs(cols - mirror)))
+
+
 # ---------------------------------------------------------------------------
 # the half spectrum and the transforms
 
 
-def _half(f: SpectralField) -> np.ndarray:
-    """The half spectrum w of a full-layout field (a view): the columns
-    k2 < 0 of a real field are the conjugates of those with k2 > 0."""
-    return f.coeffs[:, : f.grid.size // 2 + 1]
-
-
 def _field(w: np.ndarray) -> SpectralField:
-    """The Hermitian SpectralField of half spectrum w.
-
-    Mirrors the columns 0 < k2 < M/2 onto -k2 and symmetrizes the
-    self-conjugate columns k2 = 0 and M/2, so the Hermitian defect is 0.
-    """
-    grid = GridSpec(w.shape[0])
-    m, h = grid.size, grid.size // 2
-    neg = tables(grid).negate
-    c = np.empty((m, m), dtype=np.complex128)
-    c[:, : h + 1] = w
-    # column -k2 of row k1 is conj(w[-k1, k2]); -k1 reverses rows 1 .. M-1
-    np.conjugate(w[0, h - 1 : 0 : -1], out=c[0, h + 1 :])
-    np.conjugate(w[:0:-1, h - 1 : 0 : -1], out=c[1:, h + 1 :])
-    for j in (0, h):
-        c[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
-    c.setflags(write=False)  # fresh and read-only: the field keeps it uncopied
-    return SpectralField(grid, c)
+    """The SpectralField of a copy of the (M, M/2+1) half spectrum w, for
+    callers that go on using w (the stepper's state)."""
+    copy = np.array(w, dtype=np.complex128)
+    return SpectralField(GridSpec(w.shape[0]), copy, _half=True)
 
 
 def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
     """Collocation values -> spectral coefficients.
 
-    Input must be real and finite with shape (M, M).  The output is the
-    :func:`_field` mirror of the rfft2 half spectrum, taken as rfft2's two 1D
-    passes with the second in place, so Hermitian symmetry holds exactly;
-    the mean mode keeps its computed (real) value.
+    Input must be real and finite with shape (M, M).  The field keeps the
+    rfft2 half spectrum, taken as rfft2's two 1D passes with the second in
+    place, and its self-conjugate columns are symmetrized, so Hermitian
+    symmetry holds exactly; the mean mode keeps its computed (real) value.
     """
     values = np.asarray(values)
     if values.shape != (grid.size, grid.size):
@@ -168,7 +197,7 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
     half = np.fft.rfft(values, axis=1)
     np.fft.fft(half, axis=0, out=half)  # rfft2's two passes, the second in place
     half /= grid.size**2
-    return _field(half)
+    return SpectralField(grid, half, _half=True)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
@@ -190,13 +219,15 @@ def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     if alpha == 0:
         return f
-    return SpectralField(f.grid, f.coeffs / (1.0 + alpha * tables(f.grid).ksq))
+    ksq = tables(f.grid).ksq[:, : f.half.shape[1]]
+    return SpectralField(f.grid, f.half / (1.0 + alpha * ksq), _half=True)
 
 
 def _require_zero_mean(f: SpectralField) -> None:
     """The zero-mean check of every caller that applies -1/|k|^2 to the
-    spectrum: :func:`biot_savart` and the velocity diagnostics."""
-    scale = max(1.0, float(np.max(np.abs(f.coeffs))))
+    spectrum: :func:`biot_savart` and the velocity diagnostics.  The scale
+    is that of the full layout, since |conj z| = |z|."""
+    scale = max(1.0, float(np.max(np.abs(f.half))))
     if abs(f.mean_coefficient) > SYMMETRY_TOL * scale:
         raise ValueError(f"field must be zero-mean, mean mode is {f.mean_coefficient}")
 
@@ -213,20 +244,24 @@ def biot_savart(omega: SpectralField) -> tuple[SpectralField, SpectralField]:
     _require_zero_mean(omega)
     g = omega.grid
     t = tables(g)
-    psi = -t.inv_ksq * omega.coeffs
-    return SpectralField(g, -((1j * t.d2) * psi)), SpectralField(g, (1j * t.d1) * psi)
+    h = omega.half.shape[1]
+    psi = -t.inv_ksq[:, :h] * omega.half
+    u1 = -((1j * t.d2[:, :h]) * psi)
+    u2 = (1j * t.d1[:, :h]) * psi
+    return SpectralField(g, u1, _half=True), SpectralField(g, u2, _half=True)
 
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero every mode with max(|k1|, |k2|) > the grid's dealias cutoff."""
-    return SpectralField(f.grid, f.coeffs * tables(f.grid).dealias_mask)
+    mask = tables(f.grid).dealias_mask[:, : f.half.shape[1]]
+    return SpectralField(f.grid, f.half * mask, _half=True)
 
 
 def zero_mean(f: SpectralField) -> SpectralField:
     """Hard-zero the (0, 0) mode."""
-    c = f.coeffs.copy()
-    c[0, 0] = 0.0
-    return SpectralField(f.grid, c)
+    w = f.half.copy()
+    w[0, 0] = 0.0
+    return SpectralField(f.grid, w, _half=True)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +282,7 @@ def values_oversampled(f: SpectralField) -> np.ndarray:
     threads.
     """
     m = f.grid.size
-    return _oversample_half(_half(f), np.empty((2 * m, 2 * m)))
+    return _oversample_half(f.half, np.empty((2 * m, 2 * m)))
 
 
 class _Oversampling:
@@ -279,10 +314,15 @@ def _oversample_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     It runs the two passes that numpy's irfft2 runs inside, an ifft along
     k1 in place on the M/2+1 data columns of the pad and an irfft with
     n = 2M along k2 over the whole (2M, M+1) pad into ``out`` (irfft2
-    itself drops its ``out=``), so the values are bit for bit those of
-    irfft2 and no fresh array is made.  The pad belongs to the per-process
-    workspace of :func:`_oversampling`, not for concurrent threads; ``out``
-    may be one of its planes.
+    itself drops its ``out=``), and no fresh array is made.  Both passes
+    take norm="forward", which leaves the sums unscaled, so the (2M)^2 that
+    undoes irfft2's default 1/(2M)^2 costs no pass over ``out``: the values
+    are bit for bit those of irfft2 with norm="forward".  For a power-of-two
+    M the scale is a power of two, which commutes with every rounding, so
+    they are also bit for bit those of irfft2 times (2M)^2; for other M
+    they may differ from those in the last bit.  The pad belongs to the
+    per-process workspace of :func:`_oversampling`, not for concurrent
+    threads; ``out`` may be one of its planes.
     """
     m = half.shape[0]
     mf = 2 * m
@@ -297,7 +337,6 @@ def _oversample_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     big[h] *= 0.5
     big[mf - h] *= 0.5
     big[:, h] *= 0.5
-    np.fft.ifft(big, axis=0, out=big)
-    np.fft.irfft(pad, n=mf, axis=1, out=out)
-    out *= mf**2
+    np.fft.ifft(big, axis=0, out=big, norm="forward")
+    np.fft.irfft(pad, n=mf, axis=1, out=out, norm="forward")
     return out

@@ -19,7 +19,6 @@ from voigt2d import (
 from voigt2d.grid import tables
 from voigt2d.spectral import (
     _field,
-    _half,
     _hermitian_defect,
     _oversample_half,
     _oversampling,
@@ -220,7 +219,12 @@ class TestTransforms:
         want = float(np.max(np.abs(c - np.conj(c[np.ix_(neg, neg)]))))
         assert want > 0.0
         assert _hermitian_defect(c) == want
-        assert _hermitian_defect(_field(c[:, : m // 2 + 1]).coeffs) == 0.0
+        # a half spectrum whose self-conjugate columns are Hermitian only
+        # within the tolerance: its mirror is exactly Hermitian
+        w = c[:, : m // 2 + 1].copy()
+        cols = slice(None, None, m // 2)
+        w[:, cols] = 0.5 * (c + np.conj(c[np.ix_(neg, neg)]))[:, cols] + 1e-14 * c[:, cols]
+        assert _hermitian_defect(_field(w).coeffs) == 0.0
 
     def test_float_input_becomes_complex_copy(self):
         g = grid32()
@@ -315,6 +319,113 @@ class TestRealness:
             make_taylor_family(g, mode=2, perturbation=0.1),
         ]
         assert [_hermitian_defect(x.coeffs) for x in fields] == [0.0] * len(fields)
+
+
+def mirror_oracle(w: np.ndarray) -> np.ndarray:
+    """Test oracle: the M x M layout of half spectrum w by an index gather,
+    its self-conjugate columns k2 = 0, M/2 averaged with their conjugates."""
+    m = w.shape[0]
+    h = m // 2
+    neg = (-np.arange(m)) % m
+    w = w.copy()
+    for j in (0, h):
+        w[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
+    full = np.empty((m, m), dtype=complex)
+    full[:, : h + 1] = w
+    full[:, h + 1 :] = np.conj(w[np.ix_(neg, neg[h + 1 :])])
+    return full
+
+
+class TestHalfStorage:
+    @pytest.mark.parametrize("m", [8, 10, 64])
+    def test_exactly_hermitian_input_round_trips_bitwise(self, m):
+        # with every Nyquist row and column nonzero
+        c = forward_transform(np.random.default_rng(m + 30).standard_normal((m, m)), GridSpec(m)).coeffs
+        assert np.all(c[m // 2] != 0) and np.all(c[:, m // 2] != 0)
+        assert _hermitian_defect(c) == 0.0
+        assert np.array_equal(SpectralField(GridSpec(m), c).coeffs, c)
+
+    @pytest.mark.parametrize("m", [8, 10, 64])
+    def test_nearly_hermitian_input_reads_back_as_its_mirrored_half(self, m):
+        g = GridSpec(m)
+        rng = np.random.default_rng(m + 31)
+        c = forward_transform(rng.standard_normal((m, m)), g).coeffs
+        c = c + 1e-14 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        assert 0.0 < _hermitian_defect(c) <= 1e-12
+        got = SpectralField(g, c).coeffs
+        assert not np.array_equal(got, c)
+        assert np.array_equal(got, mirror_oracle(c[:, : m // 2 + 1]))
+        assert _hermitian_defect(got) == 0.0
+
+    def test_non_real_scaling_and_lone_inf_still_rejected(self):
+        g = grid32()
+        with pytest.raises(SymmetryError, match="not real"):
+            seeded(g, 9) * 1j
+        # a field with no mode in the self-conjugate columns, whose half
+        # spectrum alone would not show that i f is not real
+        c = np.zeros((32, 32), dtype=complex)
+        c[1, 2] = c[-1, -2] = 1.0
+        f = SpectralField(g, c)
+        assert not np.any(f.half[:, [0, 16]])
+        for scalar in (1j, 2.0 + 1e-300j):
+            with pytest.raises(SymmetryError, match="not real"):
+                f * scalar
+        c[1, 2] = np.inf
+        with pytest.raises(ValueError, match="coefficients must be finite") as err:
+            SpectralField(g, c)
+        assert not isinstance(err.value, SymmetryError)
+
+    def test_private_constructor_checks_the_self_conjugate_columns(self):
+        g = GridSpec(16)
+        w = np.zeros((16, 9), dtype=complex)
+        w[3, 4] = 1.0 + 2.0j  # any value off the self-conjugate columns is real
+        assert np.array_equal(_field(w).coeffs[-3, -4], 1.0 - 2.0j)
+        for j in (0, 8):
+            bad = w.copy()
+            bad[1, j] = 1.0  # no conjugate partner at row -1
+            with pytest.raises(SymmetryError, match="not real"):
+                _field(bad)
+        for value in (np.inf, np.nan):
+            bad = w.copy()
+            bad[2, 5] = value
+            with pytest.raises(ValueError, match="coefficients must be finite") as err:
+                _field(bad)
+            assert not isinstance(err.value, SymmetryError)
+        with pytest.raises(ValueError, match="half spectrum shape"):
+            SpectralField(g, np.zeros((16, 16), dtype=complex), _half=True)
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_field_holds_the_half_spectrum_alone(self, m):
+        g = GridSpec(m)
+        f = zero_mean(forward_transform(np.random.default_rng(m).standard_normal((m, m)), g))
+        fields = [
+            f,
+            SpectralField(g, f.coeffs),
+            _field(f.half),
+            dealias(f),
+            helmholtz_filter(f, 0.1),
+            *biot_savart(f),
+            galerkin_truncate(f, m // 3),
+            2.5 * f,
+            f - seeded(g, 1),
+            seeded(g, 2),
+        ]
+        for x in fields:
+            assert set(vars(x)) == {"grid", "half"}
+            w = x.half
+            assert w.shape == (m, m // 2 + 1) and w.dtype == np.complex128
+            assert w.base is None and w.nbytes == 16 * m * (m // 2 + 1)
+            assert not w.flags.writeable
+        assert f.coeffs is not f.coeffs  # mirrored on demand, never kept
+
+    def test_pickled_field_arrives_read_only(self):
+        # the sweep's process pool sends the initial field by pickle
+        import pickle
+
+        f = seeded(grid32(), 4)
+        g = pickle.loads(pickle.dumps(f))
+        assert g.grid == f.grid and np.array_equal(g.half, f.half)
+        assert not g.half.flags.writeable
 
 
 class TestCalculus:
@@ -466,12 +577,16 @@ class TestOversampling:
         big[half] *= 0.5
         big[mf - half] *= 0.5
         big[:, half] *= 0.5
-        return np.fft.irfft2(big, s=(mf, mf)) * mf**2
+        want = np.fft.irfft2(big, s=(mf, mf), norm="forward")
+        if m & (m - 1) == 0:  # a power-of-two scale commutes with rounding
+            assert np.array_equal(want, np.fft.irfft2(big, s=(mf, mf)) * mf**2)
+        return want
 
     @pytest.mark.parametrize("m", [8, 10, 16, 64])
     def test_matches_wide_pad(self, m):
         # the workspace pad, transformed in place along k1, equals a fresh
-        # (2M, M+1) pad of the half spectrum through irfft2 bit for bit
+        # (2M, M+1) pad of the half spectrum through an unnormalized irfft2
+        # bit for bit
         g = GridSpec(m)
         f = forward_transform(np.random.default_rng(m + 1).standard_normal((m, m)), g)
         assert np.all(np.abs(f.coeffs[m // 2, :]) > 0)
@@ -501,7 +616,7 @@ class TestOversampling:
         import tracemalloc
 
         m = 64
-        half = _half(seeded(GridSpec(m), 5))
+        half = seeded(GridSpec(m), 5).half
         out = np.empty((2 * m, 2 * m))
         _oversample_half(half, out)
         tracemalloc.start()
@@ -522,14 +637,16 @@ class TestOversampling:
         assert np.all(np.abs(f.coeffs[:, m // 2]) > 0)
         half, mf = m // 2, 2 * m
         pad = np.zeros((mf, half + 1), dtype=complex)
-        pad[: half + 1] = _half(f)[: half + 1]
-        pad[mf - half :] = _half(f)[half:]
+        pad[: half + 1] = f.half[: half + 1]
+        pad[mf - half :] = f.half[half:]
         pad[half] *= 0.5
         pad[mf - half] *= 0.5
         pad[:, half] *= 0.5
-        want = np.fft.irfft2(pad, s=(mf, mf)) * mf**2
+        want = np.fft.irfft2(pad, s=(mf, mf), norm="forward")
+        if m & (m - 1) == 0:  # a power-of-two scale commutes with rounding
+            assert np.array_equal(want, np.fft.irfft2(pad, s=(mf, mf)) * mf**2)
         out = np.full((mf, mf), np.nan)
-        assert _oversample_half(_half(f), out) is out
+        assert _oversample_half(f.half, out) is out
         assert np.array_equal(out, want)
 
     def test_divergence_alias(self):
