@@ -11,14 +11,15 @@ no full M x M spectrum.
 
 lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
 oversampled grid, and each ratio evaluates a whole sequence of p on one
-oversampled field: gagliardo_ratio on |f|, cz_ratio on |grad u|, which it
-builds from three oversampled transforms of omega's half spectrum.  The
-oversampled values and the scratch buffer of the quadrature are the two
-2M x 2M planes of the spectral oversampling workspace, one per grid size,
-shared by every call in the process, so not for concurrent threads.  The
-quadrature sums every p over cache-sized row blocks in two row slices of
-the scratch plane: a power of two p by repeated squaring in place, any
-other p by exp(p log) from one log per block.  The collocation sup of the
+oversampled field: gagliardo_ratio on |f|, cz_ratio on |grad u|^2 at
+exponents p/2, which it sums from three oversampled transforms of omega's
+half spectrum.  The oversampled values live in the one 2M x 2M plane of
+the spectral oversampling workspace, and the quadrature's scratch in its
+buffer of 2 min(64, M) rows, one workspace per grid size, shared by every
+call in the process, so not for concurrent threads.  The quadrature sums
+every p over cache-sized row blocks in two row slices of that buffer: a
+power of two p by repeated squaring in place, any other p by exp(p log)
+from one log per block.  The collocation sup of the
 last field asked for is kept, so sample_state and cz_ratio of one field
 transform it once.
 """
@@ -54,7 +55,7 @@ class _NormWeights:
     A sum over the M x M spectrum of a real field is the sum over its
     (M, M/2+1) half spectrum with weight ``fold``, a vector over k2: 2 on
     the columns 0 < k2 < M/2, 1 on the self-conjugate columns k2 = 0 and
-    M/2.  ``ksq`` is |k|^2 on the half spectrum (a view of the grid table),
+    M/2.  ``ksq`` is |k|^2 on the half spectrum (the grid table),
     ``grad`` the folded |k|^2, and ``velocity`` the folded
     (d1^2 + d2^2) / |k|^4: |u1_hat|^2 + |u2_hat|^2 =
     (d1^2 + d2^2) / |k|^4 * |omega_hat|^2 for u = biot_savart(omega), with
@@ -67,10 +68,13 @@ class _NormWeights:
         fold = np.full(h, 2.0)
         fold[0] = fold[-1] = 1.0
         self.fold = fold
-        self.ksq = t.ksq[:, :h]
-        self.grad = fold * self.ksq
-        dsq = t.d1[:, :h] ** 2 + t.d2[:, :h] ** 2
-        self.velocity = fold * dsq * t.inv_ksq[:, :h] ** 2
+        self.ksq = t.ksq
+        self.grad = fold * t.ksq
+        # d1^2 + d2^2 from the two d vectors, folded and divided in place
+        velocity = np.add.outer(t.d1[:, 0] ** 2, t.d2[0] ** 2)
+        velocity *= fold
+        velocity *= t.inv_ksq * t.inv_ksq
+        self.velocity = velocity
         for arr in (self.fold, self.grad, self.velocity):
             arr.setflags(write=False)
 
@@ -134,12 +138,12 @@ def _sup(f: SpectralField) -> float:
 
 def _abs_lp(f: SpectralField, ps: Sequence[float]) -> tuple[float, ...]:
     """:func:`_oversampled_lp` of |f| on the 2x oversampled grid, in the
-    two planes of the oversampling workspace."""
+    plane of the oversampling workspace, with its block buffer as scratch."""
     m = f.grid.size
-    a, buf = _oversampling(m).planes
-    _oversample_half(f.half, a)
+    ws = _oversampling(m)
+    a = _oversample_half(f.half, ws.plane)
     np.abs(a, out=a)
-    return _oversampled_lp(a, m, ps, buf)
+    return _oversampled_lp(a, m, ps, ws.block)
 
 
 def _oversampled_lp(
@@ -149,8 +153,9 @@ def _oversampled_lp(
     oversampled grid of an M grid, by quadrature with weight (2pi/2M)^2.
 
     Every p is summed over blocks of min(64, M) rows of a, which stay in
-    cache; the blocks live in two row slices of the scratch buffer ``buf``
-    of a's shape, and a is not modified.  A power of two p = 2^k takes
+    cache; the blocks live in two row slices of the scratch buffer ``buf``,
+    which has a's width and at least 2 min(64, M) rows, and a is not
+    modified.  A power of two p = 2^k takes
     (a/vmax)^p as a/vmax squared in place k times; after a smaller power of
     two the squaring goes on from it, which repeats the same operations.
     Any other p takes exp(p log(a/vmax)), with the log taken once per
@@ -254,13 +259,20 @@ def cz_ratio(
     The Calderon-Zygmund constant of the torus makes this ratio bounded
     uniformly in p; it is scale-invariant in omega.  |grad u| is the
     pointwise Frobenius magnitude of the 2x2 gradient tensor.  A sequence
-    of p returns a tuple: |grad u| and ||omega||_inf are computed once and
-    every p is evaluated on them, with the same arithmetic as a single p.
+    of p returns a tuple: |grad u|^2 and ||omega||_inf are computed once
+    and every p is evaluated on them, with the same arithmetic as a single
+    p.
 
-    The gradient half spectra come straight from the stream function
-    psi = -omega/|k|^2: d1 u1 = d1 d2 psi, d2 u1 = d2^2 psi and
+    The gradient half spectra come straight from omega: with the stream
+    function psi = -omega/|k|^2, d1 u1 = d1 d2 psi, d2 u1 = d2^2 psi and
     d1 u2 = -d1^2 psi with the Nyquist-zeroed d tables, and d2 u2 = -d1 u1
-    exactly, so three oversampled transforms build |grad u|.
+    exactly.  Each of the three is written, up to its sign, which drops out
+    under the square, as omega_hat * inv_ksq * d * d straight into the
+    data rows of the oversampling pad.  After the pass along k1, the pass
+    along k2 runs in row blocks whose squares are summed into the
+    workspace plane as |grad u|^2 = 2 (d1 u1)^2 + (d2 u1)^2 + (d1 u2)^2.
+    The quadrature then takes the L^(p/2) norm of |grad u|^2, whose square
+    root is the L^p norm of |grad u|.
     """
     ps = _exponents("cz_ratio", p, lambda q: 2 < q < np.inf, "finite p > 2")
     if not ps:
@@ -270,20 +282,25 @@ def cz_ratio(
         raise ValueError(f"cz_ratio_p{ps[0]:g}: cz_ratio is undefined for the zero field")
     _require_zero_mean(omega)  # as biot_savart(omega) would
     m = omega.grid.size
-    h = m // 2 + 1
     t = tables(omega.grid)
-    d1, d2 = t.d1[:, :h], t.d2[:, :h]
-    psi = -t.inv_ksq[:, :h] * omega.half
-    mag, v = _oversampling(m).planes
-    _oversample_half(d1 * d2 * psi, mag)  # d1 u1, whose square counts twice
-    mag *= mag
-    mag *= 2.0
-    for a, b in ((d2, d2), (-d1, d1)):  # d2 u1, d1 u2, made one at a time
-        _oversample_half(a * b * psi, v)
-        mag += np.multiply(v, v, out=v)
-    np.sqrt(mag, out=mag)
-    norms = _oversampled_lp(mag, m, ps, v)  # the last gradient plane is scratch
-    ratios = tuple(n / (q * sup) for n, q in zip(norms, ps))
+    ws = _oversampling(m)
+    grad_sq, block = ws.plane, ws.block
+    for first, a, b in ((True, t.d1, t.d2), (False, t.d2, t.d2), (False, t.d1, t.d1)):
+        for rows, out in ws.data:
+            np.multiply(omega.half[rows], t.inv_ksq[rows], out=out)
+            out *= a[rows]
+            out *= b[rows]
+        ws.k1_pass()
+        for start in range(0, 2 * m, block.shape[0]):
+            v = ws.k2_pass(block[: 2 * m - start], start)
+            np.multiply(v, v, out=v)
+            acc = grad_sq[start : start + v.shape[0]]
+            if first:  # d1 u1, whose square counts twice
+                np.multiply(v, 2.0, out=acc)
+            else:
+                acc += v
+    norms = _oversampled_lp(grad_sq, m, tuple(q / 2.0 for q in ps), block)
+    ratios = tuple(math.sqrt(n) / (q * sup) for n, q in zip(norms, ps))
     return ratios[0] if np.ndim(p) == 0 else ratios
 
 

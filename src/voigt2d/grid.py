@@ -56,30 +56,34 @@ class GridSpec:
 class _Tables:
     """Precomputed wave-number arrays shared by all fields on one grid.
 
-    All arrays are read-only.  ``k1``/``k2`` are the raw integer
-    wave-numbers; ``d1``/``d2`` are the derivative factors with the
-    unpaired Nyquist mode k_j = M/2 zeroed (it carries no usable phase
-    information for odd derivatives on an even grid).  These four are
-    M x M broadcast views of one 1D vector each, so they hold no M x M
-    memory of their own.
+    Every array covers the (M, M/2+1) rfft2 half spectrum that a
+    SpectralField stores: rows k1 in FFT layout, columns k2 = 0 .. M/2-1
+    and then -M/2, the layout's value for the unpaired column M/2.  All are
+    read-only.  ``k1``/``k2`` are the raw integer wave-numbers; ``d1``/``d2``
+    are the derivative factors with the unpaired Nyquist mode k_j = M/2
+    zeroed (it carries no usable phase information for odd derivatives on
+    an even grid).  These four are broadcast views of one 1D vector each,
+    so they hold no memory of their own; ``ksq``, ``inv_ksq`` and
+    ``dealias_mask`` are outer sums or products of two such vectors.
     """
 
     def __init__(self, grid: GridSpec) -> None:
         m = grid.size
+        h = m // 2 + 1
         k = np.fft.fftfreq(m, d=1.0 / m)  # [0, 1, ..., M/2-1, -M/2, ..., -1]
-        self.k1 = np.broadcast_to(k[:, None], (m, m))
-        self.k2 = np.broadcast_to(k[None, :], (m, m))
-        self.ksq = self.k1**2 + self.k2**2
+        self.k1 = np.broadcast_to(k[:, None], (m, h))
+        self.k2 = np.broadcast_to(k[None, :h], (m, h))
+        self.ksq = np.add.outer(k**2, k[:h] ** 2)
         d = k.copy()
         d[m // 2] = 0.0
-        self.d1 = np.broadcast_to(d[:, None], (m, m))
-        self.d2 = np.broadcast_to(d[None, :], (m, m))
+        self.d1 = np.broadcast_to(d[:, None], (m, h))
+        self.d2 = np.broadcast_to(d[None, :h], (m, h))
         with np.errstate(divide="ignore"):
             inv = 1.0 / self.ksq
         inv[0, 0] = 0.0
         self.inv_ksq = inv
-        cut = grid.dealias_cutoff
-        self.dealias_mask = (np.abs(self.k1) <= cut) & (np.abs(self.k2) <= cut)
+        keep = np.abs(k) <= grid.dealias_cutoff
+        self.dealias_mask = np.logical_and.outer(keep, keep[:h])
         # index that maps k -> -k in FFT layout, applied along both axes
         self.negate = (-np.arange(m)) % m
         for arr in (self.ksq, self.inv_ksq, self.dealias_mask, self.negate):

@@ -248,7 +248,6 @@ def galerkin_truncate(f: SpectralField, n: int) -> SpectralField:
     """Keep modes with 0 < |k| <= n (Euclidean); zero everything else."""
     if n < 1:
         raise ValueError(f"truncation wave-number must be >= 1, got {n}")
-    ksq = tables(f.grid).ksq[:, : f.half.shape[1]]
-    w = f.half * (ksq <= float(n) * float(n))
+    w = f.half * (tables(f.grid).ksq <= float(n) * float(n))
     w[0, 0] = 0.0
     return SpectralField(f.grid, w, _half=True)

@@ -17,14 +17,16 @@ Hermitian, so the half spectrum of any field is the whole of it.  Every
 operator here, :func:`forward_transform` (the two 1D passes of an rfft2),
 the stepper of :mod:`voigt2d.dynamics` and the quadratic norms of
 :mod:`voigt2d.diagnostics` run on half spectra; :func:`_field` is the
-private constructor from a copy of one.  :func:`values_oversampled` writes
-the half spectrum's rows into the M/2+1 leading columns of a (2M, M+1)
-pad, whose other columns stay zero, and takes the two unnormalized 1D
-passes of an irfft2, the first in place.  The pad and two 2M x 2M value
-planes form one workspace per grid size, allocated once and reused; the
-diagnostics write their oversampled values into its planes.  Every
-oversampled evaluation of the process shares it, so they must not run
-concurrently in threads.
+private constructor from a copy of one; the wave-number tables of
+:func:`voigt2d.grid.tables` cover the same (M, M/2+1) layout.
+:func:`values_oversampled` writes the half spectrum's rows into the M/2+1
+leading columns of a (2M, M+1) pad, whose other columns stay zero, and
+takes the two unnormalized 1D passes of an irfft2, the first in place.  The
+pad, one 2M x 2M value plane and a buffer of 2 min(64, M) rows of 2M
+values form one workspace per grid size, allocated once and reused; the
+diagnostics write their oversampled values into its plane, and the second
+pass may run in row blocks into the buffer.  Every oversampled evaluation
+of the process shares it, so they must not run concurrently in threads.
 """
 
 from __future__ import annotations
@@ -219,16 +221,16 @@ def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     if alpha == 0:
         return f
-    ksq = tables(f.grid).ksq[:, : f.half.shape[1]]
-    return SpectralField(f.grid, f.half / (1.0 + alpha * ksq), _half=True)
+    return SpectralField(f.grid, f.half / (1.0 + alpha * tables(f.grid).ksq), _half=True)
 
 
 def _require_zero_mean(f: SpectralField) -> None:
     """The zero-mean check of every caller that applies -1/|k|^2 to the
     spectrum: :func:`biot_savart` and the velocity diagnostics.  The scale
-    is that of the full layout, since |conj z| = |z|."""
-    scale = max(1.0, float(np.max(np.abs(f.half))))
-    if abs(f.mean_coefficient) > SYMMETRY_TOL * scale:
+    is that of the full layout, since |conj z| = |z|; it is at least 1, so
+    a mean mode within SYMMETRY_TOL passes without it."""
+    mean = abs(f.mean_coefficient)
+    if mean > SYMMETRY_TOL and mean > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(f.half)))):
         raise ValueError(f"field must be zero-mean, mean mode is {f.mean_coefficient}")
 
 
@@ -244,17 +246,15 @@ def biot_savart(omega: SpectralField) -> tuple[SpectralField, SpectralField]:
     _require_zero_mean(omega)
     g = omega.grid
     t = tables(g)
-    h = omega.half.shape[1]
-    psi = -t.inv_ksq[:, :h] * omega.half
-    u1 = -((1j * t.d2[:, :h]) * psi)
-    u2 = (1j * t.d1[:, :h]) * psi
+    psi = -t.inv_ksq * omega.half
+    u1 = -((1j * t.d2) * psi)
+    u2 = (1j * t.d1) * psi
     return SpectralField(g, u1, _half=True), SpectralField(g, u2, _half=True)
 
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero every mode with max(|k1|, |k2|) > the grid's dealias cutoff."""
-    mask = tables(f.grid).dealias_mask[:, : f.half.shape[1]]
-    return SpectralField(f.grid, f.half * mask, _half=True)
+    return SpectralField(f.grid, f.half * tables(f.grid).dealias_mask, _half=True)
 
 
 def zero_mean(f: SpectralField) -> SpectralField:
@@ -288,17 +288,52 @@ def values_oversampled(f: SpectralField) -> np.ndarray:
 class _Oversampling:
     """The buffers of the 2x oversampled evaluation on one grid size.
 
-    Every call in the process shares them, so oversampled evaluations must
-    not run concurrently in threads (parallel sweeps use processes).
+    An evaluation writes a half spectrum, or a multiple of one, into the
+    pad's data rows ``data``, then runs :meth:`k1_pass` and :meth:`k2_pass`.  Every call in the process shares the buffers, so
+    oversampled evaluations must not run concurrently in threads (parallel
+    sweeps use processes).
     """
 
     def __init__(self, m: int) -> None:
+        h, mf = m // 2, 2 * m
         #: the (2M, M+1) spectrum the irfft along k2 reads whole; every call
         #: writes its first M/2+1 columns and takes their ifft along k1 in
         #: place, and the columns beyond M/2 stay zero
-        self.pad = np.zeros((2 * m, m + 1), dtype=np.complex128)
-        #: two 2M x 2M value planes the diagnostics evaluate into
-        self.planes = np.empty((2, 2 * m, 2 * m))
+        self.pad = np.zeros((mf, m + 1), dtype=np.complex128)
+        #: the data rows of the pad's leading M/2+1 columns, each with the
+        #: rows of a half spectrum it takes: k1 = 0 .. M/2 (the -M/2 row
+        #: copied onto +M/2) and -M/2 .. -1
+        self.data = (
+            (slice(None, h + 1), self.pad[: h + 1, : h + 1]),
+            (slice(h, None), self.pad[mf - h :, : h + 1]),
+        )
+        #: the one 2M x 2M value plane the diagnostics evaluate into
+        self.plane = np.empty((mf, mf))
+        #: 2 min(64, M) rows of 2M values: the L^p quadrature's scratch and
+        #: the output blocks of a row-blocked k2 pass
+        self.block = np.empty((2 * min(64, m), mf))
+
+    def k1_pass(self) -> None:
+        """Split the Nyquist modes of the data rows and take the ifft along
+        k1, in place on the pad's M/2+1 leading columns.
+
+        The rows between the data rows, which held the last call's ifft,
+        are zeroed first.
+        """
+        mf = self.pad.shape[0]
+        h = mf // 4
+        big = self.pad[:, : h + 1]
+        big[h + 1 : mf - h] = 0.0
+        big[h] *= 0.5
+        big[mf - h] *= 0.5
+        big[:, h] *= 0.5
+        np.fft.ifft(big, axis=0, out=big, norm="forward")
+
+    def k2_pass(self, out: np.ndarray, start: int = 0) -> np.ndarray:
+        """The irfft with n = 2M along k2 of the pad rows from ``start`` on,
+        as many as ``out`` has, into ``out``, which is returned."""
+        rows = self.pad[start : start + out.shape[0]]
+        return np.fft.irfft(rows, n=self.pad.shape[0], axis=1, out=out, norm="forward")
 
 
 @lru_cache(maxsize=8)
@@ -311,32 +346,23 @@ def _oversample_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     (M, M/2+1) is ``half``, written into the 2M x 2M array ``out`` and
     returned.
 
-    It runs the two passes that numpy's irfft2 runs inside, an ifft along
-    k1 in place on the M/2+1 data columns of the pad and an irfft with
-    n = 2M along k2 over the whole (2M, M+1) pad into ``out`` (irfft2
-    itself drops its ``out=``), and no fresh array is made.  Both passes
-    take norm="forward", which leaves the sums unscaled, so the (2M)^2 that
-    undoes irfft2's default 1/(2M)^2 costs no pass over ``out``: the values
-    are bit for bit those of irfft2 with norm="forward".  For a power-of-two
-    M the scale is a power of two, which commutes with every rounding, so
-    they are also bit for bit those of irfft2 times (2M)^2; for other M
-    they may differ from those in the last bit.  The pad belongs to the
-    per-process workspace of :func:`_oversampling`, not for concurrent
-    threads; ``out`` may be one of its planes.
+    It copies ``half`` into the pad's data rows and runs the two passes
+    that numpy's irfft2 runs inside, an ifft along k1 in place on the M/2+1
+    data columns of the pad and an irfft with n = 2M along k2 over the
+    whole (2M, M+1) pad into ``out`` (irfft2 itself drops its ``out=``),
+    and no fresh array is made.  Both passes take norm="forward", which
+    leaves the sums unscaled, so the (2M)^2 that undoes irfft2's default
+    1/(2M)^2 costs no pass over ``out``: the values are bit for bit those
+    of irfft2 with norm="forward".  For a power-of-two M the scale is a
+    power of two, which commutes with every rounding, so they are also bit
+    for bit those of irfft2 times (2M)^2; for other M they may differ from
+    those in the last bit.  The pad belongs to the per-process workspace of
+    :func:`_oversampling`, not for concurrent threads; ``out`` may be its
+    plane.
     """
     m = half.shape[0]
-    mf = 2 * m
-    h = m // 2
-    pad = _oversampling(m).pad
-    big = pad[:, : h + 1]
-    # rows k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and -M/2 .. -1;
-    # the rows between them held the last call's ifft
-    big[: h + 1] = half[: h + 1]
-    big[h + 1 : mf - h] = 0.0
-    big[mf - h :] = half[h:]
-    big[h] *= 0.5
-    big[mf - h] *= 0.5
-    big[:, h] *= 0.5
-    np.fft.ifft(big, axis=0, out=big, norm="forward")
-    np.fft.irfft(pad, n=mf, axis=1, out=out, norm="forward")
-    return out
+    ws = _oversampling(m)
+    for rows, data in ws.data:
+        data[...] = half[rows]
+    ws.k1_pass()
+    return ws.k2_pass(out)

@@ -315,6 +315,25 @@ class TestSweep:
         assert "verdict velocity_rate:" in summary
         assert "fitted sup_u_l2 slope:" in capsys.readouterr().out
 
+    def test_summary_reports_alpha_times_cutoff_squared(self, tmp_path, capsys):
+        # M = 32: k_c = 10, so alpha k_c^2 falls from 10 to 0.1 over the
+        # sweep, and the two alphas below 1e-2 are grid-limited
+        out = tmp_path / "out"
+        assert entry(["sweep", sweep_config(tmp_path, out)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        lines = [
+            l for l in (out / "summary.txt").read_text().splitlines()
+            if l.startswith("alpha*k_c^2")
+        ]
+        alphas = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        assert lines == [
+            f"alpha*k_c^2 at alpha {a!r} (k_c = 10): {a * 100!r}"
+            + (" grid-limited" if a * 100 < 1.0 else "")
+            for a in alphas
+        ]
+        assert [l.endswith("grid-limited") for l in lines] == [False] * 3 + [True] * 2
+        assert all(l in printed for l in lines)
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
         out = tmp_path / "out"
@@ -413,8 +432,9 @@ class TestDiagnose:
         import voigt2d.spectral as spectral
 
         calls = dict.fromkeys(
-            ["values_oversampled", "inverse_transform", "biot_savart", "irfft2", "irfft"], 0
+            ["values_oversampled", "inverse_transform", "biot_savart", "irfft2", "ifft"], 0
         )
+        irfft_rows = []
 
         def counting(name, inner):
             def wrapper(*args, **kwargs):
@@ -423,12 +443,17 @@ class TestDiagnose:
 
             return wrapper
 
+        def rows_counting(a, *args, _inner=np.fft.irfft, **kwargs):
+            irfft_rows.append(a.shape[0])
+            return _inner(a, *args, **kwargs)
+
         for module in (cli, diagnostics, spectral):
             for name in ("values_oversampled", "inverse_transform", "biot_savart"):
                 inner = getattr(spectral, name)
                 monkeypatch.setattr(module, name, counting(name, inner), raising=False)
-        for name in ("irfft2", "irfft"):
+        for name in ("irfft2", "ifft"):
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, "irfft", rows_counting)
         g = GridSpec(32)
         path = tmp_path / "state.vfld"
         write_snapshot(str(path), snapshot_of(make_random_sobolev(g, 3.0, 4, 10), 0.0, 0.0))
@@ -437,9 +462,12 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert sum(line.startswith(("cz_ratio_p", "gagliardo_ratio_p"))
                    for line in out.splitlines()) == 6
-        # 1-D irfft passes: three gradient components for cz plus omega for
-        # gagliardo; one sup shared by sample_state and cz_ratio; no velocity
-        assert calls["irfft"] <= 4
+        # oversampled fields, counted by their pass along k1 (the pass along
+        # k2 may run in row blocks): three gradient components for cz plus
+        # omega for gagliardo, and so at most four 2M-row pads through irfft;
+        # one sup shared by sample_state and cz_ratio; no velocity
+        assert calls["ifft"] <= 4
+        assert 0 < sum(irfft_rows) <= 4 * 2 * 32
         assert calls["irfft2"] == 0
         assert calls["values_oversampled"] == 0
         assert calls["inverse_transform"] <= 1

@@ -26,8 +26,8 @@ from voigt2d import (
     values_oversampled,
 )
 import voigt2d.diagnostics as diagnostics
-from voigt2d.grid import tables
 from voigt2d.initial_data import make_random_sobolev
+from wavenumbers import full_tables
 
 #: regression values frozen from dense quadrature oracles (M = 1024)
 COS_L4 = 1.9615426303003437  # (3 pi^2 / 2)^(1/4)
@@ -272,6 +272,17 @@ class TestHalfSpectrumWeights:
         for i, (got, want) in enumerate(pairs):
             assert abs(got - want) <= 1e-14 * want, i
 
+    @pytest.mark.parametrize("m", [8, 10, 64, 96])
+    def test_root_of_enstrophy_is_l2_norm_bitwise(self, m):
+        # diagnose prints omega_l2 as sqrt(enstrophy) of sample_state, the
+        # same folded sum as l2_norm
+        g = GridSpec(m)
+        for seed in range(20):
+            values = np.random.default_rng([m, seed]).standard_normal((m, m))
+            omega = forward_transform(values - values.mean(), g)
+            state = sample_state(omega, 0.0)
+            assert math.sqrt(state["enstrophy"]) == l2_norm(omega), seed
+
 
 class TestInequalityRatios:
     def test_cz_single_mode_decreasing_in_p(self):
@@ -383,10 +394,11 @@ class TestInequalityRatios:
         with pytest.raises(ValueError, match="gagliardo_ratio_p2: .*undefined"):
             gagliardo_ratio(zero, (2.0, 4.0))
 
-    @pytest.mark.parametrize("m", [32, 64])
+    @pytest.mark.parametrize("m", [32, 64, 80])
     @pytest.mark.parametrize("kind", ["seeded", "nyquist"])
     def test_cz_matches_four_transform_oracle(self, m, kind):
-        # the old path: biot_savart, four derivatives, four oversamplings
+        # the old path: biot_savart, four derivatives, four oversamplings;
+        # at M = 80 the pass along k2 runs in row blocks of 128 and 32
         g = GridSpec(m)
         if kind == "seeded":
             omega = seeded(g, 5, sigma=3.0)
@@ -394,7 +406,7 @@ class TestInequalityRatios:
             values = np.random.default_rng(m).standard_normal((m, m))
             omega = forward_transform(values - values.mean(), g)
             assert np.all(np.abs(omega.coeffs[m // 2, 1:]) > 0)
-        t = tables(g)
+        t = full_tables(g)
         mag = np.sqrt(sum(
             values_oversampled(SpectralField(g, 1j * d * c.coeffs)) ** 2
             for c in biot_savart(omega) for d in (t.d1, t.d2)
@@ -488,6 +500,30 @@ class TestInequalityRatios:
         finally:
             tracemalloc.stop()
         assert peak < a.nbytes / 8
+
+    def test_warm_cz_ratio_allocates_no_plane(self):
+        # after a warm-up call, the gradient components go straight into the
+        # workspace pad and their squares into its one plane: no psi, no
+        # product and no second plane.  M = 512, because numpy's ufunc
+        # iterator buffers up to 8192 elements of each operand of a
+        # broadcasting multiply: at M = 64 one in-place product into the pad
+        # already peaks above 1/8 of the plane
+        import tracemalloc
+
+        from voigt2d.spectral import _oversampling
+
+        m = 512
+        f = seeded(GridSpec(m), 23, sigma=3.0)
+        ps = (4.0, 2.5, 64.0)
+        want = cz_ratio(f, ps)
+        tracemalloc.start()
+        try:
+            got = cz_ratio(f, ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < _oversampling(m).plane.nbytes / 8
 
     def test_ratios_leave_an_oversampled_array_unchanged(self):
         f = seeded(GridSpec(32), 9, sigma=3.0)

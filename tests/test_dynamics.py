@@ -27,6 +27,7 @@ from voigt2d.dynamics import _event_times, _schedule
 from voigt2d.spectral import _field, _hermitian_defect
 from voigt2d.grid import tables
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
+from wavenumbers import full_tables
 
 
 def two_mode(grid: GridSpec) -> SpectralField:
@@ -44,7 +45,7 @@ def full_layout_rhs(omega: SpectralField, alpha: float) -> SpectralField:
         return np.fft.ifft2(c).real * g.size**2
 
     u1, u2 = biot_savart(omega)
-    t = tables(g)
+    t = full_tables(g)
     w1 = values((1j * t.d1) * omega.coeffs)
     w2 = values((1j * t.d2) * omega.coeffs)
     adv = forward_transform(-(values(u1.coeffs) * w1 + values(u2.coeffs) * w2), g)
@@ -55,8 +56,7 @@ def velocity_table(m: int) -> np.ndarray:
     """(2, M, M/2+1) multipliers taking the half spectrum of omega to those
     of u1, u2, over every column."""
     t = tables(GridSpec(m))
-    h = m // 2 + 1
-    i_d1, i_d2, inv = 1j * t.d1[:, :h], 1j * t.d2[:, :h], t.inv_ksq[:, :h]
+    i_d1, i_d2, inv = 1j * t.d1, 1j * t.d2, t.inv_ksq
     return np.stack([i_d2 * inv, -i_d1 * inv])
 
 
@@ -66,11 +66,9 @@ def advection_table(m: int, alpha: float) -> np.ndarray:
     (d1^2 - d2^2) and d1 d2 fused with -M^2 dealias_mask / (1 + alpha |k|^2),
     zero at k = 0."""
     t = tables(GridSpec(m))
-    h = m // 2 + 1
-    k1, k2 = t.k1[:, :h], t.k2[:, :h]
-    projection = -(m**2) * t.dealias_mask[:, :h] / (1.0 + alpha * t.ksq[:, :h])
+    projection = -(m**2) * t.dealias_mask / (1.0 + alpha * t.ksq)
     projection[0, 0] = 0.0
-    return projection * np.stack([k2 * k2 - k1 * k1, -(k1 * k2)])
+    return projection * np.stack([t.k2 * t.k2 - t.k1 * t.k1, -(t.k1 * t.k2)])
 
 
 def unpruned_rhs(w: np.ndarray, alpha: float) -> np.ndarray:
@@ -184,7 +182,7 @@ class TestRightHandSides:
         # d/dt ||u||^2 = 2 (psi, rhs) = 0 for the spectral Euler system
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.5, seed=1, band=g.dealias_cutoff)
-        psi = tables(g).inv_ksq * f.coeffs
+        psi = full_tables(g).inv_ksq * f.coeffs
         r = _field(rhs(f.half, 0.0))
         inner = TWO_PI**2 * np.real(np.sum(r.coeffs * np.conj(psi)))
         assert abs(inner) < 1e-12 * l2_norm(f) ** 2

@@ -22,9 +22,9 @@ from voigt2d import (
     rhs,
     values_oversampled,
 )
-from voigt2d.grid import tables
 from voigt2d.initial_data import _half_plane_modes
 from voigt2d.spectral import _field
+from wavenumbers import full_tables
 
 #: the parameters each kind requires, for tests that build every kind
 REQUIRED = {"random_sobolev": {"sigma": 2.5, "band": 10}, "yudovich_patch": {"radius": 0.8}}
@@ -269,7 +269,7 @@ class TestGalerkinTruncate:
         g = GridSpec(64)
         f = make_random_sobolev(g, sigma=2.0, seed=1, band=12)
         t = galerkin_truncate(f, 5)
-        ksq = tables(g).ksq
+        ksq = full_tables(g).ksq
         assert np.all(t.coeffs[ksq > 25.0] == 0.0)
         low = ksq <= 25.0
         low[0, 0] = False

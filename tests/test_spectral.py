@@ -30,11 +30,12 @@ from voigt2d.initial_data import (
     make_taylor_family,
     make_yudovich_patch,
 )
+from wavenumbers import full_tables
 
 
 def divergence(u1: SpectralField, u2: SpectralField) -> np.ndarray:
     """Test oracle: coefficients of d1 u1 + d2 u2."""
-    t = tables(u1.grid)
+    t = full_tables(u1.grid)
     return 1j * t.d1 * u1.coeffs + 1j * t.d2 * u2.coeffs
 
 
@@ -91,25 +92,41 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("m", [8, 16, 64])
     def test_wave_number_tables_are_read_only_views(self, m):
-        # k1, k2, d1, d2 are broadcasts of one vector each, equal to the
-        # full M x M arrays they replace
+        # k1, k2, d1, d2 are broadcasts of one vector each over the half
+        # spectrum, equal to the leading columns of the full-plane arrays
         t = tables(GridSpec(m))
-        k = np.fft.fftfreq(m, d=1.0 / m)
-        d = k.copy()
-        d[m // 2] = 0.0
-        full = {
-            "k1": k[:, None] * np.ones((1, m)), "k2": np.ones((m, 1)) * k[None, :],
-            "d1": d[:, None] * np.ones((1, m)), "d2": np.ones((m, 1)) * d[None, :],
-        }
-        for name, want in full.items():
+        full = full_tables(GridSpec(m))
+        h = m // 2 + 1
+        for name in ("k1", "k2", "d1", "d2"):
             view = getattr(t, name)
-            assert view.shape == (m, m) and view.dtype == np.float64, name
-            assert np.array_equal(view, want), name
-            assert 0 in view.strides, name  # no M x M memory of its own
+            assert view.shape == (m, h) and view.dtype == np.float64, name
+            assert np.array_equal(view, getattr(full, name)[:, :h]), name
+            assert 0 in view.strides, name  # no memory of its own
             assert not view.flags.writeable, name
             with pytest.raises(ValueError):
                 view[1, 1] = 7.0
-        assert np.array_equal(t.ksq, full["k1"] ** 2 + full["k2"] ** 2)
+        assert np.array_equal(t.ksq, full.k1[:, :h] ** 2 + full.k2[:, :h] ** 2)
+
+    @pytest.mark.parametrize("m", [8, 10, 64])
+    def test_tables_cover_the_half_spectrum(self, m):
+        # every table is (M, M/2+1), bit for bit the leading columns of the
+        # full-plane formula (column M/2 keeps k2 = -M/2), and none holds or
+        # views an M x M array
+        t = tables(GridSpec(m))
+        full = full_tables(GridSpec(m))
+        h = m // 2 + 1
+        names = ("k1", "k2", "d1", "d2", "ksq", "inv_ksq", "dealias_mask")
+        for name in names:
+            table = getattr(t, name)
+            want = getattr(full, name)[:, :h]
+            assert table.shape == (m, h) and table.dtype == want.dtype, name
+            assert np.array_equal(table, want), name
+        assert t.k2[0, m // 2] == -(m // 2)
+        for name, arr in vars(t).items():
+            root = arr
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            assert root.size <= m * h, name
 
 
 class TestTransforms:
@@ -485,7 +502,7 @@ class TestBiotSavart:
         g = grid32()
         f = zero_mean(seeded(g, 8))
         u1, u2 = biot_savart(f)
-        t = tables(g)
+        t = full_tables(g)
         w = 1j * t.d1 * u2.coeffs - 1j * t.d2 * u1.coeffs  # d1 u2 - d2 u1
         assert np.max(np.abs(w - f.coeffs)) < 1e-12
 
@@ -609,6 +626,21 @@ class TestOversampling:
         pad = _oversampling(m).pad
         assert pad.shape == (2 * m, m + 1)
         assert not np.any(pad[:, m // 2 + 1 :])  # the columns irfft reads as zero
+
+    @pytest.mark.parametrize("m", [80, 128])
+    def test_workspace_holds_one_plane(self, m):
+        # the pad, one 2M x 2M value plane, and 2 min(64, M) rows of 2M
+        # values for the quadrature and the row-blocked pass along k2
+        ws = _oversampling(m)
+        roots = {}
+        for arr in vars(ws).values():
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                roots[id(arr)] = arr
+        shapes = sorted(arr.shape for arr in roots.values())
+        assert shapes == sorted([(2 * m, m + 1), (2 * m, 2 * m), (128, 2 * m)])
+        assert all(np.shares_memory(rows, ws.pad) for _, rows in ws.data)
 
     def test_transform_allocates_no_plane(self):
         # after a warm-up call, the two passes write into the workspace pad

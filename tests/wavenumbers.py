@@ -1,0 +1,34 @@
+"""Full-plane wave-number tables for the test oracles.
+
+voigt2d.grid.tables covers the (M, M/2+1) half spectrum that a field
+stores.  Oracles that work on the M x M layout of SpectralField.coeffs take
+these M x M tables instead, built from the same formulas over every column.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from voigt2d import GridSpec
+
+
+def full_tables(grid: GridSpec) -> SimpleNamespace:
+    """k1, k2, d1, d2 (Nyquist-zeroed), ksq, inv_ksq (0 at k = 0) and
+    dealias_mask as M x M arrays in FFT layout."""
+    m = grid.size
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    d = k.copy()
+    d[m // 2] = 0.0
+    ksq = np.add.outer(k**2, k**2)
+    inv_ksq = np.zeros_like(ksq)
+    inv_ksq[ksq > 0] = 1.0 / ksq[ksq > 0]
+    keep = np.abs(k) <= grid.dealias_cutoff
+    return SimpleNamespace(
+        k1=np.broadcast_to(k[:, None], (m, m)),
+        k2=np.broadcast_to(k[None, :], (m, m)),
+        d1=np.broadcast_to(d[:, None], (m, m)),
+        d2=np.broadcast_to(d[None, :], (m, m)),
+        ksq=ksq,
+        inv_ksq=inv_ksq,
+        dealias_mask=np.logical_and.outer(keep, keep),
+    )
