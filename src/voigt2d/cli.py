@@ -30,7 +30,14 @@ from .diagnostics import cz_ratio, gagliardo_ratio, sample_state, sobolev_norm
 from .dynamics import BlowUpError, integrate
 from .harness import ConvergenceReport, fit_rate, run_sweep
 from .initial_data import realize
-from .snapshots import SnapshotError, _encode, read_snapshot, snapshot_of, write_snapshot
+from .snapshots import (
+    Snapshot,
+    SnapshotError,
+    _encode,
+    read_snapshot,
+    snapshot_of,
+    write_snapshot,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,29 +154,37 @@ def _self_test() -> int:
     return EXIT_OK if ok else 1
 
 
+def _sha256(snap: Snapshot) -> str:
+    """The sha256 of the snapshot's file bytes, as the round trip is
+    bit-exact, without reading the file again."""
+    digest = hashlib.sha256()
+    for part in _encode(snap):
+        digest.update(part)
+    return digest.hexdigest()
+
+
 def cmd_diagnose(
     snapshot_path: str,
     cz: tuple[float, ...],
     gagliardo: tuple[float, ...],
 ) -> int:
     snap = read_snapshot(snapshot_path)
-    # the file's bytes, as the round trip is bit-exact, without reading it again
-    digest = hashlib.sha256()
-    for part in _encode(snap):
-        digest.update(part)
+    sha = _sha256(snap)
+    time, alpha, m = snap.time, snap.alpha, snap.values.shape[0]
     try:
         omega = snap.field()
-        state = sample_state(omega, snap.alpha)
+        del snap  # only omega is read from here on: its values go before the peak
+        state = sample_state(omega, alpha)
     except ValueError as exc:
         raise SnapshotError(f"bad values in {snapshot_path!r}: {exc}") from exc
 
     lines = [
         f"# voigt2d {__version__}",
-        f"# snapshot sha256 {digest.hexdigest()}",
+        f"# snapshot sha256 {sha}",
         "quantity,value",
-        f"time,{snap.time!r}",
-        f"alpha,{snap.alpha!r}",
-        f"grid_size,{snap.values.shape[0]}",
+        f"time,{time!r}",
+        f"alpha,{alpha!r}",
+        f"grid_size,{m}",
         f"omega_l2,{math.sqrt(state['enstrophy'])!r}",  # ||omega||_2 = sqrt(enstrophy)
         f"omega_sup,{state.pop('omega_sup')!r}",
         f"omega_h1,{sobolev_norm(omega, 1.0)!r}",

@@ -7,7 +7,10 @@ weight 2 on the columns 0 < k2 < M/2, which stand for their conjugates at
 |k|^2 and the velocity weight folded in.  Every velocity norm is that
 weight on |omega_hat|^2, so sample_state, the per-record dict of
 TrajectoryRecord.diagnostics, and error_norms build no velocity field and
-no full M x M spectrum.
+no full M x M spectrum.  The squares, weighted products and Sobolev
+weights of those sums are taken in place in (M, M/2+1) views of the plane
+of the spectral oversampling workspace (_half_views), so a quadratic norm
+allocates no array of its own.
 
 lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
 oversampled grid, and each ratio evaluates a whole sequence of p on one
@@ -19,8 +22,9 @@ buffer of 2 min(64, M) rows, one workspace per grid size, shared by every
 call in the process, so not for concurrent threads.  The quadrature sums
 every p over cache-sized row blocks in two row slices of that buffer: a
 power of two p by repeated squaring in place, any other p by exp(p log)
-from one log per block.  The collocation sup of the
-last field asked for is kept, so sample_state and cz_ratio of one field
+from one log per block.  The collocation sup takes its full-layout mirror
+in that plane too (spectral.inverse_transform), and the sup of the last
+field asked for is kept, so sample_state and cz_ratio of one field
 transform it once.
 """
 
@@ -84,13 +88,43 @@ def _norm_weights(grid: GridSpec) -> _NormWeights:
     return _NormWeights(grid)
 
 
+def _half_views(m: int, k: int) -> tuple[np.ndarray, ...]:
+    """k (M, M/2+1) float arrays, one after another in the plane of the
+    oversampling workspace: the scratch of the quadratic norms."""
+    n = m * (m // 2 + 1)
+    flat = _oversampling(m).plane.reshape(-1)
+    return tuple(flat[i * n : (i + 1) * n].reshape(m, -1) for i in range(k))
+
+
 def _weighted_norm(weight: np.ndarray, f: SpectralField) -> float:
-    """sqrt((2pi)^2 sum weight |f_hat|^2) over the half spectrum of f."""
-    return float(np.sqrt(TWO_PI**2 * np.sum(weight * np.abs(f.half) ** 2)))
+    """sqrt((2pi)^2 sum weight |f_hat|^2) over the half spectrum of f.
+
+    |f_hat|^2 and its product with the weight are taken in place in the
+    first of :func:`_half_views`, so this is not for concurrent threads.
+    """
+    (sq,) = _half_views(f.grid.size, 1)
+    np.abs(f.half, out=sq)
+    np.square(sq, out=sq)
+    sq *= weight
+    return float(np.sqrt(TWO_PI**2 * np.sum(sq)))
+
+
+def _sobolev_weighted_norm(weight: np.ndarray, f: SpectralField, s: float) -> float:
+    """:func:`_weighted_norm` with weight (1 + |k|^2)^s times ``weight``,
+    which is built in place in the second of :func:`_half_views`."""
+    w = _half_views(f.grid.size, 2)[1]
+    np.add(_norm_weights(f.grid).ksq, 1.0, out=w)
+    w **= s
+    w *= weight
+    return _weighted_norm(w, f)
 
 
 def l2_norm(f: SpectralField) -> float:
-    """sqrt((2pi)^2 sum_k |f_hat|^2) = L2 norm of the field."""
+    """sqrt((2pi)^2 sum_k |f_hat|^2) = L2 norm of the field.
+
+    Like every quadratic norm here it sums in the shared oversampling
+    workspace, so it is not for concurrent threads.
+    """
     return _weighted_norm(_norm_weights(f.grid).fold, f)
 
 
@@ -98,16 +132,17 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm with weight (1 + |k|^2)^s.
 
     s = 0 reproduces l2_norm bit-for-bit (the weight is exactly the fold
-    and the summation order is identical).
+    and the summation order is identical).  The weight and the sum are
+    taken in the shared oversampling workspace: not for concurrent threads.
     """
     if not np.isfinite(s):
         raise ValueError(f"sobolev order must be finite, got {s}")
-    nw = _norm_weights(f.grid)
-    return _weighted_norm((1.0 + nw.ksq) ** s * nw.fold, f)
+    return _sobolev_weighted_norm(_norm_weights(f.grid).fold, f, s)
 
 
 def gradient_l2(f: SpectralField) -> float:
-    """L2 norm of the gradient: sqrt((2pi)^2 sum |k|^2 |f_hat|^2)."""
+    """L2 norm of the gradient: sqrt((2pi)^2 sum |k|^2 |f_hat|^2), summed
+    in the shared oversampling workspace, so not for concurrent threads."""
     return _weighted_norm(_norm_weights(f.grid).grad, f)
 
 
@@ -201,8 +236,7 @@ def _velocity_sobolev(omega: SpectralField, s: float) -> float:
     """H^s norm, weight (1 + |k|^2)^s, of the velocity biot_savart(omega),
     summed over both components, from omega alone."""
     _require_zero_mean(omega)  # as biot_savart(omega) would
-    nw = _norm_weights(omega.grid)
-    return _weighted_norm((1.0 + nw.ksq) ** s * nw.velocity, omega)
+    return _sobolev_weighted_norm(_norm_weights(omega.grid).velocity, omega, s)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +250,34 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     All four sums weight |omega_hat|^2 over the half spectrum by the
     grid's norm weights, the energies by their velocity weight, so no
     velocity field is built.  The sup is that of lp_norm(omega, inf),
-    which keeps it for a later cz_ratio.  The whole process shares that
-    kept value, as it shares the ratios' oversampling workspace, so these
-    diagnostics are not for concurrent threads.
+    which keeps it for a later cz_ratio; it is taken first, since its
+    mirror uses the plane of the oversampling workspace that the sums then
+    take three (M, M/2+1) arrays of.  The whole process shares that kept
+    value and that workspace, so these diagnostics are not for concurrent
+    threads.
     """
     _require_zero_mean(omega)  # as biot_savart(omega) would
     if not 0.0 <= alpha < np.inf:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
+    sup = lp_norm(omega, np.inf)
     nw = _norm_weights(omega.grid)
-    w = 1.0 + alpha * nw.ksq
-    omega_sq = np.abs(omega.half) ** 2
-    u_sq = nw.velocity * omega_sq
+    omega_sq, u_sq, w = _half_views(omega.grid.size, 3)
+    np.abs(omega.half, out=omega_sq)
+    np.square(omega_sq, out=omega_sq)
+    np.multiply(nw.velocity, omega_sq, out=u_sq)
     omega_sq *= nw.fold
+    np.multiply(nw.ksq, alpha, out=w)
+    w += 1.0
+    energy = float(TWO_PI**2 * np.sum(u_sq))
+    enstrophy = float(TWO_PI**2 * np.sum(omega_sq))
+    u_sq *= w
+    omega_sq *= w
     return {
-        "energy": float(TWO_PI**2 * np.sum(u_sq)),
-        "enstrophy": float(TWO_PI**2 * np.sum(omega_sq)),
-        "voigt_energy": float(TWO_PI**2 * np.sum(w * u_sq)),
-        "voigt_enstrophy": float(TWO_PI**2 * np.sum(w * omega_sq)),
-        "omega_sup": lp_norm(omega, np.inf),
+        "energy": energy,
+        "enstrophy": enstrophy,
+        "voigt_energy": float(TWO_PI**2 * np.sum(u_sq)),
+        "voigt_enstrophy": float(TWO_PI**2 * np.sum(omega_sq)),
+        "omega_sup": sup,
     }
 
 

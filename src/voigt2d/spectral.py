@@ -19,14 +19,17 @@ the stepper of :mod:`voigt2d.dynamics` and the quadratic norms of
 :mod:`voigt2d.diagnostics` run on half spectra; :func:`_field` is the
 private constructor from a copy of one; the wave-number tables of
 :func:`voigt2d.grid.tables` cover the same (M, M/2+1) layout.
-:func:`values_oversampled` writes the half spectrum's rows into the M/2+1
-leading columns of a (2M, M+1) pad, whose other columns stay zero, and
-takes the two unnormalized 1D passes of an irfft2, the first in place.  The
-pad, one 2M x 2M value plane and a buffer of 2 min(64, M) rows of 2M
-values form one workspace per grid size, allocated once and reused; the
-diagnostics write their oversampled values into its plane, and the second
-pass may run in row blocks into the buffer.  Every oversampled evaluation
-of the process shares it, so they must not run concurrently in threads.
+:func:`values_oversampled` writes the half spectrum's rows into a
+(2M, M/2+1) pad and takes the two unnormalized 1D passes of an irfft2, the
+first in place; the second reads the pad a row block at a time through a
+buffer of M+1 columns whose columns beyond M/2 stay zero.  The pad, that
+buffer, one 2M x 2M value plane and a buffer of 2 min(64, M) rows of 2M
+values form one workspace per grid size, allocated once and reused.  The
+plane is scratch: the diagnostics write their oversampled values into it,
+:func:`inverse_transform` its full-layout mirror, and the quadratic norms
+their sums, and the second pass may run in row blocks into the buffer.
+Every oversampled evaluation, inverse transform and quadratic norm of the
+process shares it, so they must not run concurrently in threads.
 """
 
 from __future__ import annotations
@@ -108,13 +111,8 @@ class SpectralField:
     @property
     def coeffs(self) -> np.ndarray:
         """The M x M coefficients in FFT layout, mirrored from ``half``."""
-        w = self.half
-        m, h = self.grid.size, self.grid.size // 2
-        c = np.empty((m, m), dtype=np.complex128)
-        c[:, : h + 1] = w
-        # column -k2 of row k1 is conj(w[-k1, k2]); -k1 reverses rows 1 .. M-1
-        np.conjugate(w[0, h - 1 : 0 : -1], out=c[0, h + 1 :])
-        np.conjugate(w[:0:-1, h - 1 : 0 : -1], out=c[1:, h + 1 :])
+        m = self.grid.size
+        c = _mirror(self.half, np.empty((m, m), dtype=np.complex128))
         c.setflags(write=False)
         return c
 
@@ -157,6 +155,17 @@ def _hermitian_defect(c: np.ndarray) -> float:
     np.conjugate(mirror, out=mirror)
     np.subtract(c, mirror, out=mirror)
     return float(np.max(np.abs(mirror)))
+
+
+def _mirror(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The M x M coefficients in FFT layout of the (M, M/2+1) half spectrum
+    w, written into the complex (M, M) array ``out`` and returned."""
+    h = w.shape[1] - 1
+    out[:, : h + 1] = w
+    # column -k2 of row k1 is conj(w[-k1, k2]); -k1 reverses rows 1 .. M-1
+    np.conjugate(w[0, h - 1 : 0 : -1], out=out[0, h + 1 :])
+    np.conjugate(w[:0:-1, h - 1 : 0 : -1], out=out[1:, h + 1 :])
+    return out
 
 
 def _column_defect(w: np.ndarray) -> float:
@@ -203,8 +212,19 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Spectral coefficients -> collocation values (real array)."""
-    return np.fft.ifft2(f.coeffs).real * f.grid.size**2
+    """Spectral coefficients -> collocation values (a fresh real array).
+
+    The full-layout mirror of the half spectrum is written into the first
+    M rows of the oversampling workspace's plane, viewed as complex M x M,
+    and goes through ``np.fft.ifft2`` from there.  numpy 2.4.6's ``ifft2``
+    accepts ``out=`` but passes ``out=None`` to its passes, as ``irfft2``
+    does, so its output and that of its first pass are still fresh arrays.
+    The plane is the per-process workspace of :func:`_oversampling`, so
+    this is not for concurrent threads.
+    """
+    m = f.grid.size
+    c = _mirror(f.half, _oversampling(m).plane[:m].view(np.complex128))
+    return np.fft.ifft2(c).real * m**2
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +291,14 @@ def zero_mean(f: SpectralField) -> SpectralField:
 def values_oversampled(f: SpectralField) -> np.ndarray:
     """Evaluate the trigonometric interpolant on the 2M x 2M grid.
 
-    Zero-pads the rfft2 half spectrum to a (2M, M+1) pad and takes the two
-    1D passes of an irfft2 with s = (2M, 2M).  Only columns k2 = 0 .. M/2
+    Zero-pads the rfft2 half spectrum to 2M rows and takes the two 1D
+    passes of an irfft2 with s = (2M, 2M).  Only columns k2 = 0 .. M/2
     hold data, so the complex pass along k1 runs over those M/2+1 columns
-    alone.  The unpaired Nyquist mode is split evenly between +M/2 and -M/2
-    so the refined field stays real: the k1 = M/2 row is halved at rows M/2
-    and 3M/2, the k2 = M/2 column is halved, and the corner gets a quarter
-    in each place.  The result is a fresh array the caller owns; the pad is
+    alone, and the pass along k2 reads them zero-extended to M+1.  The
+    unpaired Nyquist mode is split evenly between +M/2 and -M/2 so the
+    refined field stays real: the k1 = M/2 row is halved at rows M/2 and
+    3M/2, the k2 = M/2 column is halved, and the corner gets a quarter in
+    each place.  The result is a fresh array the caller owns; the pad is
     the per-process workspace of :func:`_oversampling`, not for concurrent
     threads.
     """
@@ -289,51 +310,69 @@ class _Oversampling:
     """The buffers of the 2x oversampled evaluation on one grid size.
 
     An evaluation writes a half spectrum, or a multiple of one, into the
-    pad's data rows ``data``, then runs :meth:`k1_pass` and :meth:`k2_pass`.  Every call in the process shares the buffers, so
-    oversampled evaluations must not run concurrently in threads (parallel
-    sweeps use processes).
+    pad's data rows ``data``, then runs :meth:`k1_pass` and
+    :meth:`k2_pass`.  The plane is scratch for every full-size intermediate
+    of the diagnostics, and each reader writes all it reads first.  Every
+    call in the process shares the buffers, so oversampled evaluations must
+    not run concurrently in threads (parallel sweeps use processes).
     """
 
     def __init__(self, m: int) -> None:
         h, mf = m // 2, 2 * m
-        #: the (2M, M+1) spectrum the irfft along k2 reads whole; every call
-        #: writes its first M/2+1 columns and takes their ifft along k1 in
-        #: place, and the columns beyond M/2 stay zero
-        self.pad = np.zeros((mf, m + 1), dtype=np.complex128)
-        #: the data rows of the pad's leading M/2+1 columns, each with the
-        #: rows of a half spectrum it takes: k1 = 0 .. M/2 (the -M/2 row
-        #: copied onto +M/2) and -M/2 .. -1
+        rows = 2 * min(64, m)
+        #: the (2M, M/2+1) data columns of the spectrum along k2; every
+        #: call writes its data rows and takes their ifft along k1 in place
+        self.pad = np.zeros((mf, h + 1), dtype=np.complex128)
+        #: the data rows of the pad, each with the rows of a half spectrum
+        #: it takes: k1 = 0 .. M/2 (the -M/2 row copied onto +M/2) and
+        #: -M/2 .. -1
         self.data = (
-            (slice(None, h + 1), self.pad[: h + 1, : h + 1]),
-            (slice(h, None), self.pad[mf - h :, : h + 1]),
+            (slice(None, h + 1), self.pad[: h + 1]),
+            (slice(h, None), self.pad[mf - h :]),
         )
-        #: the one 2M x 2M value plane the diagnostics evaluate into
+        #: the one 2M x 2M value plane: the diagnostics' oversampled values,
+        #: the sup's full-layout mirror (its first M rows as complex M x M)
+        #: and the quadratic norms' (M, M/2+1) sums
         self.plane = np.empty((mf, mf))
         #: 2 min(64, M) rows of 2M values: the L^p quadrature's scratch and
         #: the output blocks of a row-blocked k2 pass
-        self.block = np.empty((2 * min(64, m), mf))
+        self.block = np.empty((rows, mf))
+        #: 2 min(64, M) rows of the (2M, M+1) spectrum the irfft along k2
+        #: reads: each pass copies pad rows into its first M/2+1 columns,
+        #: and the columns beyond M/2 stay zero
+        self.wide = np.zeros((rows, m + 1), dtype=np.complex128)
 
     def k1_pass(self) -> None:
         """Split the Nyquist modes of the data rows and take the ifft along
-        k1, in place on the pad's M/2+1 leading columns.
+        k1, in place on the pad.
 
         The rows between the data rows, which held the last call's ifft,
         are zeroed first.
         """
-        mf = self.pad.shape[0]
-        h = mf // 4
-        big = self.pad[:, : h + 1]
-        big[h + 1 : mf - h] = 0.0
-        big[h] *= 0.5
-        big[mf - h] *= 0.5
-        big[:, h] *= 0.5
-        np.fft.ifft(big, axis=0, out=big, norm="forward")
+        pad = self.pad
+        mf, h = pad.shape[0], pad.shape[1] - 1
+        pad[h + 1 : mf - h] = 0.0
+        pad[h] *= 0.5
+        pad[mf - h] *= 0.5
+        pad[:, h] *= 0.5
+        np.fft.ifft(pad, axis=0, out=pad, norm="forward")
 
     def k2_pass(self, out: np.ndarray, start: int = 0) -> np.ndarray:
         """The irfft with n = 2M along k2 of the pad rows from ``start`` on,
-        as many as ``out`` has, into ``out``, which is returned."""
-        rows = self.pad[start : start + out.shape[0]]
-        return np.fft.irfft(rows, n=self.pad.shape[0], axis=1, out=out, norm="forward")
+        as many as ``out`` has, into ``out``, which is returned.
+
+        The rows go through ``wide`` a block at a time: numpy's irfft of
+        the pad's M/2+1 columns alone, zero-extended inside, runs slower
+        than one of M+1 columns.
+        """
+        mf, cols = self.pad.shape[0], self.pad.shape[1]
+        n = self.wide.shape[0]
+        for s in range(0, out.shape[0], n):
+            dst = out[s : s + n]
+            src = self.wide[: dst.shape[0]]
+            src[:, :cols] = self.pad[start + s : start + s + dst.shape[0]]
+            np.fft.irfft(src, n=mf, axis=1, out=dst, norm="forward")
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -347,13 +386,14 @@ def _oversample_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     returned.
 
     It copies ``half`` into the pad's data rows and runs the two passes
-    that numpy's irfft2 runs inside, an ifft along k1 in place on the M/2+1
-    data columns of the pad and an irfft with n = 2M along k2 over the
-    whole (2M, M+1) pad into ``out`` (irfft2 itself drops its ``out=``),
-    and no fresh array is made.  Both passes take norm="forward", which
-    leaves the sums unscaled, so the (2M)^2 that undoes irfft2's default
-    1/(2M)^2 costs no pass over ``out``: the values are bit for bit those
-    of irfft2 with norm="forward".  For a power-of-two M the scale is a
+    that numpy's irfft2 runs inside, an ifft along k1 in place on the
+    (2M, M/2+1) pad and an irfft with n = 2M along k2 into ``out`` (irfft2
+    itself drops its ``out=``), which reads the pad's rows a block at a
+    time through the workspace's M+1 wide buffer whose columns beyond M/2
+    are zero, and no fresh array is made.  Both passes take norm="forward",
+    which leaves the sums unscaled, so the (2M)^2 that undoes irfft2's
+    default 1/(2M)^2 costs no pass over ``out``: the values are bit for bit
+    those of irfft2 with norm="forward".  For a power-of-two M the scale is a
     power of two, which commutes with every rounding, so they are also bit
     for bit those of irfft2 times (2M)^2; for other M they may differ from
     those in the last bit.  The pad belongs to the per-process workspace of

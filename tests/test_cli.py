@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -472,6 +473,35 @@ class TestDiagnose:
         assert calls["values_oversampled"] == 0
         assert calls["inverse_transform"] <= 1
         assert calls["biot_savart"] == 0
+
+    def test_shared_scratch_carries_nothing_between_snapshots(self, tmp_path, capsys):
+        # A, B, then A again in one process share the oversampling
+        # workspace (M = 128: the pass along k2 runs in two row blocks), the
+        # kept sup and the norms' scratch; each output equals that
+        # snapshot's in a fresh process, byte for byte
+        import voigt2d
+
+        g = GridSpec(128)
+        a, b = tmp_path / "a.vfld", tmp_path / "b.vfld"
+        write_snapshot(str(a), snapshot_of(make_random_sobolev(g, 3.0, 6, 40), 0.5, 1e-2))
+        write_snapshot(str(b), snapshot_of(make_random_sobolev(g, 2.5, 7, 40), 1.5, 0.0))
+        args = ["--cz", "4,2.5,16", "--gagliardo", "2,3"]
+        src = str(Path(voigt2d.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh = {
+            p: subprocess.run(
+                [sys.executable, "-m", "voigt2d.cli", "diagnose", str(p), *args],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path},
+            ).stdout
+            for p in (a, b)
+        }
+        assert fresh[a] != fresh[b]
+        for p in (a, b, a):
+            assert entry(["diagnose", str(p), *args]) == EXIT_OK
+            assert capsys.readouterr().out == fresh[p]
 
     def test_hash_is_of_the_file_read_once(self, tmp_path, capsys, monkeypatch):
         import builtins

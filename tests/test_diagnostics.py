@@ -1,6 +1,7 @@
 """Norms, conserved quantities, inequality ratios, and error norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ def cos_x1(grid: GridSpec) -> SpectralField:
 
 def seeded(grid: GridSpec, seed: int = 0, sigma: float = 2.5) -> SpectralField:
     return make_random_sobolev(grid, sigma=sigma, seed=seed, band=grid.dealias_cutoff)
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak of what tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestNorms:
@@ -141,6 +153,23 @@ class TestNorms:
             math.pi * math.sqrt(2.0), rel=1e-13
         )
 
+    @pytest.mark.parametrize(
+        "name", ["l2_norm", "gradient_l2", "sobolev_norm", "_velocity_sobolev"]
+    )
+    def test_warm_quadratic_norm_allocates_no_half_spectrum(self, name):
+        # |f_hat|^2, its weighted product and the Sobolev weight live in
+        # (M, M/2+1) views of the workspace plane, so a warm norm allocates
+        # less than a quarter of one such array.  M = 512, as for the ufunc
+        # buffers of test_warm_cz_ratio_allocates_no_plane
+        m = 512
+        f = seeded(GridSpec(m), 24, sigma=3.0)
+        fn = getattr(diagnostics, name)
+        args = (f,) if name in ("l2_norm", "gradient_l2") else (f, 1.0)
+        want = fn(*args)
+        got, peak = traced_peak(fn, *args)
+        assert got == want
+        assert peak < np.empty((m, m // 2 + 1)).nbytes / 4
+
 
 class TestConservedQuantities:
     def test_voigt_energy_alpha_zero_is_energy(self):
@@ -191,6 +220,26 @@ class TestConservedQuantities:
         assert s["voigt_energy"] >= s["energy"]
         assert s["voigt_enstrophy"] >= s["enstrophy"]
         assert s["omega_sup"] == pytest.approx(lp_norm(f, math.inf), rel=1e-13)
+
+    def test_warm_sample_state_allocates_only_the_sup(self):
+        # the sup's mirror takes the workspace plane first, then the sums
+        # take three (M, M/2+1) views of it: with the sup kept, a warm call
+        # allocates less than a quarter of one such array, and a fresh sup
+        # adds only the outputs of ifft2's two passes (numpy drops ifft2's
+        # out=).  M = 512, as for the ufunc buffers of
+        # test_warm_cz_ratio_allocates_no_plane
+        m = 512
+        f = seeded(GridSpec(m), 25, sigma=3.0)
+        half = np.empty((m, m // 2 + 1)).nbytes
+        full = np.empty((m, m), dtype=complex).nbytes
+        want = sample_state(f, 0.1)
+        got, peak = traced_peak(sample_state, f, 0.1)
+        assert got == want
+        assert peak < half / 4
+        diagnostics._sup.cache_clear()
+        got, peak = traced_peak(sample_state, f, 0.1)
+        assert got == want
+        assert peak < 2 * full + half / 4
 
     @pytest.mark.parametrize("m", [16, 32, 64])
     @pytest.mark.parametrize("alpha", [0.0, 1e-3])

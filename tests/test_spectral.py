@@ -13,6 +13,7 @@ from voigt2d import (
     forward_transform,
     helmholtz_filter,
     inverse_transform,
+    sample_state,
     values_oversampled,
     zero_mean,
 )
@@ -599,7 +600,7 @@ class TestOversampling:
             assert np.array_equal(want, np.fft.irfft2(big, s=(mf, mf)) * mf**2)
         return want
 
-    @pytest.mark.parametrize("m", [8, 10, 16, 64])
+    @pytest.mark.parametrize("m", [8, 10, 16, 64, 80, 128])
     def test_matches_wide_pad(self, m):
         # the workspace pad, transformed in place along k1, equals a fresh
         # (2M, M+1) pad of the half spectrum through an unnormalized irfft2
@@ -612,25 +613,31 @@ class TestOversampling:
 
     @pytest.mark.parametrize("m", [8, 16, 64])
     def test_cached_pad_stays_clean_between_fields(self, m):
-        # two different fields back to back on one grid: the reused pad,
-        # whose middle rows hold the last call's ifft, carries nothing of
-        # the first into the second
+        # two different fields back to back on one grid, with an inverse
+        # transform and a sample_state in between, which write the plane:
+        # the reused pad, whose middle rows hold the last call's ifft, and
+        # the row block the pass along k2 reads carry nothing of one call
+        # into the next
         g = GridSpec(m)
         rng = np.random.default_rng(m + 2)
         f, h = (forward_transform(rng.standard_normal((m, m)), g) for _ in range(2))
         first = values_oversampled(f)
+        assert np.array_equal(inverse_transform(h), np.fft.ifft2(h.coeffs).real * m**2)
+        sample_state(zero_mean(h), 0.5)
         second = values_oversampled(h)
         assert np.array_equal(first, self.wide_pad_oracle(f))
         assert np.array_equal(second, self.wide_pad_oracle(h))
         assert np.array_equal(values_oversampled(f), first)
-        pad = _oversampling(m).pad
-        assert pad.shape == (2 * m, m + 1)
-        assert not np.any(pad[:, m // 2 + 1 :])  # the columns irfft reads as zero
+        ws = _oversampling(m)
+        assert ws.pad.shape == (2 * m, m // 2 + 1)
+        assert ws.wide.shape == (2 * min(64, m), m + 1)
+        assert not np.any(ws.wide[:, m // 2 + 1 :])  # the columns irfft reads as zero
 
     @pytest.mark.parametrize("m", [80, 128])
     def test_workspace_holds_one_plane(self, m):
-        # the pad, one 2M x 2M value plane, and 2 min(64, M) rows of 2M
-        # values for the quadrature and the row-blocked pass along k2
+        # the (2M, M/2+1) pad, one 2M x 2M value plane, 2 min(64, M) rows of
+        # 2M values for the quadrature and the row-blocked pass along k2,
+        # and 2 min(64, M) rows of M+1 coefficients that pass reads
         ws = _oversampling(m)
         roots = {}
         for arr in vars(ws).values():
@@ -639,7 +646,9 @@ class TestOversampling:
                     arr = arr.base
                 roots[id(arr)] = arr
         shapes = sorted(arr.shape for arr in roots.values())
-        assert shapes == sorted([(2 * m, m + 1), (2 * m, 2 * m), (128, 2 * m)])
+        assert shapes == sorted(
+            [(2 * m, m // 2 + 1), (2 * m, 2 * m), (128, 2 * m), (128, m + 1)]
+        )
         assert all(np.shares_memory(rows, ws.pad) for _, rows in ws.data)
 
     def test_transform_allocates_no_plane(self):
@@ -658,6 +667,26 @@ class TestOversampling:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes / 8
+
+    def test_warm_inverse_transform_mirrors_into_the_plane(self):
+        # the full-layout mirror is written into the workspace plane, so a
+        # warm call allocates only the outputs of ifft2's two passes (numpy
+        # drops ifft2's out=) and the real result: no third complex M x M
+        import tracemalloc
+
+        m = 512
+        f = seeded(GridSpec(m), 7)
+        full = np.empty((m, m), dtype=complex).nbytes
+        want = np.fft.ifft2(f.coeffs).real * m**2
+        assert np.array_equal(inverse_transform(f), want)
+        tracemalloc.start()
+        try:
+            got = inverse_transform(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 2.25 * full
 
     @pytest.mark.parametrize("m", [8, 10, 16, 64])
     def test_two_passes_match_irfft2(self, m):
