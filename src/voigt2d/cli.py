@@ -156,7 +156,8 @@ def _self_test() -> int:
 
 def _sha256(snap: Snapshot) -> str:
     """The sha256 of the snapshot's file bytes, as the round trip is
-    bit-exact, without reading the file again."""
+    bit-exact, without reading the file again: the same row blocks that
+    write_snapshot writes, one at a time."""
     digest = hashlib.sha256()
     for part in _encode(snap):
         digest.update(part)

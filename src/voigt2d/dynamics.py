@@ -92,13 +92,17 @@ class TrajectoryRecord:
 
 
 # ---------------------------------------------------------------------------
-# the half-spectrum state of the time stepper
+# the live block: the state of the time stepper
 #
-# Inside integrate the vorticity is the rfft2 half spectrum w = omega.half
-# that a SpectralField stores (voigt2d.spectral owns the layout).  The state
-# is dealiased, so only its live columns 0 <= k2 <= floor(M/3) (Orszag's
-# two-thirds rule) can be nonzero: rhs and cfl_dt run their complex k1-axis
-# passes over those alone, and irfft zero-pads the rest.
+# A SpectralField stores the rfft2 half spectrum omega.half, of shape
+# (M, M/2+1) (voigt2d.spectral owns the layout).  The stepper's state is
+# dealiased, so only its columns 0 <= k2 <= floor(M/3) (Orszag's two-thirds
+# rule) can be nonzero.  Inside integrate the state is therefore the live
+# block w = omega.half[:, :c], c = floor(M/3) + 1, held as its own
+# C-contiguous (M, c) array: rhs, step_rk4 and cfl_dt take and return live
+# blocks, every stage and slope of a step is one, and irfft zero-pads the
+# columns the block leaves out.  spectral._field turns a live block back
+# into a field.
 #
 # The advection term is taken in Basdevant's form (C. Basdevant, J. Comput.
 # Phys. 50 (1983) 209-214): for divergence-free u in 2-D,
@@ -107,8 +111,10 @@ class TrajectoryRecord:
 # the spectra of two products, two forward ones.  With dealiased products it
 # is the same Galerkin term as the convective form u1 d1 omega + u2 d2 omega.
 
+#: projections kept per grid workspace before the oldest alphas are dropped
+_PROJECTIONS_KEPT = 16
 
-@lru_cache(maxsize=16)
+
 def _projection(grid: GridSpec, alpha: float) -> np.ndarray:
     """(2, M, c) on the live columns: P (k2^2 - k1^2) and -P k1 k2, with
     P = -M^2 dealias_mask / (1 + alpha |k|^2), 0 at k = 0.  Applied to the
@@ -126,19 +132,18 @@ def _projection(grid: GridSpec, alpha: float) -> np.ndarray:
 
 
 class _Workspace:
-    """The fixed velocity multiplier and preallocated buffers of rhs,
-    step_rk4 and cfl_dt on one grid.
+    """The fixed multipliers and preallocated buffers of rhs, step_rk4 and
+    cfl_dt on one grid.
 
     Every call on the grid in this process shares them, so rhs, step_rk4
     and cfl_dt must not run concurrently on one grid (sweeps run in
     parallel in separate processes).
     """
 
-    def __init__(self, grid: GridSpec) -> None:
-        m, h = grid.size, grid.size // 2 + 1
-        c = grid.dealias_cutoff + 1
+    def __init__(self, m: int) -> None:
+        self.grid = grid = GridSpec(m)
+        h, c = m // 2 + 1, grid.dealias_cutoff + 1
         t = tables(grid)
-        self.live = c
         #: on the live columns, the multipliers taking the half spectrum of
         #: omega to those of u1, u2 (u = biot_savart(omega)), 0 outside the
         #: dealias square, so rhs(w) only ever sees dealias(w)
@@ -153,22 +158,48 @@ class _Workspace:
         self.planes = np.empty((4, m, m))
         #: the products transformed along x2 only
         self.half = np.empty((2, m, h), dtype=np.complex128)
-        #: RK4 stage input, current slope and running weighted slope sum
-        self.stage = np.empty((m, h), dtype=np.complex128)
-        self.slope = np.empty((m, h), dtype=np.complex128)
-        self.total = np.empty((m, h), dtype=np.complex128)
+        #: RK4 stage input, current slope and running weighted slope sum:
+        #: live blocks, each its own C-contiguous array
+        self.stage = np.empty((m, c), dtype=np.complex128)
+        self.slope = np.empty((m, c), dtype=np.complex128)
+        self.total = np.empty((m, c), dtype=np.complex128)
+        self._projections: dict[float, np.ndarray] = {}
+
+    def projection(self, alpha: float) -> np.ndarray:
+        """:func:`_projection` of this grid at ``alpha``, built once."""
+        p = self._projections.get(alpha)
+        if p is None:
+            if len(self._projections) == _PROJECTIONS_KEPT:
+                del self._projections[next(iter(self._projections))]
+            p = self._projections[alpha] = _projection(self.grid, alpha)
+        return p
 
 
 @lru_cache(maxsize=8)
-def _workspace(grid: GridSpec) -> _Workspace:
-    return _Workspace(grid)
+def _workspace(m: int) -> _Workspace:
+    return _Workspace(m)
+
+
+def _workspace_of(w: np.ndarray) -> _Workspace:
+    """The workspace of the grid whose live block ``w`` is; ValueError,
+    naming the expected shape, for any array that is not a live block
+    (checked before a workspace is made)."""
+    shape = w.shape
+    m = shape[0] if shape else 0
+    grid_size = m >= 8 and m % 2 == 0  # GridSpec's rule
+    if not grid_size or shape != (m, m // 3 + 1):
+        want = f" = {(m, m // 3 + 1)}" if grid_size else ", M even and >= 8"
+        raise ValueError(
+            f"expected a live block of shape (M, floor(M/3) + 1){want}, got {shape}"
+        )
+    return _workspace(m)
 
 
 def _live_values(ws: _Workspace, w: np.ndarray) -> np.ndarray:
     """ws.planes[:2], set to the grid values / M^2 of u1, u2 for
-    omega = dealias(w)."""
+    omega = dealias(w), w a live block."""
     spectra, planes = ws.spectra, ws.planes[:2]
-    np.multiply(ws.multiplier, w[:, : ws.live], out=spectra)
+    np.multiply(ws.multiplier, w, out=spectra)
     np.fft.ifft(spectra, axis=1, out=spectra)
     np.fft.irfft(spectra, n=w.shape[0], axis=2, out=planes)
     return planes
@@ -183,30 +214,29 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     with u = biot_savart(omega) and omega = dealias(w); alpha = 0 is the
     Euler right-hand side.
 
-    ``w`` and the result are rfft2 half spectra of shape (M, M/2+1) in the
-    SpectralField normalisation (a field's half, coeffs[:, :M/2+1]).  rhs(w) is by
-    definition the Galerkin right-hand side of dealias(w): modes of ``w``
-    beyond the cutoff floor(M/3) are ignored, and on a dealiased ``w`` the
-    masking multiplies by 1.0 and changes no bit.
+    ``w`` and the result are live blocks: the (M, floor(M/3)+1) leading
+    columns w = half[:, :floor(M/3)+1] of an rfft2 half spectrum in the
+    SpectralField normalisation (a field's half, coeffs[:, :M/2+1]), whose
+    remaining columns a dealiased field has zero.  Any other shape, a whole
+    half spectrum included, raises ValueError.  rhs(w) is by definition the
+    Galerkin right-hand side of dealias(w): rows of ``w`` beyond the cutoff
+    floor(M/3) are ignored, and on a dealiased ``w`` the masking multiplies
+    by 1.0 and changes no bit.
 
     The advection term is taken in Basdevant's form (1983),
     (d1^2 - d2^2)(u1 u2) + d1 d2 (u2^2 - u1^2), which equals u . grad omega
-    for divergence-free u.  The live columns k2 <= floor(M/3) of ``w`` times
-    one fixed (2, M, c) multiplier give the spectra of u1 and u2; an ifft
-    along k1 and an irfft along k2 their values; one rfft along x2 of
-    u1 u2 and u2^2 - u1^2 and an fft along k1 of its live columns their
-    spectra, which one multiply by the (2, M, c) :func:`_projection` and
-    one add turn into the result.  The result is 0 outside the live
-    columns.  All intermediates live in a per-grid workspace; the result is
-    written into ``out`` if given (and returned), else into a new array.
+    for divergence-free u.  ``w`` times one fixed (2, M, c) multiplier gives
+    the spectra of u1 and u2; an ifft along k1 and an irfft along k2 their
+    values; one rfft along x2 of u1 u2 and u2^2 - u1^2 and an fft along k1
+    of its live columns their spectra, which one multiply by the (2, M, c)
+    :func:`_projection` and one add turn into the result.  All
+    intermediates live in a per-grid workspace; the result is written into
+    the live block ``out`` if given (and returned), else into a new array.
     ``w`` is never written.  ``alpha`` must be finite and >= 0.
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
-    m = w.shape[0]
-    grid = GridSpec(m)
-    ws = _workspace(grid)
-    c = ws.live
+    ws = _workspace_of(w)
     u1, u2 = _live_values(ws, w)
     cross, diff = ws.planes[2], ws.planes[3]
     np.multiply(u1, u2, out=cross)
@@ -215,13 +245,11 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     np.multiply(diff, u1, out=diff)  # u2^2 - u1^2 = (u2 - u1)(u2 + u1)
     np.fft.rfft(ws.planes[2:], axis=2, out=ws.half)
     spectra = ws.spectra
-    np.fft.fft(ws.half[:, :, :c], axis=1, out=spectra)
-    np.multiply(spectra, _projection(grid, alpha), out=spectra)
+    np.fft.fft(ws.half[:, :, : w.shape[1]], axis=1, out=spectra)
+    np.multiply(spectra, ws.projection(alpha), out=spectra)
     if out is None:
-        out = np.empty_like(ws.half[0])
-    np.add(spectra[0], spectra[1], out=out[:, :c])
-    out[:, c:] = 0.0
-    return out
+        out = np.empty_like(spectra[0])
+    return np.add(spectra[0], spectra[1], out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +257,19 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
 
 
 def step_rk4(w: np.ndarray, dt: float, alpha: float) -> np.ndarray:
-    """One classical RK4 step of d_t omega = rhs(omega, alpha) on the
-    (M, M/2+1) half spectrum w, returned as a new array; ``w`` is not
-    written.  rhs has no mean mode, so the step keeps w's, which integrate
-    sets to 0.
+    """One classical RK4 step of d_t omega = rhs(omega, alpha) on the live
+    block w (see :func:`rhs`), returned as a new live block; ``w`` is not
+    written, and any other shape raises ValueError.  rhs has no mean mode,
+    so the step keeps w's, which integrate sets to 0.
 
-    The stages and slopes live in the grid's workspace, and the slope sum
-    is accumulated in the order of the textbook formula
-    w + dt/6 (k1 + 2 k2 + 2 k3 + k4), with stages w + (dt/2) k1,
-    w + (dt/2) k2 and w + dt k3.
+    The stages and slopes are C-contiguous live blocks in the grid's
+    workspace, and the slope sum is accumulated in the order of the
+    textbook formula w + dt/6 (k1 + 2 k2 + 2 k3 + k4), with stages
+    w + (dt/2) k1, w + (dt/2) k2 and w + dt k3.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ws = _workspace(GridSpec(w.shape[0]))
+    ws = _workspace_of(w)
     stage, slope, total = ws.stage, ws.slope, ws.total
     half_dt = 0.5 * dt
     rhs(w, alpha, out=total)  # k1
@@ -265,18 +293,17 @@ def step_rk4(w: np.ndarray, dt: float, alpha: float) -> np.ndarray:
 
 def cfl_dt(w: np.ndarray, c_cfl: float) -> float:
     """Advective step c_cfl * (2pi/M) / max(component sup norms, floor) for
-    the velocity of dealias(w), the one rhs(w) advects with, for an
-    (M, M/2+1) half spectrum w; from the same live-column pass that gives
-    rhs its values of u1 and u2, in the grid's workspace.  ``w`` is not
-    written."""
+    the velocity of dealias(w), the one rhs(w) advects with, for a live
+    block w (see :func:`rhs`; any other shape raises ValueError); from the
+    same pass that gives rhs its values of u1 and u2, in the grid's
+    workspace.  ``w`` is not written."""
     if not c_cfl > 0:
         raise ValueError(f"c_cfl must be positive, got {c_cfl}")
-    m = w.shape[0]
-    grid = GridSpec(m)
-    u = _live_values(_workspace(grid), w)
+    ws = _workspace_of(w)
+    u = _live_values(ws, w)
     peak = max(float(u.max()), -float(u.min()))  # max |u| with no temporary
-    umax = max(peak * m**2, CFL_VELOCITY_FLOOR)
-    return c_cfl * grid.spacing / umax
+    umax = max(peak * ws.grid.size**2, CFL_VELOCITY_FLOOR)
+    return c_cfl * ws.grid.spacing / umax
 
 
 def _event_times(t_end: float, every: float) -> list[float]:
@@ -316,15 +343,16 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     """Advance omega0 to t_end recording diagnostics every record_every.
 
     The initial state is dealiased and mean-zeroed before stepping, which
-    runs on its rfft2 half spectrum; records and snapshots see the
-    SpectralField of a copy of it.  Raises
+    runs on a copy of its live block half[:, :floor(M/3)+1] (see
+    :func:`rhs`); records and snapshots see the SpectralField that
+    :func:`voigt2d.spectral._field` builds from a copy of it.  Raises
     :class:`BlowUpError` with the failure time if the state stops being
     finite.
     """
     if omega0.grid != config.grid:
         raise ValueError("initial data grid does not match config grid")
     omega = zero_mean(dealias(omega0))
-    w = omega.half
+    w = np.array(omega.half[:, : config.grid.dealias_cutoff + 1])
 
     events, rec_set, snap_set = _schedule(config)
 

@@ -232,7 +232,7 @@ def choose_cutoff(alpha: float, band_limit: int | None = None) -> int:
 def _plan_dt(plan: SweepPlan, base: SpectralField) -> float:
     if plan.dt is not None:
         return plan.dt
-    return cfl_dt(base.half, plan.c_cfl)
+    return cfl_dt(base.half[:, : base.grid.dealias_cutoff + 1], plan.c_cfl)
 
 
 def _solver_config(plan: SweepPlan, alpha: float, dt: float) -> SolverConfig:

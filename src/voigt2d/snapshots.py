@@ -10,6 +10,7 @@ bit; a version mismatch is a hard error.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .spectral import SpectralField, forward_transform, inverse_transform
 MAGIC = b"VFLD"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIdd")
+#: payload rows per block that _encode yields (128 KB at M = 512)
+_BLOCK_ROWS = 32
 
 
 class SnapshotError(ValueError):
@@ -56,14 +59,18 @@ def snapshot_of(omega: SpectralField, time: float, alpha: float) -> Snapshot:
     return Snapshot(time=float(time), alpha=float(alpha), values=inverse_transform(omega))
 
 
-def _encode(snap: Snapshot) -> tuple[bytes, np.ndarray]:
-    """The file's header and its payload (a C-contiguous little-endian
-    array whose buffer is the payload bytes).  For a snapshot read from a
-    file they are that file's bytes: the round trip is bit-exact."""
+def _encode(snap: Snapshot) -> Iterator[bytes | np.ndarray]:
+    """The file's bytes in order: the header, then the payload in blocks of
+    _BLOCK_ROWS stored rows, each a C-contiguous little-endian array whose
+    buffer is those bytes, so no copy of the whole payload is made.  For a
+    snapshot read from a file they are that file's bytes: the round trip is
+    bit-exact."""
     m = snap.values.shape[0]
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, m, snap.time, snap.alpha)
-    # stored x-fastest: transpose the [i1, i2] layout before flattening
-    return header, np.ascontiguousarray(snap.values.T, dtype="<f8")
+    yield _HEADER.pack(MAGIC, FORMAT_VERSION, m, snap.time, snap.alpha)
+    # stored x-fastest: row i2 of the payload is column i2 of [i1, i2] values
+    stored = snap.values.T
+    for start in range(0, m, _BLOCK_ROWS):
+        yield np.ascontiguousarray(stored[start : start + _BLOCK_ROWS], dtype="<f8")
 
 
 def write_snapshot(path: str, snap: Snapshot) -> None:

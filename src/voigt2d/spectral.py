@@ -16,8 +16,9 @@ mirrored on demand; the constructor rejects coefficients that are not
 Hermitian, so the half spectrum of any field is the whole of it.  Every
 operator here, :func:`forward_transform` (the two 1D passes of an rfft2),
 the stepper of :mod:`voigt2d.dynamics` and the quadratic norms of
-:mod:`voigt2d.diagnostics` run on half spectra; :func:`_field` is the
-private constructor from a copy of one; the wave-number tables of
+:mod:`voigt2d.diagnostics` run on half spectra (the stepper on their
+leading floor(M/3)+1 columns, its live block); :func:`_field` is the
+private constructor from a copy of either; the wave-number tables of
 :func:`voigt2d.grid.tables` cover the same (M, M/2+1) layout.
 :func:`values_oversampled` writes the half spectrum's rows into a
 (2M, M/2+1) pad and takes the two unnormalized 1D passes of an irfft2, the
@@ -182,10 +183,14 @@ def _column_defect(w: np.ndarray) -> float:
 
 
 def _field(w: np.ndarray) -> SpectralField:
-    """The SpectralField of a copy of the (M, M/2+1) half spectrum w, for
-    callers that go on using w (the stepper's state)."""
-    copy = np.array(w, dtype=np.complex128)
-    return SpectralField(GridSpec(w.shape[0]), copy, _half=True)
+    """The SpectralField whose half spectrum is zero but for its leading
+    columns, a copy of w: w is either a whole (M, M/2+1) half spectrum or
+    the stepper's live block, its first floor(M/3)+1 columns (see
+    :func:`voigt2d.dynamics.rhs`).  Callers go on using w."""
+    m = w.shape[0]
+    half = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+    half[:, : w.shape[1]] = w
+    return SpectralField(GridSpec(m), half, _half=True)
 
 
 def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:

@@ -1,5 +1,6 @@
 """The right-hand side, the RK4 stepper, and the event-driven integrator."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from voigt2d import (
     SolverConfig,
     SpectralField,
     SymmetryError,
+    TrajectoryRecord,
     biot_savart,
     cfl_dt,
     dealias,
@@ -19,6 +21,7 @@ from voigt2d import (
     integrate,
     l2_norm,
     rhs,
+    sample_state,
     step_rk4,
     zero_mean,
 )
@@ -27,7 +30,7 @@ from voigt2d.dynamics import _event_times, _schedule
 from voigt2d.spectral import _field, _hermitian_defect
 from voigt2d.grid import tables
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
-from wavenumbers import full_tables
+from wavenumbers import full_tables, live
 
 
 def two_mode(grid: GridSpec) -> SpectralField:
@@ -95,6 +98,43 @@ def dealiased_half(m: int, seed: int) -> np.ndarray:
     return make_random_sobolev(g, sigma=2.5, seed=seed, band=g.dealias_cutoff).half
 
 
+def whole_half_integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
+    """integrate's schedule and clock with the state held as the whole
+    (M, M/2+1) half spectrum: stepped by textbook_rk4, timed under the CFL
+    rule by the velocity of one irfft2 over every column, and made a field
+    at each event from a copy of the whole half."""
+    g = config.grid
+    m = g.size
+    omega = zero_mean(dealias(omega0))
+    w = omega.half
+    events, rec_set, snap_set = _schedule(config)
+    times, samples, snapshots = [0.0], [sample_state(omega, config.alpha)], [(0.0, omega)]
+    t = 0.0
+    for te in events:
+        while t < te:
+            if config.dt is not None:
+                step = config.dt
+            else:
+                u = np.fft.irfft2(velocity_table(m) * w, s=(m, m))
+                step = config.c_cfl * g.spacing / max(float(np.max(np.abs(u))) * m**2, 1e-12)
+            if step >= te - t:
+                step, t_new = te - t, te
+            else:
+                t_new = t + step
+                if te - t_new <= 1e-12 * config.t_end:
+                    t_new = te
+            w = textbook_rk4(w, step, config.alpha)
+            t = t_new
+        omega = SpectralField(g, np.array(w), _half=True)
+        if te in rec_set:
+            times.append(te)
+            samples.append(sample_state(omega, config.alpha))
+        if te in snap_set:
+            snapshots.append((te, omega))
+    diagnostics = {key: np.array([s[key] for s in samples]) for key in samples[0]}
+    return TrajectoryRecord(config, np.array(times), diagnostics, snapshots)
+
+
 class TestHalfSpectrum:
     @pytest.mark.parametrize("m", [16, 32, 64])
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -102,35 +142,42 @@ class TestHalfSpectrum:
         g = GridSpec(m)
         f = make_random_sobolev(g, sigma=2.5, seed=m, band=g.dealias_cutoff)
         want = full_layout_rhs(f, alpha).coeffs
-        got = _field(rhs(f.half, alpha))
+        got = _field(rhs(live(f.half), alpha))
         assert _hermitian_defect(got.coeffs) == 0.0
         assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("m", [16, 32, 64])
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_bit_identical_to_unpruned_form(self, m, alpha):
-        a = b = dealiased_half(m, seed=m)
-        assert np.array_equal(rhs(a, alpha), unpruned_rhs(b, alpha))
+        # the live block against the whole half spectrum, whose columns
+        # beyond the live block stay exactly 0
+        b = dealiased_half(m, seed=m)
+        a = live(b)
+        c = a.shape[1]
+        want = unpruned_rhs(b, alpha)
+        assert np.array_equal(rhs(a, alpha), live(want)) and not np.any(want[:, c:])
         dt = 0.2 * GridSpec(m).spacing
         for _ in range(5):
             a = step_rk4(a, dt, alpha)
             b = textbook_rk4(b, dt, alpha)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, live(b)) and not np.any(b[:, c:])
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_rhs_is_galerkin_rhs_of_dealiased_input(self, alpha):
-        # modes beyond floor(M/3) in either k1 or k2 are ignored, not only
-        # those in the k2 columns the transforms skip
+        # the live block ends at k2 = floor(M/3); its rows beyond k1 =
+        # floor(M/3) are ignored too
         g = GridSpec(32)
         rng = np.random.default_rng(13)
         f = zero_mean(forward_transform(rng.standard_normal((32, 32)), g))
-        w, clean = f.half, dealias(f).half
+        w, clean = live(f.half), live(dealias(f).half)
         assert np.max(np.abs(w - clean)) > 0.01 * np.max(np.abs(w))
         assert np.array_equal(rhs(w, alpha), rhs(clean, alpha))
 
     def test_field_of_half_is_identity_on_hermitian_fields(self):
         f = make_random_sobolev(GridSpec(32), sigma=2.0, seed=11, band=10)
         assert np.array_equal(_field(f.half).coeffs, f.coeffs)
+        # the live block of a dealiased field (cutoff 10) holds all of it
+        assert np.array_equal(_field(live(f.half)).half, f.half)
 
     def test_record_and_snapshot_states_exactly_hermitian(self, monkeypatch):
         original = dynamics.sample_state
@@ -155,7 +202,7 @@ class TestHalfSpectrum:
 class TestRightHandSides:
     def test_euler_rhs_closed_form(self):
         g = GridSpec(64)
-        r = _field(rhs(two_mode(g).half, 0.0))
+        r = _field(rhs(live(two_mode(g).half), 0.0))
         x1, x2 = g.meshgrid()
         expected = 1.5 * np.sin(x1) * np.sin(2.0 * x2)
         got = np.fft.ifft2(r.coeffs * g.size**2).real
@@ -163,7 +210,7 @@ class TestRightHandSides:
 
     def test_voigt_rhs_is_filtered_euler(self):
         g = GridSpec(64)
-        w = two_mode(g).half
+        w = live(two_mode(g).half)
         alpha = 0.2
         euler = rhs(w, 0.0)
         voigt = rhs(w, alpha)
@@ -174,7 +221,7 @@ class TestRightHandSides:
         # d/dt ||omega||^2 = 2 (omega, rhs) = 0 for the spectral Euler system
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.5, seed=1, band=g.dealias_cutoff)
-        r = _field(rhs(f.half, 0.0))
+        r = _field(rhs(live(f.half), 0.0))
         inner = TWO_PI**2 * np.real(np.sum(r.coeffs * np.conj(f.coeffs)))
         assert abs(inner) < 1e-12 * l2_norm(f) ** 2
 
@@ -183,7 +230,7 @@ class TestRightHandSides:
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.5, seed=1, band=g.dealias_cutoff)
         psi = full_tables(g).inv_ksq * f.coeffs
-        r = _field(rhs(f.half, 0.0))
+        r = _field(rhs(live(f.half), 0.0))
         inner = TWO_PI**2 * np.real(np.sum(r.coeffs * np.conj(psi)))
         assert abs(inner) < 1e-12 * l2_norm(f) ** 2
 
@@ -196,7 +243,7 @@ class TestRightHandSides:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(dynamics.np.fft, name, counted)
-        rhs(dealiased_half(32, seed=18), 0.1)
+        rhs(live(dealiased_half(32, seed=18)), 0.1)
         assert calls == [("ifft", 3, 2), ("irfft", 3, 2), ("rfft", 3, 2), ("fft", 3, 2)]
 
     def test_eigenfunction_is_steady(self):
@@ -207,10 +254,10 @@ class TestRightHandSides:
         g = GridSpec(32)
         amplitude = 2.0
         for k in ((0, 2), (3, 0)):
-            w = make_eigenfunction(g, k, amplitude=amplitude).half
+            w = live(make_eigenfunction(g, k, amplitude=amplitude).half)
             for alpha in (0.0, 0.3):
                 assert float(np.max(np.abs(rhs(w, alpha)))) == 0.0, (k, alpha)
-        w = make_eigenfunction(g, (1, 2), amplitude=amplitude).half
+        w = live(make_eigenfunction(g, (1, 2), amplitude=amplitude).half)
         bound = 2.0 * np.finfo(float).eps * amplitude**2
         for alpha in (0.0, 0.3):
             assert float(np.max(np.abs(rhs(w, alpha)))) <= bound, alpha
@@ -218,12 +265,12 @@ class TestRightHandSides:
     def test_rhs_rejects_negative_alpha(self):
         for alpha in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be >= 0"):
-                rhs(two_mode(GridSpec(16)).half, alpha)
+                rhs(live(two_mode(GridSpec(16)).half), alpha)
 
     def test_rhs_mean_free_and_dealiased(self):
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.0, seed=2, band=g.dealias_cutoff)
-        r = _field(rhs(f.half, 0.0))
+        r = _field(rhs(live(f.half), 0.0))
         assert r.mean_coefficient == 0.0
         cut = g.dealias_cutoff
         k = np.fft.fftfreq(g.size, 1.0 / g.size).astype(int)
@@ -237,7 +284,7 @@ class TestWorkspace:
         f = make_random_sobolev(g, sigma=2.5, seed=14, band=g.dealias_cutoff)
         full = f.coeffs.copy()  # writable, so a write would go through
         before = full.copy()
-        w = full[:, :17]  # a non-contiguous view of the full layout
+        w = full[:, :11]  # the live block as a non-contiguous view of the full layout
         assert not w.flags.c_contiguous
         rhs(w, 0.1)
         rhs(w, 0.1, out=np.empty_like(w))
@@ -245,7 +292,7 @@ class TestWorkspace:
         assert np.array_equal(full, before)
 
     def test_held_results_not_changed_by_later_calls(self):
-        w = dealiased_half(32, seed=15)
+        w = live(dealiased_half(32, seed=15))
         r = rhs(w, 0.0)
         s = step_rk4(w, 0.01, 0.0)
         r_copy, s_copy = r.copy(), s.copy()
@@ -256,14 +303,14 @@ class TestWorkspace:
         assert np.array_equal(s, s_copy)
 
     def test_out_is_filled_and_returned(self):
-        w = dealiased_half(32, seed=16)
+        w = live(dealiased_half(32, seed=16))
         buf = np.full_like(w, np.nan)
         assert rhs(w, 0.1, out=buf) is buf
         assert np.array_equal(buf, rhs(w, 0.1))
 
     def test_interleaved_grids_and_alphas_match_separate_runs(self):
         calls = [(m, alpha) for m in (32, 64) for alpha in (0.0, 0.1)]
-        states = {m: dealiased_half(m, seed=17 + m) for m in (32, 64)}
+        states = {m: live(dealiased_half(m, seed=17 + m)) for m in (32, 64)}
 
         def run(order):
             state = {call: states[call[0]] for call in calls}
@@ -281,6 +328,63 @@ class TestWorkspace:
             assert all(np.array_equal(a, b) for a, b in zip(separate[key], interleaved[key]))
 
 
+    def test_stage_buffers_are_contiguous_live_blocks(self):
+        for m in (16, 30, 64):
+            ws = dynamics._workspace(m)
+            for buf in (ws.stage, ws.slope, ws.total):
+                assert buf.shape == (m, m // 3 + 1) and buf.flags.c_contiguous
+                assert buf.dtype == np.complex128
+
+    def test_warm_step_allocates_only_its_result(self):
+        # at M = 512, where numpy's ufunc iterator buffers (up to 8192
+        # elements an operand) are small against one live block
+        m = 512
+        w = live(dealiased_half(m, seed=28))
+        step_rk4(w, 1e-3, 0.1)
+        tracemalloc.start()
+        try:
+            result = step_rk4(w, 1e-3, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.shape == w.shape
+        assert peak < 1.25 * w.nbytes, peak
+
+
+class TestLiveBlockShape:
+    # a whole half spectrum, one column short or over, other rows, other
+    # ranks, and rows that are no grid size
+    BAD = [(32, 17), (32, 10), (32, 12), (16, 11), (11, 32), (32,), (2, 32, 11), (7, 3)]
+    MESSAGE = r"live block of shape \(M, floor\(M/3\) \+ 1\)"
+
+    @pytest.mark.parametrize("shape", BAD)
+    def test_rhs_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            rhs(np.zeros(shape, dtype=complex), 0.1)
+
+    @pytest.mark.parametrize("shape", BAD)
+    def test_step_rk4_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            step_rk4(np.zeros(shape, dtype=complex), 0.01, 0.1)
+
+    @pytest.mark.parametrize("shape", BAD)
+    def test_cfl_dt_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            cfl_dt(np.zeros(shape, dtype=complex), 0.5)
+
+    def test_message_names_the_expected_shape(self):
+        half = dealiased_half(32, seed=29)
+        dynamics._workspace.cache_clear()
+        for call in (
+            lambda: rhs(half, 0.1),
+            lambda: step_rk4(half, 0.01, 0.1),
+            lambda: cfl_dt(half, 0.5),
+        ):
+            with pytest.raises(ValueError, match=r"= \(32, 11\), got \(32, 17\)"):
+                call()
+        assert dynamics._workspace.cache_info().currsize == 0  # rejected before one is made
+
+
 class TestStepper:
     def test_rk4_self_convergence_order(self):
         g = GridSpec(32)
@@ -292,7 +396,7 @@ class TestStepper:
                 w = step_rk4(w, step, 0.0)
             return w
 
-        w = f.half
+        w = live(f.half)
         coarse = _field(advance(w, dt, 8))
         mid = _field(advance(w, dt / 2, 16))
         fine = _field(advance(w, dt / 4, 32))
@@ -304,22 +408,22 @@ class TestStepper:
     @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
     def test_step_rejects_non_positive_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
-            step_rk4(dealiased_half(16, seed=26), dt, 0.0)
+            step_rk4(live(dealiased_half(16, seed=26)), dt, 0.0)
 
     def test_single_step_preserves_mean(self):
         g = GridSpec(32)
         f = make_random_sobolev(g, sigma=2.0, seed=4, band=g.dealias_cutoff)
-        assert step_rk4(f.half, 0.01, 0.1)[0, 0] == 0.0
+        assert step_rk4(live(f.half), 0.01, 0.1)[0, 0] == 0.0
 
     def test_cfl_dt_formula(self):
         g = GridSpec(32)
-        w = make_eigenfunction(g, (1, 0), amplitude=2.0).half
+        w = live(make_eigenfunction(g, (1, 0), amplitude=2.0).half)
         # |u| peaks at 2: dt = c * h / 2
         assert cfl_dt(w, 0.5) == pytest.approx(0.5 * g.spacing / 2.0, rel=1e-12)
 
     def test_cfl_dt_floor_for_zero_velocity(self):
         g = GridSpec(32)
-        zero = np.zeros((32, 17), dtype=complex)
+        zero = np.zeros((32, 11), dtype=complex)
         assert cfl_dt(zero, 0.5) <= 0.5 * g.spacing / 1e-12
         assert np.isfinite(cfl_dt(zero, 0.5))
 
@@ -329,7 +433,7 @@ class TestCflDt:
         g = GridSpec(32)
         rng = np.random.default_rng(21)
         f = zero_mean(forward_transform(rng.standard_normal((32, 32)), g))
-        w, clean = f.half, dealias(f).half
+        w, clean = live(f.half), live(dealias(f).half)
         assert np.max(np.abs(w - clean)) > 0.01 * np.max(np.abs(w))
         assert cfl_dt(w, 0.5) == cfl_dt(clean, 0.5)
 
@@ -340,26 +444,27 @@ class TestCflDt:
         w = dealiased_half(m, seed=22 + m)
         u = np.fft.irfft2(velocity_table(m) * w, s=(m, m))
         want = 0.5 * g.spacing / max(float(np.max(np.abs(u))) * m**2, 1e-12)
-        assert cfl_dt(w, 0.5) == want
+        assert cfl_dt(live(w), 0.5) == want
 
     @pytest.mark.parametrize("c_cfl", [0.0, -0.5, float("nan")])
     def test_rejects_non_positive_c_cfl(self, c_cfl):
         with pytest.raises(ValueError, match="c_cfl must be positive"):
-            cfl_dt(dealiased_half(16, seed=27), c_cfl)
+            cfl_dt(live(dealiased_half(16, seed=27)), c_cfl)
 
     def test_input_not_written(self):
         g = GridSpec(32)
         f = forward_transform(np.random.default_rng(23).standard_normal((32, 32)), g)
-        before = f.coeffs.copy()
-        cfl_dt(f.half, 0.5)
-        assert np.array_equal(f.coeffs, before)
+        w = live(f.half)
+        before = w.copy()
+        cfl_dt(w, 0.5)
+        assert np.array_equal(w, before)
 
     def test_rhs_unchanged_by_calls_between(self):
-        w = dealiased_half(32, seed=24)
+        w = live(dealiased_half(32, seed=24))
         alone = [rhs(w, 0.1), step_rk4(w, 0.01, 0.1)]
         cfl_dt(w, 0.5)
         r = rhs(w, 0.1)
-        cfl_dt(dealiased_half(32, seed=25), 0.5)
+        cfl_dt(live(dealiased_half(32, seed=25)), 0.5)
         s = step_rk4(w, 0.01, 0.1)
         assert np.array_equal(r, alone[0]) and np.array_equal(s, alone[1])
 
@@ -428,6 +533,26 @@ class TestIntegrate:
         for (ta, wa), (tb, wb) in zip(a.snapshots, b.snapshots):
             assert tb == 0.5 * ta
             assert np.array_equal(wb.coeffs, 2.0 * wa.coeffs)
+
+    @pytest.mark.parametrize("m", [32, 64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    @pytest.mark.parametrize("stepping", ["dt", "c_cfl"])
+    def test_live_block_matches_whole_half_spectrum(self, m, alpha, stepping):
+        g = GridSpec(m)
+        f = make_random_sobolev(g, sigma=2.5, seed=30 + m, band=g.dealias_cutoff)
+        step = {"dt": 0.1 * g.spacing} if stepping == "dt" else {"c_cfl": 0.5}
+        cfg = SolverConfig(
+            grid=g, alpha=alpha, t_end=0.3, record_every=0.1, snapshot_every=0.15, **step
+        )
+        got, want = integrate(f, cfg), whole_half_integrate(f, cfg)
+        assert np.array_equal(got.times, want.times) and len(got.times) == 4
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for key in want.diagnostics:
+            assert np.array_equal(got.diagnostics[key], want.diagnostics[key]), key
+        assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+        assert len(got.snapshots) == 3
+        for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
+            assert np.array_equal(a.half, b.half)
 
     def test_enstrophy_conserved_euler(self):
         g = GridSpec(64)

@@ -1,6 +1,8 @@
 """Binary snapshot format: layout, roundtrip, corruption detection."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from voigt2d import (
     snapshot_of,
     write_snapshot,
 )
-from voigt2d.cli import cmd_diagnose
+from voigt2d.cli import _sha256, cmd_diagnose
 
 HEADER = struct.Struct("<4sIIdd")
 
@@ -25,6 +27,14 @@ def sample_snapshot(m=32, seed=3):
     g = GridSpec(m)
     f = make_random_sobolev(g, sigma=2.5, seed=seed, band=g.dealias_cutoff)
     return snapshot_of(f, time=0.75, alpha=1e-3)
+
+
+def whole_file_bytes(snap):
+    """The file's bytes from the header and one transposed copy of all the
+    values, the layout's definition."""
+    m = snap.values.shape[0]
+    header = HEADER.pack(b"VFLD", 1, m, snap.time, snap.alpha)
+    return header + np.ascontiguousarray(snap.values.T, dtype="<f8").tobytes()
 
 
 class TestRoundtrip:
@@ -117,6 +127,51 @@ class TestLayout:
         write_snapshot(str(p), snapshot_of(f, 0.0, 0.0))
         back = read_snapshot(str(p))
         assert np.max(np.abs(back.values - inverse_transform(f))) == 0.0
+
+
+class TestBlockedEncoding:
+    # 32 rows a block: M = 80 ends in a partial block, M = 16 is one block
+    @pytest.mark.parametrize("m", [16, 64, 80])
+    def test_file_is_the_whole_payload(self, tmp_path, m):
+        snap = sample_snapshot(m)
+        p = tmp_path / "state.vfld"
+        write_snapshot(str(p), snap)
+        assert p.read_bytes() == whole_file_bytes(snap)
+        back = tmp_path / "back.vfld"
+        write_snapshot(str(back), read_snapshot(str(p)))
+        assert back.read_bytes() == whole_file_bytes(snap)
+
+    @pytest.mark.parametrize("m", [16, 64, 80])
+    def test_hash_is_the_hash_of_the_file(self, tmp_path, m):
+        snap = sample_snapshot(m)
+        p = tmp_path / "state.vfld"
+        write_snapshot(str(p), snap)
+        want = hashlib.sha256(p.read_bytes()).hexdigest()
+        assert _sha256(snap) == want
+        assert _sha256(read_snapshot(str(p))) == want
+
+    def test_printed_hash_is_of_the_whole_payload(self, tmp_path, capsys):
+        snap = sample_snapshot(80)
+        p = tmp_path / "state.vfld"
+        write_snapshot(str(p), snap)
+        assert cmd_diagnose(str(p), (), ()) == 0
+        want = hashlib.sha256(whole_file_bytes(snap)).hexdigest()
+        assert f"# snapshot sha256 {want}" in capsys.readouterr().out.splitlines()
+
+    def test_warm_hash_copies_no_payload(self, tmp_path):
+        # a snapshot read back stores the transpose of the file's layout,
+        # so one copy of the payload would be all of values.nbytes
+        p = tmp_path / "state.vfld"
+        write_snapshot(str(p), sample_snapshot(512))
+        snap = read_snapshot(str(p))
+        _sha256(snap)
+        tracemalloc.start()
+        try:
+            _sha256(snap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * snap.values.nbytes, peak
 
 
 class TestCorruption:

@@ -1,8 +1,11 @@
-"""Full-plane wave-number tables for the test oracles.
+"""Full-plane wave-number tables for the test oracles, and the stepper's
+live block of a half spectrum.
 
 voigt2d.grid.tables covers the (M, M/2+1) half spectrum that a field
 stores.  Oracles that work on the M x M layout of SpectralField.coeffs take
 these M x M tables instead, built from the same formulas over every column.
+The right-hand side, the RK4 step and the CFL rule of voigt2d.dynamics take
+the live block of a half spectrum, :func:`live`.
 """
 
 from types import SimpleNamespace
@@ -32,3 +35,9 @@ def full_tables(grid: GridSpec) -> SimpleNamespace:
         inv_ksq=inv_ksq,
         dealias_mask=np.logical_and.outer(keep, keep),
     )
+
+
+def live(half: np.ndarray) -> np.ndarray:
+    """The live block of the (M, M/2+1) half spectrum ``half``: a
+    C-contiguous copy of its first floor(M/3)+1 columns."""
+    return np.array(half[:, : half.shape[0] // 3 + 1])
