@@ -1,10 +1,11 @@
 """Norms, conserved quantities, and inequality diagnostics.
 
 Every quadratic norm is a sum over the (M, M/2+1) half spectrum that a
-SpectralField stores, against one per-grid weight table (_norm_weights):
-weight 2 on the columns 0 < k2 < M/2, which stand for their conjugates at
--k2 as well, and 1 on the self-conjugate columns k2 = 0 and M/2, with
-|k|^2 and the velocity weight folded in.  Every velocity norm is that
+SpectralField stores, against the norm weights of the grid's wave-number
+tables (voigt2d.grid.tables): weight 2 on the columns 0 < k2 < M/2, which
+stand for their conjugates at -k2 as well, and 1 on the self-conjugate
+columns k2 = 0 and M/2 (``fold``), with |k|^2 (``grad``) and the velocity
+weight (``velocity``) folded in.  Every velocity norm is that
 weight on |omega_hat|^2, so sample_state, the per-record dict of
 TrajectoryRecord.diagnostics, and error_norms build no velocity field and
 no full M x M spectrum.  The squares, weighted products and Sobolev
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import TWO_PI, GridSpec, tables
+from .grid import TWO_PI, tables
 from .spectral import (
     SpectralField,
     _oversample_half,
@@ -51,41 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # ---------------------------------------------------------------------------
 # norms
-
-
-class _NormWeights:
-    """The weights of the quadratic norms on one grid's half spectrum.
-
-    A sum over the M x M spectrum of a real field is the sum over its
-    (M, M/2+1) half spectrum with weight ``fold``, a vector over k2: 2 on
-    the columns 0 < k2 < M/2, 1 on the self-conjugate columns k2 = 0 and
-    M/2.  ``ksq`` is |k|^2 on the half spectrum (the grid table),
-    ``grad`` the folded |k|^2, and ``velocity`` the folded
-    (d1^2 + d2^2) / |k|^4: |u1_hat|^2 + |u2_hat|^2 =
-    (d1^2 + d2^2) / |k|^4 * |omega_hat|^2 for u = biot_savart(omega), with
-    the Nyquist-zeroed d tables that biot_savart uses.  All are read-only.
-    """
-
-    def __init__(self, grid: GridSpec) -> None:
-        t = tables(grid)
-        h = grid.size // 2 + 1
-        fold = np.full(h, 2.0)
-        fold[0] = fold[-1] = 1.0
-        self.fold = fold
-        self.ksq = t.ksq
-        self.grad = fold * t.ksq
-        # d1^2 + d2^2 from the two d vectors, folded and divided in place
-        velocity = np.add.outer(t.d1[:, 0] ** 2, t.d2[0] ** 2)
-        velocity *= fold
-        velocity *= t.inv_ksq * t.inv_ksq
-        self.velocity = velocity
-        for arr in (self.fold, self.grad, self.velocity):
-            arr.setflags(write=False)
-
-
-@lru_cache(maxsize=16)
-def _norm_weights(grid: GridSpec) -> _NormWeights:
-    return _NormWeights(grid)
 
 
 def _half_views(m: int, k: int) -> tuple[np.ndarray, ...]:
@@ -113,7 +79,7 @@ def _sobolev_weighted_norm(weight: np.ndarray, f: SpectralField, s: float) -> fl
     """:func:`_weighted_norm` with weight (1 + |k|^2)^s times ``weight``,
     which is built in place in the second of :func:`_half_views`."""
     w = _half_views(f.grid.size, 2)[1]
-    np.add(_norm_weights(f.grid).ksq, 1.0, out=w)
+    np.add(tables(f.grid).ksq, 1.0, out=w)
     w **= s
     w *= weight
     return _weighted_norm(w, f)
@@ -125,7 +91,7 @@ def l2_norm(f: SpectralField) -> float:
     Like every quadratic norm here it sums in the shared oversampling
     workspace, so it is not for concurrent threads.
     """
-    return _weighted_norm(_norm_weights(f.grid).fold, f)
+    return _weighted_norm(tables(f.grid).fold, f)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -137,13 +103,13 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """
     if not np.isfinite(s):
         raise ValueError(f"sobolev order must be finite, got {s}")
-    return _sobolev_weighted_norm(_norm_weights(f.grid).fold, f, s)
+    return _sobolev_weighted_norm(tables(f.grid).fold, f, s)
 
 
 def gradient_l2(f: SpectralField) -> float:
     """L2 norm of the gradient: sqrt((2pi)^2 sum |k|^2 |f_hat|^2), summed
     in the shared oversampling workspace, so not for concurrent threads."""
-    return _weighted_norm(_norm_weights(f.grid).grad, f)
+    return _weighted_norm(tables(f.grid).grad, f)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -236,7 +202,7 @@ def _velocity_sobolev(omega: SpectralField, s: float) -> float:
     """H^s norm, weight (1 + |k|^2)^s, of the velocity biot_savart(omega),
     summed over both components, from omega alone."""
     _require_zero_mean(omega)  # as biot_savart(omega) would
-    return _sobolev_weighted_norm(_norm_weights(omega.grid).velocity, omega, s)
+    return _sobolev_weighted_norm(tables(omega.grid).velocity, omega, s)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +213,9 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     """Squared L2 norms of velocity and vorticity, their voigt_* variants
     with the extra alpha|k|^2 weight, and the collocation sup of omega.
 
-    All four sums weight |omega_hat|^2 over the half spectrum by the
-    grid's norm weights, the energies by their velocity weight, so no
-    velocity field is built.  The sup is that of lp_norm(omega, inf),
+    All four sums weight |omega_hat|^2 over the half spectrum by the norm
+    weights of the grid's tables, the energies by their velocity weight,
+    so no velocity field is built.  The sup is that of lp_norm(omega, inf),
     which keeps it for a later cz_ratio; it is taken first, since its
     mirror uses the plane of the oversampling workspace that the sums then
     take three (M, M/2+1) arrays of.  The whole process shares that kept
@@ -260,13 +226,13 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     if not 0.0 <= alpha < np.inf:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     sup = lp_norm(omega, np.inf)
-    nw = _norm_weights(omega.grid)
+    t = tables(omega.grid)
     omega_sq, u_sq, w = _half_views(omega.grid.size, 3)
     np.abs(omega.half, out=omega_sq)
     np.square(omega_sq, out=omega_sq)
-    np.multiply(nw.velocity, omega_sq, out=u_sq)
-    omega_sq *= nw.fold
-    np.multiply(nw.ksq, alpha, out=w)
+    np.multiply(t.velocity, omega_sq, out=u_sq)
+    omega_sq *= t.fold
+    np.multiply(t.ksq, alpha, out=w)
     w += 1.0
     energy = float(TWO_PI**2 * np.sum(u_sq))
     enstrophy = float(TWO_PI**2 * np.sum(omega_sq))
@@ -384,8 +350,8 @@ def error_norms(a: "TrajectoryRecord", b: "TrajectoryRecord") -> dict[str, float
     Both records must carry snapshots on identical time grids and grids.
     Each norm is a weighted sum over the half spectrum of the vorticity
     difference d, the velocity ones by the velocity weight of the grid's
-    norm weights (the velocity of d is biot_savart(d)), so no velocity
-    field is built.
+    tables (the velocity of d is biot_savart(d)), so no velocity field is
+    built.
     Returns sup_u_l2, sup_omega_l2, sup_u_h1.
     """
     if a.snapshots is None or b.snapshots is None:

@@ -101,8 +101,9 @@ class TrajectoryRecord:
 # block w = omega.half[:, :c], c = floor(M/3) + 1, held as its own
 # C-contiguous (M, c) array: rhs, step_rk4 and cfl_dt take and return live
 # blocks, every stage and slope of a step is one, and irfft zero-pads the
-# columns the block leaves out.  spectral._field turns a live block back
-# into a field.
+# columns the block leaves out.  _live_block cuts one from a half spectrum
+# (for integrate and the sweep's CFL step), and spectral._field turns a live
+# block back into a field.
 #
 # The advection term is taken in Basdevant's form (C. Basdevant, J. Comput.
 # Phys. 50 (1983) 209-214): for divergence-free u in 2-D,
@@ -111,20 +112,24 @@ class TrajectoryRecord:
 # the spectra of two products, two forward ones.  With dealiased products it
 # is the same Galerkin term as the convective form u1 d1 omega + u2 d2 omega.
 
-#: projections kept per grid workspace before the oldest alphas are dropped
-_PROJECTIONS_KEPT = 16
+
+def _live_block(half: np.ndarray) -> np.ndarray:
+    """The live block of the (M, M/2+1) half spectrum ``half``: a
+    C-contiguous copy of its first floor(M/3)+1 columns."""
+    return np.array(half[:, : half.shape[0] // 3 + 1])
 
 
-def _projection(grid: GridSpec, alpha: float) -> np.ndarray:
-    """(2, M, c) on the live columns: P (k2^2 - k1^2) and -P k1 k2, with
-    P = -M^2 dealias_mask / (1 + alpha |k|^2), 0 at k = 0.  Applied to the
-    rfft2 spectra of u1 u2 and u2^2 - u1^2 and summed, it gives the
-    dealiased, zero-mean, Helmholtz-filtered -u . grad omega in one multiply
-    and one add."""
-    t = tables(grid)
-    c = grid.dealias_cutoff + 1
+@lru_cache(maxsize=16)
+def _projection(m: int, alpha: float) -> np.ndarray:
+    """(2, M, c) on the live columns of the M grid: P (k2^2 - k1^2) and
+    -P k1 k2, with P = -M^2 dealias_mask / (1 + alpha |k|^2), 0 at k = 0.
+    Applied to the rfft2 spectra of u1 u2 and u2^2 - u1^2 and summed, it
+    gives the dealiased, zero-mean, Helmholtz-filtered -u . grad omega in
+    one multiply and one add."""
+    t = tables(GridSpec(m))
+    c = m // 3 + 1
     k1, k2 = t.k1[:, :c], t.k2[:, :c]
-    p = -(grid.size**2) * t.dealias_mask[:, :c] / (1.0 + alpha * t.ksq[:, :c])
+    p = -(m**2) * t.dealias_mask[:, :c] / (1.0 + alpha * t.ksq[:, :c])
     p[0, 0] = 0.0
     out = p * np.stack([k2 * k2 - k1 * k1, -(k1 * k2)])
     out.setflags(write=False)
@@ -163,16 +168,6 @@ class _Workspace:
         self.stage = np.empty((m, c), dtype=np.complex128)
         self.slope = np.empty((m, c), dtype=np.complex128)
         self.total = np.empty((m, c), dtype=np.complex128)
-        self._projections: dict[float, np.ndarray] = {}
-
-    def projection(self, alpha: float) -> np.ndarray:
-        """:func:`_projection` of this grid at ``alpha``, built once."""
-        p = self._projections.get(alpha)
-        if p is None:
-            if len(self._projections) == _PROJECTIONS_KEPT:
-                del self._projections[next(iter(self._projections))]
-            p = self._projections[alpha] = _projection(self.grid, alpha)
-        return p
 
 
 @lru_cache(maxsize=8)
@@ -246,7 +241,7 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     np.fft.rfft(ws.planes[2:], axis=2, out=ws.half)
     spectra = ws.spectra
     np.fft.fft(ws.half[:, :, : w.shape[1]], axis=1, out=spectra)
-    np.multiply(spectra, ws.projection(alpha), out=spectra)
+    np.multiply(spectra, _projection(w.shape[0], alpha), out=spectra)
     if out is None:
         out = np.empty_like(spectra[0])
     return np.add(spectra[0], spectra[1], out=out)
@@ -339,6 +334,16 @@ def _schedule(config: SolverConfig) -> tuple[list[float], set[float], set[float]
     return sorted(set(rec_times) | set(snap_times)), set(rec_times), set(snap_times)
 
 
+def _checked_sample(omega: SpectralField, alpha: float, t: float) -> dict[str, float]:
+    """sample_state(omega, alpha) at time t; BlowUpError(t) if any value is
+    not finite.  Overflow on the way to one is reported, not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sample_state(omega, alpha)
+    if not all(np.isfinite(v) for v in s.values()):
+        raise BlowUpError(t)
+    return s
+
+
 def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     """Advance omega0 to t_end recording diagnostics every record_every.
 
@@ -346,18 +351,19 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     runs on a copy of its live block half[:, :floor(M/3)+1] (see
     :func:`rhs`); records and snapshots see the SpectralField that
     :func:`voigt2d.spectral._field` builds from a copy of it.  Raises
-    :class:`BlowUpError` with the failure time if the state stops being
+    :class:`BlowUpError` with the failure time if the state, or any
+    diagnostic sampled from it, the one at t = 0 included, stops being
     finite.
     """
     if omega0.grid != config.grid:
         raise ValueError("initial data grid does not match config grid")
     omega = zero_mean(dealias(omega0))
-    w = np.array(omega.half[:, : config.grid.dealias_cutoff + 1])
+    w = _live_block(omega.half)
 
     events, rec_set, snap_set = _schedule(config)
 
     times = [0.0]
-    samples = [sample_state(omega, config.alpha)]
+    samples = [_checked_sample(omega, config.alpha, 0.0)]
     snapshots: list[tuple[float, SpectralField]] | None = None
     if config.snapshot_every is not None:
         snapshots = [(0.0, omega)]
@@ -385,11 +391,8 @@ def integrate(omega0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
             t = t_new
         omega = _field(w)  # every event is a record or a snapshot time
         if te in rec_set:
-            s = sample_state(omega, config.alpha)
-            if not all(np.isfinite(v) for v in s.values()):
-                raise BlowUpError(te)
             times.append(te)
-            samples.append(s)
+            samples.append(_checked_sample(omega, config.alpha, te))
         if te in snap_set:
             snapshots.append((te, omega))
 

@@ -1,4 +1,9 @@
-"""Uniform periodic grids on [0, 2pi)^2 and their Fourier index tables."""
+"""Uniform periodic grids on [0, 2pi)^2 and their Fourier index tables.
+
+:func:`tables` is the one owner of every per-grid array over the half
+spectrum: the wave-numbers, the derivative, inverse-Laplacian and dealias
+factors, and the weights of the quadratic norms.
+"""
 
 from __future__ import annotations
 
@@ -65,6 +70,15 @@ class _Tables:
     an even grid).  These four are broadcast views of one 1D vector each,
     so they hold no memory of their own; ``ksq``, ``inv_ksq`` and
     ``dealias_mask`` are outer sums or products of two such vectors.
+
+    The rest are the weights of the quadratic norms of
+    :mod:`voigt2d.diagnostics`.  A sum over the M x M spectrum of a real
+    field is the sum over its half spectrum with weight ``fold``, a vector
+    over k2: 2 on the columns 0 < k2 < M/2, which stand for their
+    conjugates at -k2 as well, and 1 on the self-conjugate columns k2 = 0
+    and M/2.  ``grad`` is the folded |k|^2 and ``velocity`` the folded
+    (d1^2 + d2^2) / |k|^4: |u1_hat|^2 + |u2_hat|^2 =
+    (d1^2 + d2^2) / |k|^4 * |omega_hat|^2 for u = biot_savart(omega).
     """
 
     def __init__(self, grid: GridSpec) -> None:
@@ -84,9 +98,16 @@ class _Tables:
         self.inv_ksq = inv
         keep = np.abs(k) <= grid.dealias_cutoff
         self.dealias_mask = np.logical_and.outer(keep, keep[:h])
-        # index that maps k -> -k in FFT layout, applied along both axes
-        self.negate = (-np.arange(m)) % m
-        for arr in (self.ksq, self.inv_ksq, self.dealias_mask, self.negate):
+        fold = np.full(h, 2.0)
+        fold[0] = fold[-1] = 1.0
+        self.fold = fold
+        self.grad = fold * self.ksq
+        # d1^2 + d2^2 from the d vector, folded and divided in place
+        velocity = np.add.outer(d**2, d[:h] ** 2)
+        velocity *= fold
+        velocity *= inv * inv
+        self.velocity = velocity
+        for arr in (self.ksq, inv, self.dealias_mask, fold, self.grad, velocity):
             arr.setflags(write=False)
 
 

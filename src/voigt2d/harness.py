@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .spectral import SpectralField
-from .dynamics import SolverConfig, TrajectoryRecord, cfl_dt, integrate
+from .dynamics import SolverConfig, TrajectoryRecord, _live_block, cfl_dt, integrate
 from .diagnostics import _velocity_sobolev, error_norms, l2_norm
 from .initial_data import DataRecipe, galerkin_truncate, realize
 
@@ -232,7 +232,7 @@ def choose_cutoff(alpha: float, band_limit: int | None = None) -> int:
 def _plan_dt(plan: SweepPlan, base: SpectralField) -> float:
     if plan.dt is not None:
         return plan.dt
-    return cfl_dt(base.half[:, : base.grid.dealias_cutoff + 1], plan.c_cfl)
+    return cfl_dt(_live_block(base.half), plan.c_cfl)
 
 
 def _solver_config(plan: SweepPlan, alpha: float, dt: float) -> SolverConfig:

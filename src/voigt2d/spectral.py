@@ -12,8 +12,11 @@ A SpectralField stores only the rfft2 half spectrum ``half`` =
 f_hat[:, :M/2+1], an (M, M/2+1) array: the columns k2 < 0 of a real field
 are the conjugates of those with k2 > 0.  The M x M full layout is the one
 the public constructor takes and :attr:`SpectralField.coeffs` returns,
-mirrored on demand; the constructor rejects coefficients that are not
-Hermitian, so the half spectrum of any field is the whole of it.  Every
+mirrored on demand by :func:`_mirror`, the module's one map k -> -k of
+the full layout; the constructor rejects coefficients that are not
+Hermitian, comparing their columns k2 < 0 with that mirror of their half
+and the self-conjugate columns k2 = 0 and M/2 with their own row reversal,
+so the half spectrum of any field is the whole of it.  Every
 operator here, :func:`forward_transform` (the two 1D passes of an rfft2),
 the stepper of :mod:`voigt2d.dynamics` and the quadratic norms of
 :mod:`voigt2d.diagnostics` run on half spectra (the stepper on their
@@ -58,10 +61,13 @@ class SpectralField:
     layout.  It raises :class:`SymmetryError` if they violate Hermitian
     symmetry beyond 1e-12 relative, and ValueError if any is not finite,
     and keeps a copy of their half spectrum, so writing to the caller's
-    array later leaves the field unchanged.  Full-layout input that is
-    Hermitian within the 1e-12 tolerance, but not exactly, is read back as
-    its mirrored half: the columns 0 < k2 < M/2 as given, their conjugates
-    at -k2, and the self-conjugate columns k2 = 0 and M/2 symmetrized.
+    array later leaves the field unchanged.  The defect is the largest
+    |c(-k) - conj c(k)| over all modes: the columns k2 < 0 are compared
+    with the :func:`_mirror` of the half, and the self-conjugate columns
+    with their rows reversed.  Full-layout input that is Hermitian within
+    the 1e-12 tolerance, but not exactly, is read back as its mirrored
+    half: the columns 0 < k2 < M/2 as given, their conjugates at -k2, and
+    the self-conjugate columns k2 = 0 and M/2 symmetrized.
 
     ``half`` is the read-only complex128 (M, M/2+1) half spectrum, the
     field's only storage; ``coeffs`` is its exactly Hermitian M x M mirror,
@@ -83,7 +89,6 @@ class SpectralField:
             w = c = coeffs
             if w.shape != (m, h + 1):
                 raise ValueError(f"half spectrum shape {w.shape} does not match grid {m}")
-            defect_of = _column_defect
         else:
             c = np.asarray(coeffs, dtype=np.complex128)
             if c.shape != (m, m):
@@ -91,20 +96,30 @@ class SpectralField:
                     f"coefficient shape {c.shape} does not match grid size {m}"
                 )
             w = np.array(c[:, : h + 1])
-            defect_of = _hermitian_defect
         scale = float(np.max(np.abs(c)))
+        # the self-conjugate columns k2 = 0 and M/2, and at each k1 the
+        # conjugate of their value at -k1: row 0 stays, rows 1 .. M-1 reverse
+        cols = w[:, ::h]
+        flip = np.conjugate(np.concatenate([cols[:1], cols[:0:-1]]))
         # a non-finite coefficient makes the scale inf or NaN: it fails
         # without the defect, where a conjugate pair of infs would warn
-        defect = defect_of(c) if scale < np.inf else np.nan
+        defect = np.nan
+        if scale < np.inf:
+            defect = float(np.max(np.abs(cols - flip)))
+            if not _half:
+                # the columns -k2 against the mirror of the half; each pair
+                # of modes across the two halves gives the same |a - conj b|
+                # from either side, so this is the defect over all modes
+                tail = _mirror(w, np.empty((m, m), dtype=np.complex128))[:, h + 1 :]
+                np.subtract(c[:, h + 1 :], tail, out=tail)
+                defect = max(defect, float(np.max(np.abs(tail))))
         if not defect <= SYMMETRY_TOL * max(1.0, scale):
             if not np.all(np.isfinite(c)):
                 raise ValueError("coefficients must be finite")
             raise SymmetryError(
                 f"Hermitian symmetry violated (defect {defect:.3e}); field is not real"
             )
-        neg = tables(grid).negate
-        for j in (0, h):  # the self-conjugate columns, made exactly Hermitian
-            w[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
+        cols[...] = 0.5 * (cols + flip)  # now exactly Hermitian
         w.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "half", w)
@@ -145,19 +160,6 @@ class SpectralField:
         return complex(self.half[0, 0])
 
 
-def _hermitian_defect(c: np.ndarray) -> float:
-    """Max |c(-k) - conj(c(k))| over all modes of the M x M array c."""
-    # c(-k) in FFT layout: index 0 stays, indices 1 .. M-1 reverse
-    mirror = np.empty_like(c)
-    mirror[0, 0] = c[0, 0]
-    mirror[0, 1:] = c[0, :0:-1]
-    mirror[1:, 0] = c[:0:-1, 0]
-    mirror[1:, 1:] = c[:0:-1, :0:-1]
-    np.conjugate(mirror, out=mirror)
-    np.subtract(c, mirror, out=mirror)
-    return float(np.max(np.abs(mirror)))
-
-
 def _mirror(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The M x M coefficients in FFT layout of the (M, M/2+1) half spectrum
     w, written into the complex (M, M) array ``out`` and returned."""
@@ -167,15 +169,6 @@ def _mirror(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.conjugate(w[0, h - 1 : 0 : -1], out=out[0, h + 1 :])
     np.conjugate(w[:0:-1, h - 1 : 0 : -1], out=out[1:, h + 1 :])
     return out
-
-
-def _column_defect(w: np.ndarray) -> float:
-    """Max |w(-k1, k2) - conj(w(k1, k2))| over the self-conjugate columns
-    k2 = 0 and M/2 of the (M, M/2+1) half spectrum w, the only modes of a
-    half spectrum that realness constrains."""
-    cols = w[:, :: w.shape[1] - 1]
-    mirror = np.conjugate(np.concatenate([cols[:1], cols[:0:-1]]))
-    return float(np.max(np.abs(cols - mirror)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The right-hand side, the RK4 stepper, and the event-driven integrator."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from voigt2d import (
 )
 from voigt2d import dynamics
 from voigt2d.dynamics import _event_times, _schedule
-from voigt2d.spectral import _field, _hermitian_defect
+from voigt2d.spectral import _field
 from voigt2d.grid import tables
 from voigt2d.initial_data import make_eigenfunction, make_random_sobolev
-from wavenumbers import full_tables, live
+from wavenumbers import full_tables, hermitian_defect, live
 
 
 def two_mode(grid: GridSpec) -> SpectralField:
@@ -143,7 +144,7 @@ class TestHalfSpectrum:
         f = make_random_sobolev(g, sigma=2.5, seed=m, band=g.dealias_cutoff)
         want = full_layout_rhs(f, alpha).coeffs
         got = _field(rhs(live(f.half), alpha))
-        assert _hermitian_defect(got.coeffs) == 0.0
+        assert hermitian_defect(got.coeffs) == 0.0
         assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("m", [16, 32, 64])
@@ -196,7 +197,7 @@ class TestHalfSpectrum:
         rec = integrate(f, cfg)
         states = seen + [w for _, w in rec.snapshots]
         assert len(seen) == 4 and len(rec.snapshots) == 3
-        assert [_hermitian_defect(w.coeffs) for w in states] == [0.0] * len(states)
+        assert [hermitian_defect(w.coeffs) for w in states] == [0.0] * len(states)
 
 
 class TestRightHandSides:
@@ -327,6 +328,27 @@ class TestWorkspace:
         for key in calls:
             assert all(np.array_equal(a, b) for a, b in zip(separate[key], interleaved[key]))
 
+    def test_projection_cache_keeps_the_last_sixteen_alphas(self):
+        # the 17th alpha evicts the first, whose projection is then rebuilt
+        # with the same bits
+        w = live(dealiased_half(32, seed=30))
+        alphas = [0.01 * (i + 1) for i in range(17)]
+        dynamics._projection.cache_clear()
+        first = rhs(w, alphas[0])
+        for alpha in alphas[1:]:
+            rhs(w, alpha)
+        assert dynamics._projection.cache_info().currsize == 16
+        again = rhs(w, alphas[0])
+        assert np.array_equal(again, first)
+        info = dynamics._projection.cache_info()
+        assert (info.misses, info.currsize) == (18, 16)
+
+    def test_live_block_of_a_half_spectrum(self):
+        half = dealiased_half(30, seed=31)
+        w = dynamics._live_block(half)
+        assert w.shape == (30, 11) and w.flags.c_contiguous
+        assert not np.shares_memory(w, half)
+        assert np.array_equal(w, live(half))
 
     def test_stage_buffers_are_contiguous_live_blocks(self):
         for m in (16, 30, 64):
@@ -657,6 +679,19 @@ class TestIntegrate:
             integrate(f, cfg)
         assert 0.0 <= err.value.time <= 50.0
         assert "blew up" in str(err.value) or "finite" in str(err.value)
+
+    def test_non_finite_initial_sample_raises_at_t0(self):
+        # a steady shear mode whose energy overflows: the t = 0 sample is
+        # checked like every record, with no overflow warning on the way
+        g = GridSpec(16)
+        f = make_eigenfunction(g, (1, 0), 1e155)
+        cfg = SolverConfig(grid=g, alpha=0.0, t_end=0.5, record_every=0.25, dt=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                integrate(f, cfg)
+        assert err.value.time == 0.0
+        assert "t = 0" in str(err.value)
 
     def test_config_validation(self):
         g = GridSpec(16)

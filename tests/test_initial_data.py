@@ -168,6 +168,12 @@ class TestYudovichPatch:
         with pytest.raises(ValueError, match="smoothing"):
             make_yudovich_patch(GridSpec(64), radius=0.6, smoothing=0.0, seed=0)
 
+    def test_degenerate_patch_rejected(self):
+        # a smoothing so wide that the patch is constant: zero after the
+        # mean is removed
+        with pytest.raises(ValueError, match="degenerate patch: zero field after projection"):
+            make_yudovich_patch(GridSpec(16), 1.0, smoothing=1e300)
+
     def test_seed_moves_center(self):
         g = GridSpec(64)
         a = make_yudovich_patch(g, radius=0.6, seed=1)

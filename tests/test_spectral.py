@@ -1,5 +1,7 @@
 """Transforms, calculus operators, and the Biot-Savart reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from voigt2d import (
 from voigt2d.grid import tables
 from voigt2d.spectral import (
     _field,
-    _hermitian_defect,
     _oversample_half,
     _oversampling,
 )
@@ -31,7 +32,7 @@ from voigt2d.initial_data import (
     make_taylor_family,
     make_yudovich_patch,
 )
-from wavenumbers import full_tables
+from wavenumbers import full_tables, hermitian_defect, negate
 
 
 def divergence(u1: SpectralField, u2: SpectralField) -> np.ndarray:
@@ -129,6 +130,29 @@ class TestGridSpec:
                 root = root.base
             assert root.size <= m * h, name
 
+    @pytest.mark.parametrize("m", [8, 10, 64])
+    def test_norm_weights_fold_the_full_plane(self, m):
+        # a full-plane sum of |c|^2 of a real field, alone or times |k|^2 or
+        # the velocity weight, is its half-spectrum sum against fold, grad
+        # or velocity
+        g = GridSpec(m)
+        t = tables(g)
+        full = full_tables(g)
+        h = m // 2 + 1
+        fold = np.full(h, 2.0)
+        fold[[0, -1]] = 1.0
+        assert np.array_equal(t.fold, fold)
+        assert np.array_equal(t.grad, fold * t.ksq)
+        c = forward_transform(np.random.default_rng(m + 50).standard_normal((m, m)), g).coeffs
+        velocity = (full.d1**2 + full.d2**2) * full.inv_ksq**2
+        for weight, full_weight in ((t.fold, 1.0), (t.grad, full.ksq), (t.velocity, velocity)):
+            got = np.sum(weight * np.abs(c[:, :h]) ** 2)
+            assert got == pytest.approx(np.sum(full_weight * np.abs(c) ** 2), rel=1e-13)
+        for arr in (t.fold, t.grad, t.velocity):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestTransforms:
     def test_roundtrip(self):
@@ -176,7 +200,7 @@ class TestTransforms:
 
     def test_hermitian_symmetry_exact(self):
         f = seeded(grid32(), seed=3)
-        assert _hermitian_defect(f.coeffs) == 0.0
+        assert hermitian_defect(f.coeffs) == 0.0
 
     @pytest.mark.parametrize("m", [8, 32, 64])
     def test_forward_matches_full_fft_reference(self, m):
@@ -184,11 +208,11 @@ class TestTransforms:
         g = GridSpec(m)
         values = np.random.default_rng(m).standard_normal((m, m)) + 0.3
         c = np.fft.fft2(values) / m**2
-        neg = tables(g).negate
+        neg = negate(m)
         want = 0.5 * (c + np.conj(c[np.ix_(neg, neg)]))
         f = forward_transform(values, g)
         assert np.max(np.abs(f.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
-        assert _hermitian_defect(f.coeffs) == 0.0
+        assert hermitian_defect(f.coeffs) == 0.0
         assert f.mean_coefficient.imag == 0.0
         assert f.mean_coefficient.real == pytest.approx(values.mean(), rel=1e-14)
 
@@ -229,20 +253,59 @@ class TestTransforms:
         assert f.coeffs[3, 4] != 9.0
 
     @pytest.mark.parametrize("m", [8, 16, 64])
-    def test_hermitian_defect_matches_gather_oracle(self, m):
+    @pytest.mark.parametrize("where", ["everywhere", "self_conjugate", "paired"])
+    def test_constructor_reports_the_gather_oracle_defect(self, m, where):
+        # the defect in the message is the gather oracle's, wherever the
+        # asymmetry sits: all modes, only the self-conjugate columns
+        # k2 = 0 and M/2, or only the columns 0 < k2 < M/2
         g = GridSpec(m)
         rng = np.random.default_rng(m + 3)
-        c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        neg = tables(g).negate
-        want = float(np.max(np.abs(c - np.conj(c[np.ix_(neg, neg)]))))
+        noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        if where == "everywhere":
+            c = noise
+        else:
+            c = np.array(forward_transform(rng.standard_normal((m, m)), g).coeffs)
+            cols = slice(None, None, m // 2) if where == "self_conjugate" else slice(1, m // 2)
+            c[:, cols] += 1e-6 * noise[:, cols]
+        want = hermitian_defect(c)
         assert want > 0.0
-        assert _hermitian_defect(c) == want
+        with pytest.raises(SymmetryError, match=re.escape(f"(defect {want:.3e})")):
+            SpectralField(g, c)
         # a half spectrum whose self-conjugate columns are Hermitian only
         # within the tolerance: its mirror is exactly Hermitian
-        w = c[:, : m // 2 + 1].copy()
+        neg = negate(m)
+        w = noise[:, : m // 2 + 1].copy()
         cols = slice(None, None, m // 2)
-        w[:, cols] = 0.5 * (c + np.conj(c[np.ix_(neg, neg)]))[:, cols] + 1e-14 * c[:, cols]
-        assert _hermitian_defect(_field(w).coeffs) == 0.0
+        sym = 0.5 * (noise + np.conj(noise[np.ix_(neg, neg)]))
+        w[:, cols] = sym[:, cols] + 1e-14 * noise[:, cols]
+        assert hermitian_defect(_field(w).coeffs) == 0.0
+
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    @pytest.mark.parametrize("column", ["k2_positive", "k2_negative"])
+    def test_defect_between_the_two_halves_is_checked(self, m, column):
+        # the only defect is one mode of a column 0 < |k2| < M/2, visible
+        # only by comparing the columns -k2 with the mirror of the half:
+        # 2e-12 relative is rejected, 5e-13 accepted and read back as the
+        # mirrored half
+        g = GridSpec(m)
+        rng = np.random.default_rng(m + 40)
+        c = 1e3 * np.array(forward_transform(rng.standard_normal((m, m)), g).coeffs)
+        scale = float(np.max(np.abs(c)))
+        assert scale > 1.0 and hermitian_defect(c) == 0.0
+        k2 = 1 if column == "k2_positive" else m - 1
+        for rel, accepted in ((2e-12, False), (5e-13, True)):
+            bad = c.copy()
+            bad[1, k2] += rel * scale
+            assert hermitian_defect(bad) == pytest.approx(rel * scale, rel=1e-3)
+            if not accepted:
+                with pytest.raises(SymmetryError, match="not real"):
+                    SpectralField(g, bad)
+                continue
+            got = SpectralField(g, bad).coeffs
+            assert np.array_equal(got, mirror_oracle(bad[:, : m // 2 + 1]))
+            assert hermitian_defect(got) == 0.0
+            if column == "k2_negative":  # the half is c's, so the field is c
+                assert np.array_equal(got, c)
 
     def test_float_input_becomes_complex_copy(self):
         g = grid32()
@@ -336,7 +399,7 @@ class TestRealness:
             make_yudovich_patch(g, radius=1.0, seed=m),
             make_taylor_family(g, mode=2, perturbation=0.1),
         ]
-        assert [_hermitian_defect(x.coeffs) for x in fields] == [0.0] * len(fields)
+        assert [hermitian_defect(x.coeffs) for x in fields] == [0.0] * len(fields)
 
 
 def mirror_oracle(w: np.ndarray) -> np.ndarray:
@@ -344,7 +407,7 @@ def mirror_oracle(w: np.ndarray) -> np.ndarray:
     its self-conjugate columns k2 = 0, M/2 averaged with their conjugates."""
     m = w.shape[0]
     h = m // 2
-    neg = (-np.arange(m)) % m
+    neg = negate(m)
     w = w.copy()
     for j in (0, h):
         w[:, j] = 0.5 * (w[:, j] + np.conj(w[neg, j]))
@@ -360,7 +423,7 @@ class TestHalfStorage:
         # with every Nyquist row and column nonzero
         c = forward_transform(np.random.default_rng(m + 30).standard_normal((m, m)), GridSpec(m)).coeffs
         assert np.all(c[m // 2] != 0) and np.all(c[:, m // 2] != 0)
-        assert _hermitian_defect(c) == 0.0
+        assert hermitian_defect(c) == 0.0
         assert np.array_equal(SpectralField(GridSpec(m), c).coeffs, c)
 
     @pytest.mark.parametrize("m", [8, 10, 64])
@@ -369,11 +432,11 @@ class TestHalfStorage:
         rng = np.random.default_rng(m + 31)
         c = forward_transform(rng.standard_normal((m, m)), g).coeffs
         c = c + 1e-14 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-        assert 0.0 < _hermitian_defect(c) <= 1e-12
+        assert 0.0 < hermitian_defect(c) <= 1e-12
         got = SpectralField(g, c).coeffs
         assert not np.array_equal(got, c)
         assert np.array_equal(got, mirror_oracle(c[:, : m // 2 + 1]))
-        assert _hermitian_defect(got) == 0.0
+        assert hermitian_defect(got) == 0.0
 
     def test_non_real_scaling_and_lone_inf_still_rejected(self):
         g = grid32()

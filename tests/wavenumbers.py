@@ -1,9 +1,11 @@
-"""Full-plane wave-number tables for the test oracles, and the stepper's
-live block of a half spectrum.
+"""Full-plane wave-number tables and the gather map k -> -k for the test
+oracles, and the stepper's live block of a half spectrum.
 
 voigt2d.grid.tables covers the (M, M/2+1) half spectrum that a field
 stores.  Oracles that work on the M x M layout of SpectralField.coeffs take
-these M x M tables instead, built from the same formulas over every column.
+these M x M tables instead, built from the same formulas over every column,
+and measure Hermitian symmetry with an index gather, :func:`negate`, that
+shares no code with the slices of voigt2d.spectral._mirror.
 The right-hand side, the RK4 step and the CFL rule of voigt2d.dynamics take
 the live block of a half spectrum, :func:`live`.
 """
@@ -41,3 +43,16 @@ def live(half: np.ndarray) -> np.ndarray:
     """The live block of the (M, M/2+1) half spectrum ``half``: a
     C-contiguous copy of its first floor(M/3)+1 columns."""
     return np.array(half[:, : half.shape[0] // 3 + 1])
+
+
+def negate(m: int) -> np.ndarray:
+    """The index that maps k -> -k in the FFT layout of an M grid, to be
+    applied along either axis."""
+    return (-np.arange(m)) % m
+
+
+def hermitian_defect(c: np.ndarray) -> float:
+    """Max |c(-k) - conj(c(k))| over all modes of the M x M array c, by an
+    index gather."""
+    neg = negate(c.shape[0])
+    return float(np.max(np.abs(c - np.conj(c[np.ix_(neg, neg)]))))
