@@ -8,10 +8,7 @@ columns k2 = 0 and M/2 (``fold``), with |k|^2 (``grad``) and the velocity
 weight (``velocity``) folded in.  Every velocity norm is that
 weight on |omega_hat|^2, so sample_state, the per-record dict of
 TrajectoryRecord.diagnostics, and error_norms build no velocity field and
-no full M x M spectrum.  The squares, weighted products and Sobolev
-weights of those sums are taken in place in (M, M/2+1) views of the plane
-of the spectral oversampling workspace (_half_views), so a quadratic norm
-allocates no array of its own.
+no full M x M spectrum.
 
 lp_norm, cz_ratio and gagliardo_ratio share one L^p quadrature on the 2x
 oversampled grid, and each ratio evaluates a whole sequence of p on one
@@ -23,10 +20,8 @@ buffer of 2 min(64, M) rows, one workspace per grid size, shared by every
 call in the process, so not for concurrent threads.  The quadrature sums
 every p over cache-sized row blocks in two row slices of that buffer: a
 power of two p by repeated squaring in place, any other p by exp(p log)
-from one log per block.  The collocation sup takes its full-layout mirror
-in that plane too (spectral.inverse_transform), and the sup of the last
-field asked for is kept, so sample_state and cz_ratio of one field
-transform it once.
+from one log per block.  The collocation sup of the last field asked for
+is kept, so sample_state and cz_ratio of one field transform it once.
 """
 
 from __future__ import annotations
@@ -54,43 +49,24 @@ if TYPE_CHECKING:  # pragma: no cover
 # norms
 
 
-def _half_views(m: int, k: int) -> tuple[np.ndarray, ...]:
-    """k (M, M/2+1) float arrays, one after another in the plane of the
-    oversampling workspace: the scratch of the quadratic norms."""
-    n = m * (m // 2 + 1)
-    flat = _oversampling(m).plane.reshape(-1)
-    return tuple(flat[i * n : (i + 1) * n].reshape(m, -1) for i in range(k))
-
-
 def _weighted_norm(weight: np.ndarray, f: SpectralField) -> float:
-    """sqrt((2pi)^2 sum weight |f_hat|^2) over the half spectrum of f.
-
-    |f_hat|^2 and its product with the weight are taken in place in the
-    first of :func:`_half_views`, so this is not for concurrent threads.
-    """
-    (sq,) = _half_views(f.grid.size, 1)
-    np.abs(f.half, out=sq)
+    """sqrt((2pi)^2 sum weight |f_hat|^2) over the half spectrum of f."""
+    sq = np.abs(f.half)
     np.square(sq, out=sq)
     sq *= weight
     return float(np.sqrt(TWO_PI**2 * np.sum(sq)))
 
 
 def _sobolev_weighted_norm(weight: np.ndarray, f: SpectralField, s: float) -> float:
-    """:func:`_weighted_norm` with weight (1 + |k|^2)^s times ``weight``,
-    which is built in place in the second of :func:`_half_views`."""
-    w = _half_views(f.grid.size, 2)[1]
-    np.add(tables(f.grid).ksq, 1.0, out=w)
+    """:func:`_weighted_norm` with weight (1 + |k|^2)^s times ``weight``."""
+    w = np.add(tables(f.grid).ksq, 1.0)
     w **= s
     w *= weight
     return _weighted_norm(w, f)
 
 
 def l2_norm(f: SpectralField) -> float:
-    """sqrt((2pi)^2 sum_k |f_hat|^2) = L2 norm of the field.
-
-    Like every quadratic norm here it sums in the shared oversampling
-    workspace, so it is not for concurrent threads.
-    """
+    """sqrt((2pi)^2 sum_k |f_hat|^2) = L2 norm of the field."""
     return _weighted_norm(tables(f.grid).fold, f)
 
 
@@ -98,8 +74,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm with weight (1 + |k|^2)^s.
 
     s = 0 reproduces l2_norm bit-for-bit (the weight is exactly the fold
-    and the summation order is identical).  The weight and the sum are
-    taken in the shared oversampling workspace: not for concurrent threads.
+    and the summation order is identical).
     """
     if not np.isfinite(s):
         raise ValueError(f"sobolev order must be finite, got {s}")
@@ -107,8 +82,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
 
 def gradient_l2(f: SpectralField) -> float:
-    """L2 norm of the gradient: sqrt((2pi)^2 sum |k|^2 |f_hat|^2), summed
-    in the shared oversampling workspace, so not for concurrent threads."""
+    """L2 norm of the gradient: sqrt((2pi)^2 sum |k|^2 |f_hat|^2)."""
     return _weighted_norm(tables(f.grid).grad, f)
 
 
@@ -216,23 +190,19 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     All four sums weight |omega_hat|^2 over the half spectrum by the norm
     weights of the grid's tables, the energies by their velocity weight,
     so no velocity field is built.  The sup is that of lp_norm(omega, inf),
-    which keeps it for a later cz_ratio; it is taken first, since its
-    mirror uses the plane of the oversampling workspace that the sums then
-    take three (M, M/2+1) arrays of.  The whole process shares that kept
-    value and that workspace, so these diagnostics are not for concurrent
-    threads.
+    which keeps it for a later cz_ratio.
     """
     _require_zero_mean(omega)  # as biot_savart(omega) would
     if not 0.0 <= alpha < np.inf:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
+    # the sup first: its transform's arrays are freed before the sums' three
     sup = lp_norm(omega, np.inf)
     t = tables(omega.grid)
-    omega_sq, u_sq, w = _half_views(omega.grid.size, 3)
-    np.abs(omega.half, out=omega_sq)
+    omega_sq = np.abs(omega.half)
     np.square(omega_sq, out=omega_sq)
-    np.multiply(t.velocity, omega_sq, out=u_sq)
+    u_sq = t.velocity * omega_sq
     omega_sq *= t.fold
-    np.multiply(t.ksq, alpha, out=w)
+    w = t.ksq * alpha
     w += 1.0
     energy = float(TWO_PI**2 * np.sum(u_sq))
     enstrophy = float(TWO_PI**2 * np.sum(omega_sq))

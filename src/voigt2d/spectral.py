@@ -29,11 +29,10 @@ first in place; the second reads the pad a row block at a time through a
 buffer of M+1 columns whose columns beyond M/2 stay zero.  The pad, that
 buffer, one 2M x 2M value plane and a buffer of 2 min(64, M) rows of 2M
 values form one workspace per grid size, allocated once and reused.  The
-plane is scratch: the diagnostics write their oversampled values into it,
-:func:`inverse_transform` its full-layout mirror, and the quadratic norms
-their sums, and the second pass may run in row blocks into the buffer.
-Every oversampled evaluation, inverse transform and quadratic norm of the
-process shares it, so they must not run concurrently in threads.
+plane is scratch for the diagnostics' oversampled values, and the second
+pass may run in row blocks into the buffer.  Every oversampled evaluation
+of the process shares it, so they must not run concurrently in threads;
+:func:`inverse_transform` and the quadratic norms never use it.
 """
 
 from __future__ import annotations
@@ -210,19 +209,9 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> SpectralField:
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Spectral coefficients -> collocation values (a fresh real array).
-
-    The full-layout mirror of the half spectrum is written into the first
-    M rows of the oversampling workspace's plane, viewed as complex M x M,
-    and goes through ``np.fft.ifft2`` from there.  numpy 2.4.6's ``ifft2``
-    accepts ``out=`` but passes ``out=None`` to its passes, as ``irfft2``
-    does, so its output and that of its first pass are still fresh arrays.
-    The plane is the per-process workspace of :func:`_oversampling`, so
-    this is not for concurrent threads.
-    """
-    m = f.grid.size
-    c = _mirror(f.half, _oversampling(m).plane[:m].view(np.complex128))
-    return np.fft.ifft2(c).real * m**2
+    """Spectral coefficients -> collocation values (a fresh real array):
+    ``np.fft.ifft2`` of the full-layout :attr:`SpectralField.coeffs`."""
+    return np.fft.ifft2(f.coeffs).real * f.grid.size**2
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +298,8 @@ class _Oversampling:
 
     An evaluation writes a half spectrum, or a multiple of one, into the
     pad's data rows ``data``, then runs :meth:`k1_pass` and
-    :meth:`k2_pass`.  The plane is scratch for every full-size intermediate
-    of the diagnostics, and each reader writes all it reads first.  Every
+    :meth:`k2_pass`.  The plane is scratch for the diagnostics' oversampled
+    values, and each reader writes all it reads first.  Every
     call in the process shares the buffers, so oversampled evaluations must
     not run concurrently in threads (parallel sweeps use processes).
     """
@@ -328,9 +317,7 @@ class _Oversampling:
             (slice(None, h + 1), self.pad[: h + 1]),
             (slice(h, None), self.pad[mf - h :]),
         )
-        #: the one 2M x 2M value plane: the diagnostics' oversampled values,
-        #: the sup's full-layout mirror (its first M rows as complex M x M)
-        #: and the quadratic norms' (M, M/2+1) sums
+        #: the one 2M x 2M value plane of the diagnostics' oversampled values
         self.plane = np.empty((mf, mf))
         #: 2 min(64, M) rows of 2M values: the L^p quadrature's scratch and
         #: the output blocks of a row-blocked k2 pass

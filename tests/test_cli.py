@@ -13,14 +13,20 @@ from voigt2d import (
     ConfigError,
     GridSpec,
     Snapshot,
+    SolverConfig,
     cz_ratio,
+    error_norms,
     gagliardo_ratio,
+    gradient_l2,
+    integrate,
+    inverse_transform,
     l2_norm,
     make_random_sobolev,
     parse_config,
     read_snapshot,
     sample_state,
     snapshot_of,
+    sobolev_norm,
     write_snapshot,
 )
 from voigt2d.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, entry
@@ -476,9 +482,9 @@ class TestDiagnose:
 
     def test_shared_scratch_carries_nothing_between_snapshots(self, tmp_path, capsys):
         # A, B, then A again in one process share the oversampling
-        # workspace (M = 128: the pass along k2 runs in two row blocks), the
-        # kept sup and the norms' scratch; each output equals that
-        # snapshot's in a fresh process, byte for byte
+        # workspace (M = 128: the pass along k2 runs in two row blocks) and
+        # the kept sup; each output equals that snapshot's in a fresh
+        # process, byte for byte
         import voigt2d
 
         g = GridSpec(128)
@@ -622,6 +628,53 @@ class TestDiagnose:
         assert "state.vfld" in captured.err and "zero-mean" in captured.err
         assert "mean mode is" in captured.err
         assert captured.out == ""
+
+
+class TestOversamplingWorkspace:
+    def test_only_the_oversampled_diagnostics_build_it(self, tmp_path, capsys):
+        # inverse_transform, the quadratic norms, sample_state, error_norms,
+        # and a sweep and a simulate with snapshots on random_sobolev data
+        # never build the per-grid oversampling workspace; a diagnose with a
+        # cz row builds the one of its grid
+        import voigt2d.diagnostics as diagnostics
+        import voigt2d.spectral as spectral
+
+        spectral._oversampling.cache_clear()
+        diagnostics._sup.cache_clear()
+        g = GridSpec(64)
+        f = make_random_sobolev(g, 3.0, 8, 20)
+        inverse_transform(f)
+        l2_norm(f)
+        gradient_l2(f)
+        sobolev_norm(f, 1.0)
+        diagnostics._velocity_sobolev(f, 1.0)
+        sample_state(f, 0.1)
+        config = dict(grid=g, t_end=0.1, record_every=0.05, dt=0.05, snapshot_every=0.05)
+        a = integrate(f, SolverConfig(alpha=0.0, **config))
+        b = integrate(f, SolverConfig(alpha=1e-2, **config))
+        assert error_norms(a, b)["sup_omega_l2"] > 0.0
+        init = "kind = random_sobolev\nsigma = 3.25\nband = 5\nseed = 1"
+        time = "[time]\nt_end = 0.2\nrecord_every = 0.1\ndt = 0.05\n"
+        sweep = write_config(
+            tmp_path,
+            f"[grid]\nsize = 16\n\n{time}\n[init]\n{init}\n\n"
+            "[sweep]\nalphas = 1e-1, 3e-2, 1e-2, 1e-3\nregime = smooth_s_ge_3\n\n"
+            f"[output]\ndirectory = {tmp_path / 'sweep'}\n",
+            name="sweep.ini",
+        )
+        simulate = write_config(
+            tmp_path,
+            f"[grid]\nsize = 16\n\n{time}snapshot_every = 0.1\n\n"
+            f"[model]\nalpha = 0.01\n\n[init]\n{init}\n\n"
+            f"[output]\ndirectory = {tmp_path / 'sim'}\n",
+        )
+        assert entry(["sweep", sweep]) == EXIT_OK
+        assert entry(["simulate", simulate]) == EXIT_OK
+        assert spectral._oversampling.cache_info().currsize == 0
+        snap = tmp_path / "sim" / "snapshot_0002.vfld"
+        assert entry(["diagnose", str(snap), "--cz", "4"]) == EXIT_OK
+        assert spectral._oversampling.cache_info().currsize == 1
+        assert "cz_ratio_p4" in capsys.readouterr().out
 
 
 class TestEntryPoints:

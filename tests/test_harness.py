@@ -20,6 +20,7 @@ from voigt2d import (
     integrate,
     make_eigenfunction,
     biot_savart,
+    cfl_dt,
     galerkin_truncate,
     l2_norm,
     make_random_sobolev,
@@ -29,6 +30,7 @@ from voigt2d import (
     theoretical_slope,
 )
 from voigt2d import harness, spectral
+from voigt2d.dynamics import _live_block
 from voigt2d.harness import ERROR_METRICS, SLOPE_TOL, _apply_verdicts
 
 ALPHAS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -321,6 +323,14 @@ class TestRunSweep:
         assert set(report.fits) == set(ERROR_METRICS)
         assert report.dt_used == 0.02
         assert [row["alpha"] for row in report.per_alpha] == list(ALPHAS)
+
+    def test_cfl_step_is_that_of_the_data(self):
+        # with no dt the sweep's one step is the CFL value at c_cfl = 0.5 of
+        # the data's live block at t = 0, bit for bit
+        recipe = DataRecipe("random_sobolev", {"sigma": 3.25, "band": 5}, seed=1)
+        plan = small_plan(recipe=recipe, grid=GridSpec(16), t_end=0.1, dt=None)
+        want = cfl_dt(_live_block(realize(recipe, plan.grid).half), 0.5)
+        assert run_sweep(plan).dt_used == want
 
     def test_errors_decay(self, report):
         for metric in ERROR_METRICS:

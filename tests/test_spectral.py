@@ -677,10 +677,9 @@ class TestOversampling:
     @pytest.mark.parametrize("m", [8, 16, 64])
     def test_cached_pad_stays_clean_between_fields(self, m):
         # two different fields back to back on one grid, with an inverse
-        # transform and a sample_state in between, which write the plane:
-        # the reused pad, whose middle rows hold the last call's ifft, and
-        # the row block the pass along k2 reads carry nothing of one call
-        # into the next
+        # transform and a sample_state in between: the reused pad, whose
+        # middle rows hold the last call's ifft, and the row block the pass
+        # along k2 reads carry nothing of one call into the next
         g = GridSpec(m)
         rng = np.random.default_rng(m + 2)
         f, h = (forward_transform(rng.standard_normal((m, m)), g) for _ in range(2))
@@ -731,10 +730,10 @@ class TestOversampling:
             tracemalloc.stop()
         assert peak < out.nbytes / 8
 
-    def test_warm_inverse_transform_mirrors_into_the_plane(self):
-        # the full-layout mirror is written into the workspace plane, so a
-        # warm call allocates only the outputs of ifft2's two passes (numpy
-        # drops ifft2's out=) and the real result: no third complex M x M
+    def test_warm_inverse_transform_allocates_three_complex_arrays(self):
+        # the full-layout mirror of coeffs and the outputs of ifft2's two
+        # passes (numpy drops ifft2's out=), and the real result once the
+        # first two are freed: no fourth complex M x M and no workspace
         import tracemalloc
 
         m = 512
@@ -749,7 +748,7 @@ class TestOversampling:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, want)
-        assert peak < 2.25 * full
+        assert peak < 3.25 * full
 
     @pytest.mark.parametrize("m", [8, 10, 16, 64])
     def test_two_passes_match_irfft2(self, m):
