@@ -14,6 +14,13 @@ whole config is checked when it is loaded, so an invalid value of any
 setting exits 2 before anything is run or written.
 All outputs are deterministic: repeated runs of one config are byte
 identical, including across sweep concurrency levels.
+
+Each command imports only the modules it runs.  This module loads the
+config, diagnostics and snapshot layers; ``simulate`` imports the stepper
+(``dynamics``), ``sweep`` the harness, which loads the stepper, and
+``diagnose`` neither.  A pooled sweep alone loads multiprocessing
+(``harness.ProcessPoolExecutor``), and the exit-3 mapping reads
+``BlowUpError`` only when a command has failed.
 """
 
 from __future__ import annotations
@@ -23,13 +30,11 @@ import hashlib
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import cz_ratio, gagliardo_ratio, sample_state, sobolev_norm
-from .dynamics import BlowUpError, integrate
-from .harness import ConvergenceReport, fit_rate, run_sweep
-from .initial_data import realize
 from .snapshots import (
     Snapshot,
     SnapshotError,
@@ -38,6 +43,9 @@ from .snapshots import (
     snapshot_of,
     write_snapshot,
 )
+
+if TYPE_CHECKING:
+    from .harness import ConvergenceReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,6 +74,9 @@ def _write_csv(cfg: RunConfig, name: str, header: list[str], rows) -> None:
 
 
 def cmd_simulate(config_path: str) -> int:
+    from .dynamics import integrate
+    from .initial_data import realize
+
     cfg = load_config(config_path)
     record = integrate(realize(cfg.recipe, cfg.grid), cfg.solver_config())
     d = record.diagnostics
@@ -110,14 +121,19 @@ def _summary_lines(report: ConvergenceReport) -> list[str]:
     return lines
 
 
-def cmd_sweep(config_path: str | None, self_test: bool, jobs: int) -> int:
+def cmd_sweep(config_path: str | None, self_test: bool, jobs: int | None) -> int:
     if self_test:
+        if config_path is not None or jobs is not None:
+            print("sweep: --self-test takes no config and no --jobs", file=sys.stderr)
+            return EXIT_CONFIG
         return _self_test()
     if config_path is None:
         print("sweep: a config path is required unless --self-test", file=sys.stderr)
         return EXIT_CONFIG
+    from .harness import run_sweep
+
     cfg = load_config(config_path)
-    report = run_sweep(cfg.sweep_plan(jobs=jobs))
+    report = run_sweep(cfg.sweep_plan(jobs=1 if jobs is None else jobs))
     errors = report.errors
     _write_csv(cfg, "sweep.csv", ["alpha", *errors], zip(report.alphas, *errors.values()))
 
@@ -132,6 +148,8 @@ def cmd_sweep(config_path: str | None, self_test: bool, jobs: int) -> int:
 
 def _self_test() -> int:
     """Exact and perturbed synthetic power laws through the rate fitter."""
+    from .harness import fit_rate
+
     alphas = (1e-2, 1e-3, 1e-4, 1e-5)
     ok = True
 
@@ -234,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=None,
         help="processes for the alpha runs, at most one per alpha; each pooled "
         "run integrates its own Euler reference (default 1)",
     )
@@ -264,7 +282,11 @@ def entry(argv: list[str] | None = None) -> int:
     except (ConfigError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as exc:
+    except Exception as exc:
+        from .dynamics import BlowUpError  # loaded here only on a failure
+
+        if not isinstance(exc, BlowUpError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 

@@ -20,11 +20,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .dynamics import SolverConfig
 from .grid import GridSpec
-from .harness import SweepPlan
 from .initial_data import INIT_PARAMS, REQUIRED, DataRecipe, check_params, recipe_params
+
+if TYPE_CHECKING:
+    from .dynamics import SolverConfig
+    from .harness import SweepPlan
 
 
 class ConfigError(ValueError):
@@ -83,11 +86,15 @@ class RunConfig:
         return hashlib.sha256(self.source_text.encode()).hexdigest()
 
     def solver_config(self) -> SolverConfig:
+        from .dynamics import SolverConfig
+
         if not isinstance(self.run, SolverConfig):
             raise ConfigError("missing [model] section (key alpha) for simulate")
         return self.run
 
     def sweep_plan(self, jobs: int = 1) -> SweepPlan:
+        from .harness import SweepPlan
+
         if not isinstance(self.run, SweepPlan):
             raise ConfigError("missing [sweep] section (keys alphas, regime)")
         return _checked(replace, self.run, jobs=jobs)
@@ -194,9 +201,14 @@ def parse_config(text: str) -> RunConfig:
     _reject_unknown("init", i, {**_KEYS["init"], **spec})
     _checked(check_params, recipe.kind, grid, recipe_params(recipe))
 
+    # the run object's module is imported only for the command that needs it
     if "model" in raw:
+        from .dynamics import SolverConfig
+
         run = _checked(SolverConfig, grid=grid, **time, **_section(raw, "model"))
     else:
+        from .harness import SweepPlan
+
         sweep = _section(raw, "sweep")
         if "snapshot_every" in time:
             raise ConfigError(

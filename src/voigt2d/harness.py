@@ -4,7 +4,6 @@ alpha sweep, log-log rate fits, and comparison with the proven rates."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -317,6 +316,15 @@ def _truncation_checks(
 def _degenerate(errors: dict[str, list[float]], scale: float) -> bool:
     worst = max(max(v) for v in errors.values())
     return worst <= DEGENERATE_FLOOR * max(scale, 1.0)
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor(*args, **kwargs), imported on
+    first use, so a serial sweep never loads multiprocessing.  run_sweep
+    looks this name up when it opens its pool, so a caller may replace it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def run_sweep(plan: SweepPlan) -> ConvergenceReport:

@@ -410,6 +410,57 @@ class TestSweep:
         assert entry(["sweep"]) == EXIT_CONFIG
         assert "config" in capsys.readouterr().err
 
+    def test_self_test_with_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert entry(["sweep", "--self-test", sweep_config(tmp_path, out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--self-test takes no config" in captured.err
+        assert "PASS" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["-5", "1", "2"])
+    def test_self_test_with_jobs_exits_2(self, capsys, jobs):
+        assert entry(["sweep", "--self-test", "--jobs", jobs]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "no --jobs" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_blow_up_exits_3(self, tmp_path, capsys):
+        # the datum of TestSimulate.test_blow_up_exits_3: the Euler
+        # reference leaves the stable range before any output is written
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            textwrap.dedent(
+                f"""\
+                [grid]
+                size = 16
+
+                [time]
+                t_end = 50
+                record_every = 10
+                dt = 5
+
+                [init]
+                kind = random_sobolev
+                sigma = 2.0
+                band = 4
+                seed = 9
+                amplitude = 10
+
+                [sweep]
+                alphas = 1e-1, 1e-2, 1e-3, 1e-4
+                regime = smooth_s_ge_3
+
+                [output]
+                directory = {out}
+                """
+            ),
+        )
+        assert entry(["sweep", cfg]) == EXIT_BLOWUP
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_matches_library_values(self, tmp_path, capsys):
