@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .grid import GridSpec
-from .initial_data import INIT_PARAMS, REQUIRED, DataRecipe, check_params, recipe_params
+from .initial_data import INIT_PARAMS, REQUIRED, DataRecipe, check_params
 
 if TYPE_CHECKING:
     from .dynamics import SolverConfig
@@ -102,8 +102,8 @@ class RunConfig:
     def effective_lines(self) -> list[str]:
         """The effective configuration as '[section] key = value' lines: each
         _KEYS field read back from the object that holds it, fields the run
-        lacks or leaves None skipped, [init] followed by the recipe's
-        parameters."""
+        lacks or leaves None skipped, [init] followed by every parameter of
+        the recipe's kind, defaults filled in."""
         run = self.run
         owners = {"grid": run.grid, "init": self.recipe, "output": self}
         lines = []
@@ -199,7 +199,7 @@ def parse_config(text: str) -> RunConfig:
     spec = INIT_PARAMS.get(head["kind"], {})
     recipe = _checked(DataRecipe, params=_typed(i, "init", spec), **head)
     _reject_unknown("init", i, {**_KEYS["init"], **spec})
-    _checked(check_params, recipe.kind, grid, recipe_params(recipe))
+    _checked(check_params, recipe.kind, grid, recipe.params)
 
     # the run object's module is imported only for the command that needs it
     if "model" in raw:

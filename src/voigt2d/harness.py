@@ -217,11 +217,8 @@ def choose_cutoff(alpha: float, band_limit: int | None = None) -> int:
     band_limit when given."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    n = int(math.floor(alpha**-0.25 + 0.5))
-    n = max(n, 1)
-    if band_limit is not None:
-        n = min(n, int(band_limit))
-    return n
+    n = max(math.floor(alpha**-0.25 + 0.5), 1)
+    return n if band_limit is None else min(n, int(band_limit))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def _alpha_errors(
     row = error_norms(voigt, euler)
     if plan.regime != "smooth_2_lt_s_lt_3":
         return row
-    n = choose_cutoff(alpha, band_limit=int(plan.recipe.params["band"]))
+    n = choose_cutoff(alpha, band_limit=plan.recipe.params["band"])
     euler_n = integrate(galerkin_truncate(base, n), _solver_config(plan, 0.0, dt))
     return {
         "cutoff_n": n,

@@ -25,7 +25,7 @@ from .spectral import (
 REQUIRED = ...
 
 #: kind -> {parameter: (type, default)}, required parameters first; read by
-#: realize and by the config parser
+#: DataRecipe and by the config parser
 INIT_PARAMS = {
     "eigenfunction": {"k1": (int, 1), "k2": (int, 0), "amplitude": (float, 1.0)},
     "random_sobolev": {
@@ -49,7 +49,9 @@ KINDS = tuple(INIT_PARAMS)
 
 @dataclass(frozen=True)
 class DataRecipe:
-    """Named recipe: kind, kind-specific real parameters, seed."""
+    """Named recipe: kind, kind-specific parameters, seed.  ``params`` holds
+    every parameter of the kind, typed, in INIT_PARAMS order and defaults
+    filled in; an unknown, missing or non-integral int one is a ValueError."""
 
     kind: str
     params: Mapping[str, float] = field(default_factory=dict)
@@ -62,31 +64,31 @@ class DataRecipe:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "params", dict(self.params))
+        spec = INIT_PARAMS[self.kind]
+        unknown = sorted(set(self.params) - set(spec))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) for {self.kind}: {unknown}")
+        params = {}
+        for name, (cast, default) in spec.items():
+            value = self.params.get(name, default)
+            if value is REQUIRED:
+                raise ValueError(f"missing parameter {name!r} for {self.kind}")
+            params[name] = None if value is None else _cast(name, cast, value)
+        object.__setattr__(self, "params", params)
 
     def __hash__(self) -> int:
-        return hash((self.kind, tuple(sorted(self.params.items())), self.seed))
+        return hash((self.kind, tuple(self.params.items()), self.seed))
 
 
-def recipe_params(recipe: DataRecipe) -> dict:
-    """Every parameter of the recipe's kind, typed, with defaults filled in.
-
-    Raises ValueError naming an unknown parameter and KeyError for a
-    missing required one.
-    """
-    spec = INIT_PARAMS[recipe.kind]
-    unknown = sorted(set(recipe.params) - set(spec))
-    if unknown:
-        raise ValueError(f"unknown parameter(s) for {recipe.kind}: {unknown}")
-    out = {}
-    for name, (cast, default) in spec.items():
-        if name in recipe.params:
-            out[name] = cast(recipe.params[name])
-        elif default is REQUIRED:
-            raise KeyError(name)
-        else:
-            out[name] = default
-    return out
+def _cast(name: str, cast: type, value):
+    """cast(value), raising ValueError naming the parameter unless it
+    converts, and for an int parameter converts without dropping a fraction."""
+    try:
+        if cast is not int or int(value) == value:
+            return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {cast.__name__}-valued, got {value!r}")
 
 
 def check_params(kind: str, grid: GridSpec, p: Mapping) -> None:
@@ -131,7 +133,7 @@ def make_eigenfunction(
     k must be nonzero and inside the dealias band so the mode survives
     the products untouched.
     """
-    k1, k2 = int(k[0]), int(k[1])
+    k1, k2 = _cast("k1", int, k[0]), _cast("k2", int, k[1])
     check_params("eigenfunction", grid, {"k1": k1, "k2": k2, "amplitude": amplitude})
     m = grid.size
     c = np.zeros((m, m), dtype=np.complex128)
@@ -217,7 +219,7 @@ def make_taylor_family(
 ) -> SpectralField:
     """Taylor-Green vortex array amplitude*cos(m x1)cos(m x2), optionally
     perturbed by a single cos((m+1) x1) mode to break steadiness."""
-    m = int(mode)
+    m = _cast("mode", int, mode)
     params = {"mode": m, "perturbation": perturbation, "amplitude": amplitude}
     check_params("taylor_family", grid, params)
     n = grid.size
@@ -234,7 +236,7 @@ def make_taylor_family(
 
 def realize(recipe: DataRecipe, grid: GridSpec) -> SpectralField:
     """Build the initial vorticity a recipe describes on a grid."""
-    p = recipe_params(recipe)
+    p = recipe.params
     if recipe.kind == "eigenfunction":
         return make_eigenfunction(grid, (p["k1"], p["k2"]), p["amplitude"])
     if recipe.kind == "random_sobolev":

@@ -12,14 +12,13 @@ or written.
 
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import voigt2d
 from voigt2d import DataRecipe, GridSpec, SweepPlan, run_sweep
+from checkout import checkout_env
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -80,14 +79,12 @@ def test_install_imports_load_every_layer():
         + "".join(f"import {name}\n" for name in imports)
         + f"print(*(m for m in {layers!r} if m not in sys.modules))"
     )
-    src = str(Path(voigt2d.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=checkout_env(),
     )
     assert proc.stdout.split() == []
 

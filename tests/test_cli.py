@@ -1,6 +1,5 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
-import os
 import subprocess
 import sys
 import textwrap
@@ -31,6 +30,7 @@ from voigt2d import (
 )
 from voigt2d.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, entry
 from voigt2d.initial_data import INIT_PARAMS
+from checkout import checkout_env
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -360,6 +360,19 @@ class TestSweep:
         ]
         assert keep(outs[0]) == keep(outs[1]) == keep(outs[2])
 
+    def test_pooled_sweep_of_omitted_defaults_same_bytes(self, tmp_path):
+        # the config leaves amplitude to its default: the recipe the pool's
+        # workers receive carries it, and the echo names it
+        out = tmp_path / "out"
+        config = sweep_config(tmp_path, out)
+        outputs = []
+        for jobs in ("1", "2"):
+            assert entry(["sweep", config, "--jobs", jobs]) == EXIT_OK
+            outputs.append([(out / n).read_bytes() for n in ("sweep.csv", "summary.txt")])
+        assert outputs[0] == outputs[1]
+        for data in outputs[0]:
+            assert b"# [init] amplitude = 1.0\n" in data
+
     def test_galerkin_regime_dispatch(self, tmp_path):
         out = tmp_path / "out"
         cfg = sweep_config(
@@ -536,22 +549,18 @@ class TestDiagnose:
         # workspace (M = 128: the pass along k2 runs in two row blocks) and
         # the kept sup; each output equals that snapshot's in a fresh
         # process, byte for byte
-        import voigt2d
-
         g = GridSpec(128)
         a, b = tmp_path / "a.vfld", tmp_path / "b.vfld"
         write_snapshot(str(a), snapshot_of(make_random_sobolev(g, 3.0, 6, 40), 0.5, 1e-2))
         write_snapshot(str(b), snapshot_of(make_random_sobolev(g, 2.5, 7, 40), 1.5, 0.0))
         args = ["--cz", "4,2.5,16", "--gagliardo", "2,3"]
-        src = str(Path(voigt2d.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         fresh = {
             p: subprocess.run(
                 [sys.executable, "-m", "voigt2d.cli", "diagnose", str(p), *args],
                 capture_output=True,
                 text=True,
                 check=True,
-                env={**os.environ, "PYTHONPATH": path},
+                env=checkout_env(),
             ).stdout
             for p in (a, b)
         }
@@ -735,11 +744,24 @@ class TestEntryPoints:
         assert exc.value.code == 0
         assert "voigt2d 0.1.0" in capsys.readouterr().out
 
+    def test_other_exception_propagates(self, monkeypatch, capsys):
+        # only ConfigError, SnapshotError and BlowUpError become exit codes
+        import voigt2d.cli
+
+        def broken(*args):
+            raise RuntimeError("not a blow-up")
+
+        monkeypatch.setattr(voigt2d.cli, "cmd_diagnose", broken)
+        with pytest.raises(RuntimeError, match="not a blow-up"):
+            entry(["diagnose", "state.vfld"])
+        assert capsys.readouterr().err == ""
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "voigt2d.cli", "--version"],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert proc.returncode == 0
         assert "voigt2d 0.1.0" in proc.stdout

@@ -8,6 +8,7 @@ import pytest
 
 from voigt2d import ConfigError, SolverConfig, SweepPlan, load_config, parse_config
 from voigt2d.config import _KEYS
+from voigt2d.initial_data import INIT_PARAMS
 
 SIM = textwrap.dedent(
     """\
@@ -68,7 +69,7 @@ class TestHappyPath:
         assert sc.snapshot_every == 0.25
         assert sc.alpha == 0.01
         assert cfg.recipe.kind == "random_sobolev"
-        assert cfg.recipe.params == {"sigma": 3.0, "band": 8}
+        assert cfg.recipe.params == {"sigma": 3.0, "band": 8, "amplitude": 1.0}
         assert cfg.recipe.seed == 7
 
     def test_sweep_config(self):
@@ -93,6 +94,17 @@ class TestHappyPath:
         assert "[output] directory = ." in lines
         assert not any("formats" in line for line in lines)
         assert not any("dealias_cutoff" in line for line in lines)  # fixed at M // 3
+
+    def test_effective_echo_lists_init_defaults(self):
+        # every [init] default is echoed, a None default is left out
+        lines = parse_config(SIM).effective_lines()
+        assert "[init] amplitude = 1.0" in lines
+        patch = SIM.replace("sigma = 3.0\nband = 8", "radius = 0.6").replace(
+            "random_sobolev", "yudovich_patch"
+        )
+        lines = parse_config(patch).effective_lines()
+        assert "[init] amplitude = 1.0" in lines
+        assert not any("smoothing" in line for line in lines)
 
     def test_effective_echo_defaults_cfl(self):
         lines = parse_config(SWEEP).effective_lines()
@@ -291,6 +303,7 @@ class TestEchoRoundTrip:
             assert parse_config(echo_as_ini(lines)).effective_lines() == lines
             echoed |= {line.split(" = ", 1)[0] for line in lines}
         assert {f"[{s}] {key}" for s, rows in _KEYS.items() for key in rows} <= echoed
+        assert {f"[init] {key}" for rows in INIT_PARAMS.values() for key in rows} <= echoed
 
 
 class TestLoadConfig:

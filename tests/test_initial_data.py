@@ -47,6 +47,47 @@ class TestRecipe:
         p["band"] = 99
         assert r.params["band"] == 8
 
+    def test_defaults_filled_in_and_typed(self):
+        r = DataRecipe("random_sobolev", {"band": 8.0, "sigma": 3})
+        assert r.params == {"sigma": 3.0, "band": 8, "amplitude": 1.0}
+        assert [type(v) for v in r.params.values()] == [float, int, float]
+        assert DataRecipe("yudovich_patch", {"radius": 1}).params == {
+            "radius": 1.0,
+            "smoothing": None,
+            "amplitude": 1.0,
+        }
+
+    def test_spelled_out_defaults_are_equal(self):
+        a = DataRecipe("eigenfunction")
+        b = DataRecipe("eigenfunction", {"k1": 1, "k2": 0, "amplitude": 1.0})
+        assert a == b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("random_sobolev", {"sigma": 3.0, "band": 8.7}, "band"),
+            ("eigenfunction", {"k1": 1.5}, "k1"),
+            ("taylor_family", {"mode": 2.9}, "mode"),
+            ("eigenfunction", {"k2": math.inf}, "k2"),
+            ("eigenfunction", {"k2": math.nan}, "k2"),
+            ("random_sobolev", {"sigma": "smooth", "band": 8}, "sigma"),
+        ],
+    )
+    def test_bad_value_named(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            DataRecipe(kind, params)
+
+    def test_generators_reject_fractional_ints(self):
+        g = GridSpec(32)
+        with pytest.raises(ValueError, match="k1 must be int-valued"):
+            make_eigenfunction(g, (1.5, 0))
+        with pytest.raises(ValueError, match="mode must be int-valued"):
+            make_taylor_family(g, mode=2.9)
+        assert np.array_equal(
+            make_taylor_family(g, mode=2.0).coeffs, make_taylor_family(g, mode=2).coeffs
+        )
+
 
 class TestEigenfunction:
     def test_matches_cosine_closed_form(self):
@@ -244,13 +285,12 @@ class TestRealize:
         assert np.array_equal(got.coeffs, make_eigenfunction(g, (1, 0)).coeffs)
 
     def test_unknown_parameter_named(self):
-        r = DataRecipe("random_sobolev", {"sigma": 2.0, "band": 4, "vel": 1.0})
         with pytest.raises(ValueError, match="vel"):
-            realize(r, GridSpec(32))
+            DataRecipe("random_sobolev", {"sigma": 2.0, "band": 4, "vel": 1.0})
 
     def test_missing_required_parameter(self):
-        with pytest.raises(KeyError):
-            realize(DataRecipe("random_sobolev", {"band": 4}), GridSpec(32))
+        with pytest.raises(ValueError, match="missing parameter 'sigma'"):
+            DataRecipe("random_sobolev", {"band": 4})
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("kind", KINDS)

@@ -8,15 +8,14 @@ fresh interpreter, as a CLI call does.
 """
 
 import importlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import voigt2d
 from voigt2d import GridSpec, make_random_sobolev, snapshot_of, write_snapshot
+from checkout import checkout_env
 
 #: modules a diagnose never needs; the last two are the process pool's
 WATCHED = (
@@ -34,14 +33,12 @@ def loaded_after(code: str) -> set[str]:
         f"{code}\nimport sys\n"
         f"print('loaded:', *(m for m in {WATCHED!r} if m in sys.modules))"
     )
-    src = str(Path(voigt2d.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=checkout_env(),
     ).stdout
     (line,) = [l for l in out.splitlines() if l.startswith("loaded:")]
     return set(line.split()[1:])
