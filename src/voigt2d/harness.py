@@ -13,7 +13,7 @@ from .grid import GridSpec
 from .spectral import SpectralField
 from .dynamics import SolverConfig, TrajectoryRecord, _live_block, cfl_dt, integrate
 from .diagnostics import _velocity_sobolev, error_norms, l2_norm
-from .initial_data import DataRecipe, galerkin_truncate, realize
+from .initial_data import DataRecipe, _cast, galerkin_truncate, realize
 
 REGIMES = ("smooth_s_ge_3", "smooth_2_lt_s_lt_3", "yudovich", "enstrophy_class")
 ERROR_METRICS = ("sup_u_l2", "sup_omega_l2", "sup_u_h1")
@@ -39,7 +39,8 @@ class SweepPlan:
     The time settings obey SolverConfig's rules, c_cfl = 0.5 when neither
     dt nor c_cfl is given.  ``s`` is the Sobolev order of the data, given
     exactly when the regime is smooth_2_lt_s_lt_3, which also needs
-    random_sobolev data (its band clamps the Galerkin cutoff); ``jobs`` is
+    random_sobolev data (its band clamps the Galerkin cutoff); the regime
+    name and the range of s are theoretical_slope's to check.  ``jobs`` is
     the number of processes for the alpha runs.
     """
 
@@ -65,21 +66,15 @@ class SweepPlan:
             raise ValueError("alpha values must be strictly decreasing")
         if alphas[0] / alphas[-1] < 100.0 * (1.0 - 1e-9):
             raise ValueError("alpha sweep must span at least two decades")
-        if self.regime not in REGIMES:
-            raise ValueError(
-                f"unknown regime {self.regime!r} (known: {', '.join(REGIMES)})"
-            )
-        if self.regime == "smooth_2_lt_s_lt_3":
-            if self.s is None or not 2.0 < self.s < 3.0:
-                raise ValueError("smooth_2_lt_s_lt_3 requires s strictly in (2, 3)")
-            if self.recipe.kind != "random_sobolev":
+        theoretical_slope(self.regime, self.s)
+        if self.regime != "smooth_2_lt_s_lt_3":
+            if self.s is not None:
                 raise ValueError(
-                    "smooth_2_lt_s_lt_3 requires random_sobolev data, "
-                    f"not {self.recipe.kind!r}"
+                    f"s is used only by regime smooth_2_lt_s_lt_3, not {self.regime!r}"
                 )
-        elif self.s is not None:
+        elif self.recipe.kind != "random_sobolev":
             raise ValueError(
-                f"s is used only by regime smooth_2_lt_s_lt_3, not {self.regime!r}"
+                f"smooth_2_lt_s_lt_3 requires random_sobolev data, not {self.recipe.kind!r}"
             )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -209,16 +204,17 @@ def theoretical_slope(regime: str, s: float | None = None) -> TheoreticalRate:
             vorticity=None,
             description="convergence without a rate for omega_0 in L^2",
         )
-    raise ValueError(f"unknown regime {regime!r}")
+    raise ValueError(f"unknown regime {regime!r} (known: {', '.join(REGIMES)})")
 
 
 def choose_cutoff(alpha: float, band_limit: int | None = None) -> int:
     """Galerkin cutoff N = round(alpha^(-1/4)), at least 1, clamped to
-    band_limit when given."""
+    band_limit when given; band_limit is typed by DataRecipe's rule, so a
+    fractional one is a ValueError naming it."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     n = max(math.floor(alpha**-0.25 + 0.5), 1)
-    return n if band_limit is None else min(n, int(band_limit))
+    return n if band_limit is None else min(n, _cast("band_limit", int, band_limit))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ large enough to hold the band.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -49,9 +50,10 @@ KINDS = tuple(INIT_PARAMS)
 
 @dataclass(frozen=True)
 class DataRecipe:
-    """Named recipe: kind, kind-specific parameters, seed.  ``params`` holds
-    every parameter of the kind, typed, in INIT_PARAMS order and defaults
-    filled in; an unknown, missing or non-integral int one is a ValueError."""
+    """Named recipe: kind, kind-specific parameters, seed.  ``params`` is a
+    read-only mapping of every parameter of the kind, typed, in INIT_PARAMS
+    order, defaults filled in; the seed is typed too.  A ValueError names an
+    unknown, missing or mistyped one (an int one with a fraction)."""
 
     kind: str
     params: Mapping[str, float] = field(default_factory=dict)
@@ -62,8 +64,9 @@ class DataRecipe:
             raise ValueError(
                 f"unknown initial data kind {self.kind!r} (known: {', '.join(KINDS)})"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        seed = _cast("seed", int, self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         spec = INIT_PARAMS[self.kind]
         unknown = sorted(set(self.params) - set(spec))
         if unknown:
@@ -74,10 +77,15 @@ class DataRecipe:
             if value is REQUIRED:
                 raise ValueError(f"missing parameter {name!r} for {self.kind}")
             params[name] = None if value is None else _cast(name, cast, value)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", MappingProxyType(params))
+        object.__setattr__(self, "seed", seed)
 
     def __hash__(self) -> int:
         return hash((self.kind, tuple(self.params.items()), self.seed))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle, and a sweep sends its recipe to a pool
+        return DataRecipe, (self.kind, dict(self.params), self.seed)
 
 
 def _cast(name: str, cast: type, value):
@@ -91,10 +99,12 @@ def _cast(name: str, cast: type, value):
     raise ValueError(f"{name} must be {cast.__name__}-valued, got {value!r}")
 
 
-def check_params(kind: str, grid: GridSpec, p: Mapping) -> None:
-    """Raise ValueError unless the typed parameters p of a kind make data
-    on grid; every generator calls this before it builds anything.  Every
-    float parameter given must be finite."""
+def check_params(kind: str, grid: GridSpec, given: Mapping) -> Mapping:
+    """The parameters ``given`` of a kind, typed by DataRecipe and checked to
+    make data on grid; every generator reads its values from this.  Beyond
+    DataRecipe's errors, a ValueError names a parameter that is not finite
+    or is out of its range on grid."""
+    p = DataRecipe(kind, given).params
     for name, value in p.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -123,6 +133,7 @@ def check_params(kind: str, grid: GridSpec, p: Mapping) -> None:
             raise ValueError(f"mode must be >= 1, got {m}")
         if (m + 1 if p["perturbation"] else m) > cut:
             raise ValueError("taylor modes outside the dealias band")
+    return p
 
 
 def make_eigenfunction(
@@ -130,15 +141,14 @@ def make_eigenfunction(
 ) -> SpectralField:
     """amplitude * cos(k . x): a steady state of both Euler and Voigt.
 
-    k must be nonzero and inside the dealias band so the mode survives
-    the products untouched.
+    k must be nonzero, int-valued and inside the dealias band so the mode
+    survives the products untouched; check_params types and checks inputs.
     """
-    k1, k2 = _cast("k1", int, k[0]), _cast("k2", int, k[1])
-    check_params("eigenfunction", grid, {"k1": k1, "k2": k2, "amplitude": amplitude})
-    m = grid.size
+    p = check_params("eigenfunction", grid, dict(k1=k[0], k2=k[1], amplitude=amplitude))
+    k1, k2, m = p["k1"], p["k2"], grid.size
     c = np.zeros((m, m), dtype=np.complex128)
-    c[k1 % m, k2 % m] = 0.5 * amplitude
-    c[(-k1) % m, (-k2) % m] = 0.5 * amplitude
+    c[k1 % m, k2 % m] = 0.5 * p["amplitude"]
+    c[(-k1) % m, (-k2) % m] = 0.5 * p["amplitude"]
     return SpectralField(grid, c)
 
 
@@ -163,19 +173,18 @@ def make_random_sobolev(
 ) -> SpectralField:
     """Random-phase vorticity with |omega_hat(k)| = amplitude * |k|^{-sigma}.
 
-    Modes fill 0 < |k| <= band (Euclidean); one uniform phase per
-    conjugate pair, drawn from a seeded generator in a fixed mode order.
-    The corresponding velocity gains one derivative, so choosing
-    sigma slightly above s puts u in H^s.
+    Modes fill 0 < |k| <= band (Euclidean, band int-valued); one uniform
+    phase per conjugate pair, drawn from a seeded generator in a fixed mode
+    order.  The velocity gains one derivative, so choosing sigma slightly
+    above s puts u in H^s.  check_params types and checks inputs.
     """
-    check_params(
-        "random_sobolev", grid, {"sigma": sigma, "band": band, "amplitude": amplitude}
-    )
+    given = dict(sigma=sigma, band=band, amplitude=amplitude)
+    p = check_params("random_sobolev", grid, given)
     rng = np.random.default_rng(seed)
     m = grid.size
     c = np.zeros((m, m), dtype=np.complex128)
-    for k1, k2 in _half_plane_modes(band):
-        mag = amplitude * float(k1 * k1 + k2 * k2) ** (-sigma / 2.0)
+    for k1, k2 in _half_plane_modes(p["band"]):
+        mag = p["amplitude"] * float(k1 * k1 + k2 * k2) ** (-p["sigma"] / 2.0)
         phase = np.exp(2j * np.pi * rng.random())
         c[k1 % m, k2 % m] = mag * phase
         c[(-k1) % m, (-k2) % m] = mag * np.conj(phase)
@@ -192,36 +201,36 @@ def make_yudovich_patch(
     """Mollified disc indicator, mean removed, sup normalized to amplitude.
 
     The disc center is drawn uniformly from the seed; the indicator is
-    smoothed over ``smoothing`` (default two grid cells) so the patch
-    lives on the grid, then dealiased, mean-zeroed, and scaled so the
-    collocation sup norm equals ``amplitude``.
+    smoothed over ``smoothing`` (default two grid cells) so the patch lives
+    on the grid, then dealiased, mean-zeroed, and scaled so the collocation
+    sup norm equals ``amplitude``; check_params types and checks inputs.
     """
-    params = {"radius": radius, "smoothing": smoothing, "amplitude": amplitude}
-    check_params("yudovich_patch", grid, params)
-    if smoothing is None:
-        smoothing = 2.0 * grid.spacing
+    given = dict(radius=radius, smoothing=smoothing, amplitude=amplitude)
+    p = check_params("yudovich_patch", grid, given)
+    smoothing = 2.0 * grid.spacing if p["smoothing"] is None else p["smoothing"]
     rng = np.random.default_rng(seed)
     center = rng.uniform(0.0, TWO_PI, size=2)
     x1, x2 = grid.meshgrid()
     d1 = np.mod(x1 - center[0] + np.pi, TWO_PI) - np.pi
     d2 = np.mod(x2 - center[1] + np.pi, TWO_PI) - np.pi
     r = np.hypot(d1, d2)
-    vals = 0.5 * (1.0 - np.tanh((r - radius) / smoothing))
+    vals = 0.5 * (1.0 - np.tanh((r - p["radius"]) / smoothing))
     f = zero_mean(dealias(forward_transform(vals, grid)))
     sup = float(np.max(np.abs(values_oversampled(f))))
     if sup == 0.0:
         raise ValueError("degenerate patch: zero field after projection")
-    return f * (amplitude / sup)
+    return f * (p["amplitude"] / sup)
 
 
 def make_taylor_family(
     grid: GridSpec, mode: int = 1, amplitude: float = 1.0, perturbation: float = 0.0
 ) -> SpectralField:
     """Taylor-Green vortex array amplitude*cos(m x1)cos(m x2), optionally
-    perturbed by a single cos((m+1) x1) mode to break steadiness."""
-    m = _cast("mode", int, mode)
-    params = {"mode": m, "perturbation": perturbation, "amplitude": amplitude}
-    check_params("taylor_family", grid, params)
+    perturbed by a single cos((m+1) x1) mode to break steadiness; mode is
+    int-valued, and check_params types and checks inputs."""
+    given = dict(mode=mode, amplitude=amplitude, perturbation=perturbation)
+    p = check_params("taylor_family", grid, given)
+    m, amplitude, perturbation = p["mode"], p["amplitude"], p["perturbation"]
     n = grid.size
     c = np.zeros((n, n), dtype=np.complex128)
     # cos(m x1) cos(m x2) = sum of quarter-amplitude modes at (+-m, +-m)

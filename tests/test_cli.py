@@ -373,6 +373,18 @@ class TestSweep:
         for data in outputs[0]:
             assert b"# [init] amplitude = 1.0\n" in data
 
+    def test_pooled_galerkin_sweep_same_bytes(self, tmp_path):
+        # each pool task reads the data band from the recipe it receives
+        # by pickle, to clamp its Galerkin cutoff
+        out = tmp_path / "out"
+        config = sweep_config(tmp_path, out, regime="smooth_2_lt_s_lt_3", extra_sweep="s = 2.5")
+        outputs = []
+        for jobs in ("1", "2"):
+            assert entry(["sweep", config, "--jobs", jobs]) == EXIT_OK
+            outputs.append([(out / n).read_bytes() for n in ("sweep.csv", "summary.txt")])
+        assert outputs[0] == outputs[1]
+        assert b"verdict truncation_inequalities: PASS" in outputs[0][1]
+
     def test_galerkin_regime_dispatch(self, tmp_path):
         out = tmp_path / "out"
         cfg = sweep_config(

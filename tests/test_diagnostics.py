@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from voigt2d import (
+    ERROR_METRICS,
     GridSpec,
     SolverConfig,
     SpectralField,
@@ -659,6 +660,12 @@ class TestErrorNorms:
         a, _ = small_pair()
         errs = error_norms(a, a)
         assert errs == {"sup_u_l2": 0.0, "sup_omega_l2": 0.0, "sup_u_h1": 0.0}
+
+    def test_keys_in_error_metrics_order(self):
+        # the harness names the metrics again in ERROR_METRICS, which
+        # orders the sweep CSV's columns
+        a, b = small_pair()
+        assert tuple(error_norms(a, b)) == ERROR_METRICS
 
     def test_scaled_record_linearity(self):
         a, _ = small_pair()

@@ -122,6 +122,10 @@ class TestFitRate:
             fit_rate([(0.1, 1.0), (0.1, 0.9), (0.1, 1.1)])
 
 
+#: the unknown-regime message lists the known regimes
+KNOWN = r"\(known: smooth_s_ge_3, smooth_2_lt_s_lt_3, yudovich, enstrophy_class\)"
+
+
 class TestTheoreticalSlope:
     def test_high_regularity(self):
         t = theoretical_slope("smooth_s_ge_3")
@@ -144,7 +148,7 @@ class TestTheoreticalSlope:
         assert e.velocity is None and e.vorticity is None
 
     def test_unknown_regime(self):
-        with pytest.raises(ValueError, match="unknown regime"):
+        with pytest.raises(ValueError, match="unknown regime 'smooth' " + KNOWN):
             theoretical_slope("smooth")
 
 
@@ -161,6 +165,12 @@ class TestChooseCutoff:
 
     def test_coupling_and_clamp(self):
         assert choose_cutoff(1e-4, band_limit=6) == 6
+
+    def test_band_limit_typed_like_the_band(self):
+        n = choose_cutoff(1e-4, band_limit=6.0)
+        assert n == 6 and type(n) is int
+        with pytest.raises(ValueError, match="^band_limit must be int-valued, got 8.7$"):
+            choose_cutoff(1e-4, band_limit=8.7)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -181,7 +191,7 @@ class TestSweepPlan:
             small_plan(alphas=(2.0, 1e-1, 1e-2, 1e-3))
         with pytest.raises(ValueError, match="two decades"):
             small_plan(alphas=(1e-1, 7e-2, 4e-2, 2e-2))
-        with pytest.raises(ValueError, match="unknown regime"):
+        with pytest.raises(ValueError, match="unknown regime 'smooth' " + KNOWN):
             small_plan(regime="smooth")
         with pytest.raises(ValueError, match="requires s"):
             small_plan(regime="smooth_2_lt_s_lt_3")

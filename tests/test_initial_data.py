@@ -1,6 +1,8 @@
 """Initial vorticity generators: closed forms, determinism, grid independence."""
 
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from voigt2d import (
     rhs,
     values_oversampled,
 )
-from voigt2d.initial_data import _half_plane_modes
+from voigt2d import initial_data
+from voigt2d.initial_data import INIT_PARAMS, _half_plane_modes
 from voigt2d.spectral import _field
 from wavenumbers import full_tables, live
 
@@ -46,6 +49,31 @@ class TestRecipe:
         r = DataRecipe("random_sobolev", p, seed=1)
         p["band"] = 99
         assert r.params["band"] == 8
+
+    def test_params_are_read_only(self):
+        r = DataRecipe("eigenfunction")
+        members = {r}
+        with pytest.raises(TypeError):
+            r.params["k1"] = 3
+        with pytest.raises(TypeError):
+            r.params["band"] = 8.7
+        assert r.params["k1"] == 1
+        assert r in members
+
+    def test_pickle_round_trip(self):
+        # a sweep sends its recipe to the pool's workers by pickle
+        r = DataRecipe("random_sobolev", {"sigma": 3.0, "band": 8}, seed=1)
+        q = pickle.loads(pickle.dumps(r))
+        assert q == r
+        assert hash(q) == hash(r)
+        assert list(q.params.items()) == list(r.params.items())
+
+    def test_seed_typed_at_construction(self):
+        with pytest.raises(ValueError, match=r"^seed must be int-valued, got 1\.5$"):
+            DataRecipe("random_sobolev", {"sigma": 3.0, "band": 8}, seed=1.5)
+        r = DataRecipe("random_sobolev", {"sigma": 3.0, "band": 8}, seed=2.0)
+        assert r.seed == 2 and type(r.seed) is int
+        assert r == DataRecipe("random_sobolev", {"sigma": 3.0, "band": 8}, seed=2)
 
     def test_defaults_filled_in_and_typed(self):
         r = DataRecipe("random_sobolev", {"band": 8.0, "sigma": 3})
@@ -82,11 +110,25 @@ class TestRecipe:
         g = GridSpec(32)
         with pytest.raises(ValueError, match="k1 must be int-valued"):
             make_eigenfunction(g, (1.5, 0))
+        with pytest.raises(ValueError, match="^band must be int-valued, got 8.7$"):
+            make_random_sobolev(g, 3.0, 0, 8.7)
         with pytest.raises(ValueError, match="mode must be int-valued"):
             make_taylor_family(g, mode=2.9)
         assert np.array_equal(
             make_taylor_family(g, mode=2.0).coeffs, make_taylor_family(g, mode=2).coeffs
         )
+
+    def test_generator_defaults_match_init_params(self):
+        # a generator's keyword default and INIT_PARAMS write one default
+        # twice; they must agree
+        names = set()
+        for kind in KINDS:
+            sig = inspect.signature(getattr(initial_data, f"make_{kind}")).parameters
+            for name, (_, default) in INIT_PARAMS[kind].items():
+                if name in sig and sig[name].default is not inspect.Parameter.empty:
+                    assert sig[name].default == default, (kind, name)
+                    names.add(name)
+        assert names == {"amplitude", "smoothing", "mode", "perturbation"}
 
 
 class TestEigenfunction:
