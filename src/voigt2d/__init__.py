@@ -22,17 +22,17 @@ _EXPORTS = {
         "rhs", "step_rk4",
     ),
     "diagnostics": (
-        "cz_ratio", "error_norms", "gagliardo_ratio", "gradient_l2", "l2_norm",
-        "lp_norm", "sample_state", "sobolev_norm",
+        "ERROR_METRICS", "cz_ratio", "error_norms", "gagliardo_ratio", "gradient_l2",
+        "l2_norm", "lp_norm", "sample_state", "sobolev_norm",
     ),
     "initial_data": (
         "KINDS", "DataRecipe", "galerkin_truncate", "make_eigenfunction",
         "make_random_sobolev", "make_taylor_family", "make_yudovich_patch", "realize",
     ),
     "harness": (
-        "ERROR_METRICS", "REGIMES", "ConvergenceReport", "FitResult", "SweepPlan",
-        "TheoreticalRate", "choose_cutoff", "fit_rate", "galerkin_reference_sweep",
-        "run_sweep", "theoretical_slope",
+        "REGIMES", "ConvergenceReport", "FitResult", "SweepPlan", "TheoreticalRate",
+        "choose_cutoff", "fit_rate", "galerkin_reference_sweep", "run_sweep",
+        "theoretical_slope",
     ),
     "config": ("ConfigError", "RunConfig", "load_config", "parse_config"),
     "snapshots": (

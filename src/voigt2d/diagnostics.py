@@ -16,9 +16,9 @@ oversampled field: gagliardo_ratio on |f|, cz_ratio on |grad u|^2 at
 exponents p/2, which it sums from three oversampled transforms of omega's
 half spectrum.  The oversampled values live in the one 2M x 2M plane of
 the spectral oversampling workspace, and the quadrature's scratch in its
-buffer of 2 min(64, M) rows, one workspace per grid size, shared by every
-call in the process, so not for concurrent threads.  The quadrature sums
-every p over cache-sized row blocks in two row slices of that buffer: a
+row buffer, one workspace per grid size, shared by every call in the
+process, so not for concurrent threads.  The quadrature sums every p over
+cache-sized row blocks in the two row halves of that buffer: a
 power of two p by repeated squaring in place, any other p by exp(p log)
 from one log per block.  The collocation sup of the last field asked for
 is kept, so sample_state and cz_ratio of one field transform it once.
@@ -43,6 +43,9 @@ from .spectral import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import TrajectoryRecord
+
+#: the keys of error_norms, in order: the error columns of the sweep CSV
+ERROR_METRICS = ("sup_u_l2", "sup_omega_l2", "sup_u_h1")
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +130,10 @@ def _oversampled_lp(
     """L^p norms, one per p >= 1 in ``ps``, of magnitudes a on the 2x
     oversampled grid of an M grid, by quadrature with weight (2pi/2M)^2.
 
-    Every p is summed over blocks of min(64, M) rows of a, which stay in
-    cache; the blocks live in two row slices of the scratch buffer ``buf``,
-    which has a's width and at least 2 min(64, M) rows, and a is not
-    modified.  A power of two p = 2^k takes
+    Every p is summed over blocks of rows of a, as many as half the rows of
+    the scratch buffer ``buf``, which has a's width: the blocks stay in
+    cache and live in buf's two row halves, and a is not modified.  A
+    power of two p = 2^k takes
     (a/vmax)^p as a/vmax squared in place k times; after a smaller power of
     two the squaring goes on from it, which repeats the same operations.
     Any other p takes exp(p log(a/vmax)), with the log taken once per
@@ -143,7 +146,7 @@ def _oversampled_lp(
     vmax = float(np.max(a))
     if vmax == 0.0:
         return (0.0,) * len(ps)
-    rows = min(64, m)
+    rows = buf.shape[0] // 2
     general = [math.frexp(p)[0] != 0.5 for p in ps]  # p is not a power of two
     need_log = any(general)
     totals = [0.0] * len(ps)
@@ -190,11 +193,10 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     All four sums weight |omega_hat|^2 over the half spectrum by the norm
     weights of the grid's tables, the energies by their velocity weight,
     so no velocity field is built.  The sup is that of lp_norm(omega, inf),
-    which keeps it for a later cz_ratio.
+    which keeps it for a later cz_ratio.  The voigt_* weight, the tables'
+    Voigt symbol, rejects negative or non-finite alpha.
     """
     _require_zero_mean(omega)  # as biot_savart(omega) would
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     # the sup first: its transform's arrays are freed before the sums' three
     sup = lp_norm(omega, np.inf)
     t = tables(omega.grid)
@@ -202,8 +204,7 @@ def sample_state(omega: SpectralField, alpha: float) -> dict[str, float]:
     np.square(omega_sq, out=omega_sq)
     u_sq = t.velocity * omega_sq
     omega_sq *= t.fold
-    w = t.ksq * alpha
-    w += 1.0
+    w = t.voigt(alpha)
     energy = float(TWO_PI**2 * np.sum(u_sq))
     enstrophy = float(TWO_PI**2 * np.sum(omega_sq))
     u_sq *= w
@@ -322,22 +323,18 @@ def error_norms(a: "TrajectoryRecord", b: "TrajectoryRecord") -> dict[str, float
     difference d, the velocity ones by the velocity weight of the grid's
     tables (the velocity of d is biot_savart(d)), so no velocity field is
     built.
-    Returns sup_u_l2, sup_omega_l2, sup_u_h1.
+    Returns ERROR_METRICS; a grid mismatch fails in the field difference.
     """
-    if a.snapshots is None or b.snapshots is None:
+    if not (a.snapshots and b.snapshots):  # None, or no time to take a sup over
         raise ValueError("error_norms requires records with snapshots")
-    if a.config.grid != b.config.grid:
-        raise ValueError(f"grid mismatch: {a.config.grid} vs {b.config.grid}")
     ta = [t for t, _ in a.snapshots]
     tb = [t for t, _ in b.snapshots]
     if len(ta) != len(tb) or not np.allclose(ta, tb, rtol=0.0, atol=1e-12):
         raise ValueError("snapshot time grids differ")
-    sup_u = 0.0
-    sup_w = 0.0
-    sup_h1 = 0.0
+    sups = dict.fromkeys(ERROR_METRICS, 0.0)
     for (_, wa), (_, wb) in zip(a.snapshots, b.snapshots):
         d = wa - wb
-        sup_w = max(sup_w, l2_norm(d))
-        sup_u = max(sup_u, _velocity_sobolev(d, 0.0))
-        sup_h1 = max(sup_h1, _velocity_sobolev(d, 1.0))
-    return {"sup_u_l2": sup_u, "sup_omega_l2": sup_w, "sup_u_h1": sup_h1}
+        now = (_velocity_sobolev(d, 0.0), l2_norm(d), _velocity_sobolev(d, 1.0))
+        for name, value in zip(ERROR_METRICS, now):
+            sups[name] = max(sups[name], value)
+    return sups

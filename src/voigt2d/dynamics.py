@@ -125,11 +125,11 @@ def _projection(m: int, alpha: float) -> np.ndarray:
     -P k1 k2, with P = -M^2 dealias_mask / (1 + alpha |k|^2), 0 at k = 0.
     Applied to the rfft2 spectra of u1 u2 and u2^2 - u1^2 and summed, it
     gives the dealiased, zero-mean, Helmholtz-filtered -u . grad omega in
-    one multiply and one add."""
+    one multiply and one add.  The tables' Voigt symbol checks alpha."""
     t = tables(GridSpec(m))
     c = m // 3 + 1
     k1, k2 = t.k1[:, :c], t.k2[:, :c]
-    p = -(m**2) * t.dealias_mask[:, :c] / (1.0 + alpha * t.ksq[:, :c])
+    p = -(m**2) * t.dealias_mask[:, :c] / t.voigt(alpha)[:, :c]
     p[0, 0] = 0.0
     out = p * np.stack([k2 * k2 - k1 * k1, -(k1 * k2)])
     out.setflags(write=False)
@@ -229,9 +229,8 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     the live block ``out`` if given (and returned), else into a new array.
     ``w`` is never written.  ``alpha`` must be finite and >= 0.
     """
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     ws = _workspace_of(w)
+    projection = _projection(w.shape[0], alpha)
     u1, u2 = _live_values(ws, w)
     cross, diff = ws.planes[2], ws.planes[3]
     np.multiply(u1, u2, out=cross)
@@ -241,7 +240,7 @@ def rhs(w: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarra
     np.fft.rfft(ws.planes[2:], axis=2, out=ws.half)
     spectra = ws.spectra
     np.fft.fft(ws.half[:, :, : w.shape[1]], axis=1, out=spectra)
-    np.multiply(spectra, _projection(w.shape[0], alpha), out=spectra)
+    np.multiply(spectra, projection, out=spectra)
     if out is None:
         out = np.empty_like(spectra[0])
     return np.add(spectra[0], spectra[1], out=out)

@@ -2,7 +2,7 @@
 
 :func:`tables` is the one owner of every per-grid array over the half
 spectrum: the wave-numbers, the derivative, inverse-Laplacian and dealias
-factors, and the weights of the quadratic norms.
+factors, the quadratic norms' weights and the Voigt symbol 1 + alpha |k|^2.
 """
 
 from __future__ import annotations
@@ -109,6 +109,15 @@ class _Tables:
         self.velocity = velocity
         for arr in (self.ksq, inv, self.dealias_mask, fold, self.grad, velocity):
             arr.setflags(write=False)
+
+    def voigt(self, alpha: float) -> np.ndarray:
+        """The symbol 1 + alpha |k|^2 of (I - alpha Laplacian), a fresh
+        array the caller owns; ValueError unless alpha is finite and >= 0."""
+        if not 0.0 <= alpha < np.inf:
+            raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
+        symbol = self.ksq * alpha
+        symbol += 1.0
+        return symbol
 
 
 @lru_cache(maxsize=64)

@@ -12,11 +12,10 @@ import numpy as np
 from .grid import GridSpec
 from .spectral import SpectralField
 from .dynamics import SolverConfig, TrajectoryRecord, _live_block, cfl_dt, integrate
-from .diagnostics import _velocity_sobolev, error_norms, l2_norm
+from .diagnostics import ERROR_METRICS, _velocity_sobolev, error_norms, l2_norm
 from .initial_data import DataRecipe, _cast, galerkin_truncate, realize
 
 REGIMES = ("smooth_s_ge_3", "smooth_2_lt_s_lt_3", "yudovich", "enstrophy_class")
-ERROR_METRICS = ("sup_u_l2", "sup_omega_l2", "sup_u_h1")
 
 #: how far a fitted slope may fall below a proven exponent in the
 #: fixed-rate regimes; the proven rates are upper bounds on the error, so
@@ -136,13 +135,15 @@ class ConvergenceReport:
 def fit_rate(points: list[tuple[float, float]]) -> FitResult:
     """Least-squares slope of ln(error) vs ln(alpha).
 
-    Needs at least three points with positive alphas and errors and at
-    least two distinct alphas.
+    Needs at least three points with finite, positive alphas and errors
+    and at least two distinct alphas.
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points to fit a rate, got {len(points)}")
     alphas = np.array([p[0] for p in points], dtype=float)
     errors = np.array([p[1] for p in points], dtype=float)
+    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(errors))):
+        raise ValueError("rate fits need finite alphas and errors")
     if np.any(alphas <= 0) or np.any(errors <= 0):
         raise ValueError("rate fits need positive alphas and errors")
     x = np.log(alphas)
@@ -210,11 +211,16 @@ def theoretical_slope(regime: str, s: float | None = None) -> TheoreticalRate:
 def choose_cutoff(alpha: float, band_limit: int | None = None) -> int:
     """Galerkin cutoff N = round(alpha^(-1/4)), at least 1, clamped to
     band_limit when given; band_limit is typed by DataRecipe's rule, so a
-    fractional one is a ValueError naming it."""
+    fractional one, or one below 1, is a ValueError naming it."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     n = max(math.floor(alpha**-0.25 + 0.5), 1)
-    return n if band_limit is None else min(n, _cast("band_limit", int, band_limit))
+    if band_limit is None:
+        return n
+    band_limit = _cast("band_limit", int, band_limit)
+    if band_limit < 1:
+        raise ValueError(f"band_limit must be >= 1, got {band_limit}")
+    return min(n, band_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,13 @@ def _cast(name: str, cast: type, value):
     raise ValueError(f"{name} must be {cast.__name__}-valued, got {value!r}")
 
 
-def check_params(kind: str, grid: GridSpec, given: Mapping) -> Mapping:
-    """The parameters ``given`` of a kind, typed by DataRecipe and checked to
-    make data on grid; every generator reads its values from this.  Beyond
+def check_params(kind: str, grid: GridSpec, given: Mapping, seed: int = 0) -> DataRecipe:
+    """DataRecipe(kind, given, seed), its parameters checked to make data on
+    grid; every generator reads its typed values and seed from this.  Beyond
     DataRecipe's errors, a ValueError names a parameter that is not finite
     or is out of its range on grid."""
-    p = DataRecipe(kind, given).params
+    recipe = DataRecipe(kind, given, seed)
+    p = recipe.params
     for name, value in p.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -133,7 +134,7 @@ def check_params(kind: str, grid: GridSpec, given: Mapping) -> Mapping:
             raise ValueError(f"mode must be >= 1, got {m}")
         if (m + 1 if p["perturbation"] else m) > cut:
             raise ValueError("taylor modes outside the dealias band")
-    return p
+    return recipe
 
 
 def make_eigenfunction(
@@ -144,7 +145,8 @@ def make_eigenfunction(
     k must be nonzero, int-valued and inside the dealias band so the mode
     survives the products untouched; check_params types and checks inputs.
     """
-    p = check_params("eigenfunction", grid, dict(k1=k[0], k2=k[1], amplitude=amplitude))
+    given = dict(k1=k[0], k2=k[1], amplitude=amplitude)
+    p = check_params("eigenfunction", grid, given).params
     k1, k2, m = p["k1"], p["k2"], grid.size
     c = np.zeros((m, m), dtype=np.complex128)
     c[k1 % m, k2 % m] = 0.5 * p["amplitude"]
@@ -176,11 +178,11 @@ def make_random_sobolev(
     Modes fill 0 < |k| <= band (Euclidean, band int-valued); one uniform
     phase per conjugate pair, drawn from a seeded generator in a fixed mode
     order.  The velocity gains one derivative, so choosing sigma slightly
-    above s puts u in H^s.  check_params types and checks inputs.
+    above s puts u in H^s.  check_params types and checks every input.
     """
     given = dict(sigma=sigma, band=band, amplitude=amplitude)
-    p = check_params("random_sobolev", grid, given)
-    rng = np.random.default_rng(seed)
+    recipe = check_params("random_sobolev", grid, given, seed)
+    p, rng = recipe.params, np.random.default_rng(recipe.seed)
     m = grid.size
     c = np.zeros((m, m), dtype=np.complex128)
     for k1, k2 in _half_plane_modes(p["band"]):
@@ -203,12 +205,12 @@ def make_yudovich_patch(
     The disc center is drawn uniformly from the seed; the indicator is
     smoothed over ``smoothing`` (default two grid cells) so the patch lives
     on the grid, then dealiased, mean-zeroed, and scaled so the collocation
-    sup norm equals ``amplitude``; check_params types and checks inputs.
+    sup norm equals ``amplitude``; check_params types and checks every input.
     """
     given = dict(radius=radius, smoothing=smoothing, amplitude=amplitude)
-    p = check_params("yudovich_patch", grid, given)
+    recipe = check_params("yudovich_patch", grid, given, seed)
+    p, rng = recipe.params, np.random.default_rng(recipe.seed)
     smoothing = 2.0 * grid.spacing if p["smoothing"] is None else p["smoothing"]
-    rng = np.random.default_rng(seed)
     center = rng.uniform(0.0, TWO_PI, size=2)
     x1, x2 = grid.meshgrid()
     d1 = np.mod(x1 - center[0] + np.pi, TWO_PI) - np.pi
@@ -229,7 +231,7 @@ def make_taylor_family(
     perturbed by a single cos((m+1) x1) mode to break steadiness; mode is
     int-valued, and check_params types and checks inputs."""
     given = dict(mode=mode, amplitude=amplitude, perturbation=perturbation)
-    p = check_params("taylor_family", grid, given)
+    p = check_params("taylor_family", grid, given).params
     m, amplitude, perturbation = p["mode"], p["amplitude"], p["perturbation"]
     n = grid.size
     c = np.zeros((n, n), dtype=np.complex128)

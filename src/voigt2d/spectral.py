@@ -221,14 +221,12 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
 def helmholtz_filter(f: SpectralField, alpha: float) -> SpectralField:
     """Apply (I - alpha*Laplacian)^{-1}: divide mode k by 1 + alpha|k|^2.
 
-    alpha = 0 is the identity bit-for-bit; negative or non-finite alpha is
-    rejected.
+    alpha = 0 is the identity bit-for-bit; the symbol of the grid's tables
+    rejects negative or non-finite alpha.
     """
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     if alpha == 0:
         return f
-    return SpectralField(f.grid, f.half / (1.0 + alpha * tables(f.grid).ksq), _half=True)
+    return SpectralField(f.grid, f.half / tables(f.grid).voigt(alpha), _half=True)
 
 
 def _require_zero_mean(f: SpectralField) -> None:
@@ -319,8 +317,8 @@ class _Oversampling:
         )
         #: the one 2M x 2M value plane of the diagnostics' oversampled values
         self.plane = np.empty((mf, mf))
-        #: 2 min(64, M) rows of 2M values: the L^p quadrature's scratch and
-        #: the output blocks of a row-blocked k2 pass
+        #: 2 min(64, M) rows of 2M values: the L^p quadrature's two row
+        #: blocks, and the output blocks of a row-blocked k2 pass
         self.block = np.empty((rows, mf))
         #: 2 min(64, M) rows of the (2M, M+1) spectrum the irfft along k2
         #: reads: each pass copies pad rows into its first M/2+1 columns,

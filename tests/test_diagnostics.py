@@ -202,8 +202,8 @@ class TestConservedQuantities:
 
     def test_voigt_quantities_reject_nan_alpha(self):
         f = seeded(GridSpec(32), 12)
-        for alpha in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="alpha must be >= 0"):
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^alpha must be >= 0 and finite, got "):
                 sample_state(f, alpha)
 
     def test_voigt_energy_monotone_in_alpha(self):
@@ -484,7 +484,7 @@ class TestInequalityRatios:
                     b = b * b
                 return vmax * (h2 * float(np.sum(b))) ** (1.0 / p)
             # any other p: exp(p log(a/vmax)), summed over the code's blocks
-            # of min(64, M) = 32 rows, one block sum at a time
+            # of half the scratch buffer's 64 rows, one block sum at a time
             total = 0.0
             for block in (a[:32], a[32:]):
                 total += float(np.sum(np.exp(np.log(block / vmax) * p)))
@@ -509,15 +509,17 @@ class TestInequalityRatios:
         assert got == tuple(diagnostics._oversampled_lp(a, 32, (p,), buf)[0] for p in ps)
 
     def test_quadrature_over_uneven_row_blocks(self):
-        # M = 80: the 160 rows of the oversampled grid are summed in blocks
-        # of 64, 64 and 32; powers of two and the exp-log path alike agree
-        # with the plain power
+        # M = 80: with the workspace's buffer of 128 rows, the 160 rows of
+        # the oversampled grid are summed in blocks of 64, 64 and 32; powers
+        # of two and the exp-log path alike agree with the plain power
         m = 80
         a = np.abs(np.random.default_rng(5).standard_normal((2 * m, 2 * m)))
         ps = (2.5, 8.0 / 3.0, 4.0, 64.0 / 31.0)
         vmax = float(np.max(a))
         h2 = (TWO_PI / (2 * m)) ** 2
-        got = diagnostics._oversampled_lp(a, m, ps, np.empty_like(a))
+        buf = diagnostics._oversampling(m).block
+        assert buf.shape == (128, 2 * m)
+        got = diagnostics._oversampled_lp(a, m, ps, buf)
         for norm, p in zip(got, ps):
             want = vmax * (h2 * float(np.sum((a / vmax) ** p))) ** (1.0 / p)
             assert norm == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -662,8 +664,8 @@ class TestErrorNorms:
         assert errs == {"sup_u_l2": 0.0, "sup_omega_l2": 0.0, "sup_u_h1": 0.0}
 
     def test_keys_in_error_metrics_order(self):
-        # the harness names the metrics again in ERROR_METRICS, which
-        # orders the sweep CSV's columns
+        # error_norms builds its dict from ERROR_METRICS, which orders the
+        # error columns of sweep.csv: this guards that column order
         a, b = small_pair()
         assert tuple(error_norms(a, b)) == ERROR_METRICS
 
@@ -751,7 +753,7 @@ class TestErrorNorms:
                 grid=g2, alpha=0.0, t_end=0.3, record_every=0.1, snapshot_every=0.1, dt=0.02
             ),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid mismatch"):
             error_norms(a, other)
 
     def test_different_snapshot_times_rejected(self):
@@ -773,3 +775,12 @@ class TestErrorNorms:
         )
         with pytest.raises(ValueError):
             error_norms(rec, rec)
+        # an empty time grid has no sup to take, whatever the grids
+        empty = TrajectoryRecord(rec.config, np.array([]), {}, [])
+        other = TrajectoryRecord(
+            SolverConfig(grid=GridSpec(16), alpha=0.0, t_end=0.2, record_every=0.1),
+            np.array([]), {}, [],
+        )
+        for pair in ((empty, empty), (empty, other)):
+            with pytest.raises(ValueError, match="requires records with snapshots"):
+                error_norms(*pair)

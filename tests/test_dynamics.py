@@ -264,9 +264,12 @@ class TestRightHandSides:
             assert float(np.max(np.abs(rhs(w, alpha)))) <= bound, alpha
 
     def test_rhs_rejects_negative_alpha(self):
-        for alpha in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="alpha must be >= 0"):
+        for alpha in (-1.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^alpha must be >= 0 and finite, got "):
                 rhs(live(two_mode(GridSpec(16)).half), alpha)
+        # the shape is checked first
+        with pytest.raises(ValueError, match="expected a live block"):
+            rhs(two_mode(GridSpec(16)).half, float("nan"))
 
     def test_rhs_mean_free_and_dealiased(self):
         g = GridSpec(32)

@@ -117,6 +117,12 @@ class TestFitRate:
         with pytest.raises(ValueError, match="positive"):
             fit_rate([(0.1, 1.0), (-0.01, 0.3), (0.001, 0.1)])
 
+    def test_non_finite_values_rejected(self):
+        # a NaN would fit to a NaN slope and an inf only warn
+        for bad in ((1e-2, math.nan), (1e-2, math.inf), (math.nan, 2.0), (math.inf, 2.0)):
+            with pytest.raises(ValueError, match="^rate fits need finite alphas and errors$"):
+                fit_rate([bad, (1e-3, 1.0), (1e-4, 0.5)])
+
     def test_identical_alphas_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             fit_rate([(0.1, 1.0), (0.1, 0.9), (0.1, 1.1)])
@@ -177,6 +183,10 @@ class TestChooseCutoff:
             choose_cutoff(0.0)
         with pytest.raises(ValueError, match="alpha"):
             choose_cutoff(1.5)
+        for bad in (0, -3, 0.0):
+            with pytest.raises(ValueError, match="^band_limit must be >= 1, got "):
+                choose_cutoff(1e-4, band_limit=bad)
+        assert choose_cutoff(1e-4, band_limit=1) == 1
 
 
 class TestSweepPlan:

@@ -1,5 +1,6 @@
 """Initial vorticity generators: closed forms, determinism, grid independence."""
 
+import functools
 import inspect
 import math
 import pickle
@@ -74,6 +75,19 @@ class TestRecipe:
         r = DataRecipe("random_sobolev", {"sigma": 3.0, "band": 8}, seed=2.0)
         assert r.seed == 2 and type(r.seed) is int
         assert r == DataRecipe("random_sobolev", {"sigma": 3.0, "band": 8}, seed=2)
+
+    def test_generators_type_their_seed(self):
+        # the seed takes the recipe's rule: 2.0 is seed 2, bit for bit, and
+        # a fractional or negative seed is a ValueError naming it
+        g = GridSpec(32)
+        sobolev = functools.partial(make_random_sobolev, g, 3.0, band=6)
+        patch = functools.partial(make_yudovich_patch, g, 0.5)
+        for make in (sobolev, patch):
+            assert np.array_equal(make(seed=2.0).half, make(seed=2).half)
+            with pytest.raises(ValueError, match=r"^seed must be int-valued, got 1\.5$"):
+                make(seed=1.5)
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                make(seed=-1)
 
     def test_defaults_filled_in_and_typed(self):
         r = DataRecipe("random_sobolev", {"band": 8.0, "sigma": 3})

@@ -26,12 +26,12 @@ WATCHED = (
 )
 
 
-def loaded_after(code: str) -> set[str]:
-    """The WATCHED modules in sys.modules after ``code`` runs in a fresh
+def loaded_after(code: str, watched: tuple[str, ...] = WATCHED) -> set[str]:
+    """The ``watched`` modules in sys.modules after ``code`` runs in a fresh
     interpreter that imports voigt2d from this checkout."""
     probe = (
         f"{code}\nimport sys\n"
-        f"print('loaded:', *(m for m in {WATCHED!r} if m in sys.modules))"
+        f"print('loaded:', *(m for m in {watched!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -70,6 +70,12 @@ class TestFootprint:
         )
         loaded = loaded_after(cli_call("sweep", str(cfg)))
         assert loaded == {"voigt2d.harness", "voigt2d.dynamics"}
+
+    def test_error_metrics_load_diagnostics_not_harness(self):
+        # the metric names live with error_norms, which makes their keys
+        watched = ("voigt2d.diagnostics", "voigt2d.harness")
+        loaded = loaded_after("import voigt2d\nvoigt2d.ERROR_METRICS", watched)
+        assert loaded == {"voigt2d.diagnostics"}
 
 
 class TestNamespace:

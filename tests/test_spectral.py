@@ -92,6 +92,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             t.ksq[0, 0] = 1.0
 
+    def test_voigt_symbol_is_fresh_and_checks_alpha(self):
+        # 1 + alpha |k|^2 bit for bit in either order of the operands, in a
+        # new writable array each call; the one owner of the rule on alpha
+        t = tables(GridSpec(16))
+        for alpha in (0.0, 0.37, 1e-4):
+            symbol = t.voigt(alpha)
+            assert np.array_equal(symbol, 1.0 + alpha * t.ksq)
+            assert symbol.flags.writeable and symbol is not t.voigt(alpha)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^alpha must be >= 0 and finite, got "):
+                t.voigt(alpha)
+
     @pytest.mark.parametrize("m", [8, 16, 64])
     def test_wave_number_tables_are_read_only_views(self, m):
         # k1, k2, d1, d2 are broadcasts of one vector each over the half
@@ -525,8 +537,8 @@ class TestCalculus:
         assert np.array_equal(helmholtz_filter(f, 0.0).coeffs, f.coeffs)
 
     def test_helmholtz_negative_alpha_rejected(self):
-        for alpha in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="alpha must be >= 0"):
+        for alpha in (-1.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"^alpha must be >= 0 and finite, got "):
                 helmholtz_filter(cos_x1(grid32()), alpha)
 
     def test_dealias_zeroes_high_modes(self):
